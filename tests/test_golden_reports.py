@@ -1,0 +1,143 @@
+"""Byte-for-byte contract on the CLI's reports.
+
+``golden_reports.json`` lists about fifty CLI runs with the exit code and
+the sha256 of each output: stdout, stderr and, for sweeps, the CSV file.
+The test reruns every listed argv in-process and names each run whose
+bytes differ.  A change that alters report bytes on purpose says so and
+re-pins the file in a change of its own:
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy
+import scipy
+
+from advbayes.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+# Radius ladders (lo, hi, steps) of scripts/run_example_sweeps.py.
+LADDERS = {
+    "gaussians_equal_variances": (0.1, 1.5, 15),
+    "gaussians_equal_means": (0.1, 1.0, 10),
+    "non_uniqueness_single": (0.05, 0.4, 8),
+    "non_uniqueness_all": (0.05, 0.45, 9),
+    "degenerate": (0.02, 0.2, 10),
+}
+# Default radius of each built-in regression (regressions._DEFAULT_EPS).
+CERTIFY_EPS = {
+    "gaussians_equal_variances": 0.5,
+    "gaussians_equal_means": 0.5,
+    "non_uniqueness_single": 0.1,
+    "non_uniqueness_all": 0.2,
+    "degenerate": 0.05,
+    "deg_eta_0_1_counterexample": 0.1,
+}
+MIXTURE_KS = (6, 10)  # k=10 truncates candidate enumeration (exit 2)
+
+
+def mixture_config(k: int) -> dict:
+    """k alternating Gaussian bumps: class 0 at 4i, class 1 at 4i+2."""
+    def bumps(offset: float) -> list[dict]:
+        return [{"type": "gaussian", "weight": 0.5 / k, "mu": 4.0 * i + offset,
+                 "sigma": 0.7} for i in range(k)]
+
+    return {"class0": bumps(0.0), "class1": bumps(2.0)}
+
+
+def pinned_runs() -> list[dict]:
+    """Every pinned run; ``{dir}`` stands for a scratch directory that holds
+    the run's ``inputs`` files and receives its CSV."""
+    runs: list[dict] = []
+    for name, (lo, hi, steps) in LADDERS.items():
+        runs.append({"argv": ["sweep", "--example", name, "--eps-min", repr(lo),
+                              "--eps-max", repr(hi), "--steps", str(steps),
+                              "--csv", "{dir}/sweep.csv"]})
+        mid = lo + (hi - lo) * ((steps - 1) // 2) / (steps - 1)
+        for eps in (lo, mid, hi):
+            for extra in ([], ["--keep-all"]):
+                runs.append({"argv": ["solve", "--example", name, "--eps", repr(eps)] + extra})
+    for name, eps in CERTIFY_EPS.items():
+        runs.append({"argv": ["certify", "--example", name, "--eps", repr(eps),
+                              "--grid-h", "1e-3"]})
+    for eps in (0.05, 0.1):
+        runs.append({"argv": ["solve", "--example", "deg_eta_0_1_counterexample",
+                              "--eps", repr(eps)]})
+    runs.append({"argv": ["certify", "--example", "non_equiv", "--eps", "0.3",
+                          "--full-matching"]})
+    for name in CERTIFY_EPS:
+        runs.append({"argv": ["examples", name]})
+    for k in MIXTURE_KS:
+        config = f"mixture_k{k}.json"
+        runs.append({"argv": ["solve", "--config", "{dir}/" + config, "--eps", "0.1"],
+                     "inputs": {config: mixture_config(k)}})
+    return runs
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_pinned(run: dict, workdir: Path) -> dict:
+    """Run one pinned argv in-process; exit code and digest of every output."""
+    for name, content in run.get("inputs", {}).items():
+        (workdir / name).write_text(json.dumps(content, sort_keys=True))
+    argv = [a.format(dir=workdir) for a in run["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    result = {
+        "exit": code,
+        "stdout": _sha256(out.getvalue().encode()),
+        "stderr": _sha256(err.getvalue().encode()),
+    }
+    if "--csv" in argv:
+        csv_path = Path(argv[argv.index("--csv") + 1])
+        result["csv"] = _sha256(csv_path.read_bytes())
+        csv_path.unlink()
+    return result
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def test_reports_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["runs"], "the golden file pins no runs"
+    differing = []
+    for run in golden["runs"]:
+        expected = {k: run[k] for k in run if k not in ("argv", "inputs")}
+        got = run_pinned(run, tmp_path)
+        if got != expected:
+            streams = sorted(k for k in expected if got.get(k) != expected[k])
+            differing.append(f"  {' '.join(run['argv'])}: {', '.join(streams)} differ")
+    assert not differing, (
+        f"{len(differing)} of {len(golden['runs'])} pinned reports changed\n"
+        f"pinned with {golden['versions']}, running {versions()}\n" + "\n".join(differing)
+    )
+
+
+def _write_golden() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [{**run, **run_pinned(run, Path(tmp))} for run in pinned_runs()]
+    lines = ",\n".join("  " + json.dumps(run, sort_keys=True) for run in runs)
+    GOLDEN.write_text(f'{{"versions": {json.dumps(versions(), sort_keys=True)},\n'
+                      f' "runs": [\n{lines}\n]}}\n')
+    print(f"pinned {len(runs)} runs in {GOLDEN}")
+
+
+if __name__ == "__main__":
+    sys.exit(_write_golden())
