@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import certify, examples, reportio, risk, solver
@@ -103,20 +101,27 @@ def parse_config(text: str) -> RunConfig:
     if isinstance(eps_spec, (int, float)):
         cfg.eps_values = [float(eps_spec)]
     elif isinstance(eps_spec, dict):
-        cfg.eps_values = _eps_range(
-            float(eps_spec["min"]), float(eps_spec["max"]), int(eps_spec["steps"])
-        )
+        try:
+            lo, hi = float(eps_spec["min"]), float(eps_spec["max"])
+            steps = int(eps_spec["steps"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"'run.epsilon' needs numeric min, max and steps: {exc!r}")
+        cfg.eps_values = _eps_range(lo, hi, steps)
     elif eps_spec is not None:
         raise ParseError("'run.epsilon' must be a number or {min, max, steps}")
 
-    cfg.grid_n = int(run.get("grid_n", cfg.grid_n))
-    cfg.grid_h = float(run.get("grid_h", cfg.grid_h))
-    cfg.max_k = int(run.get("max_k", cfg.max_k))
+    try:
+        cfg.grid_n = int(run.get("grid_n", cfg.grid_n))
+        cfg.grid_h = float(run.get("grid_h", cfg.grid_h))
+        cfg.max_k = int(run.get("max_k", cfg.max_k))
+        cfg.tolerance = float(run.get("tolerance", cfg.tolerance))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed 'run' value: {exc}")
     cfg.keep_all = bool(run.get("keep_all", cfg.keep_all))
     cfg.full_matching = bool(run.get("full_matching", cfg.full_matching))
-    cfg.tolerance = float(run.get("tolerance", cfg.tolerance))
-    cfg.out = run.get("out")
-    cfg.csv = run.get("csv")
+    cfg.out, cfg.csv = run.get("out"), run.get("csv")
+    if not all(p is None or isinstance(p, str) for p in (cfg.out, cfg.csv)):
+        raise ParseError("'run.out' and 'run.csv' must be path strings")
     _validate(cfg)
     return cfg
 
@@ -180,7 +185,11 @@ def _build_parser() -> _Parser:
 def _config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"config is not UTF-8 text: {exc}")
+        cfg = parse_config(text)
     elif args.example and args.example != "non_equiv":
         cfg = RunConfig(distribution=examples.example_pair(args.example, eps=args.eps))
         cfg.example = args.example
@@ -226,14 +235,11 @@ def _emit(text: str, path: str | None) -> None:
         print(text)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ADVBAYES_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # -- commands -----------------------------------------------------------------
+
+
+def _solve(cfg: RunConfig, eps: float) -> SolveReport:
+    return solver.solve(cfg.distribution, eps, grid_n=cfg.grid_n, keep_all=cfg.keep_all)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -241,9 +247,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise ValidationError("solve needs a density-based distribution")
     if len(cfg.eps_values) != 1:
         raise ValidationError("solve needs exactly one epsilon (use sweep for ranges)")
-    report = solver.solve(
-        cfg.distribution, cfg.eps_values[0], grid_n=cfg.grid_n, keep_all=cfg.keep_all
-    )
+    report = _solve(cfg, cfg.eps_values[0])
     _emit(reportio.dumps(reportio.solve_report_to_dict(report)), cfg.out)
     if cfg.csv:
         reportio.write_csv(cfg.csv, reportio.SOLVE_COLUMNS, [reportio.solve_csv_row(report)])
@@ -251,17 +255,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _sweep_reports(cfg: RunConfig) -> list[SolveReport]:
-    pair = cfg.distribution
-
-    def run_one(e: float) -> SolveReport:
-        return solver.solve(pair, e, grid_n=cfg.grid_n, keep_all=cfg.keep_all)
-
-    n = _threads()
-    eps_sorted = sorted(cfg.eps_values)
-    if n == 1:
-        return [run_one(e) for e in eps_sorted]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(run_one, eps_sorted))
+    return [_solve(cfg, e) for e in sorted(cfg.eps_values)]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -270,13 +264,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.eps_values:
         raise ValidationError("sweep needs at least one epsilon")
     reports = _sweep_reports(cfg)
+    support = cfg.distribution.support()
     rows = []
-    warned = False
     prev: SolveReport | None = None
     for rep in reports:
-        warned = warned or bool(rep.warnings)
         top = rep.classes[0].representative if rep.classes else IntervalSet.empty()
-        support = cfg.distribution.support()
+        dilated = support.expand(rep.epsilon)
         mono = ""
         if prev is not None:
             try:
@@ -289,8 +282,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 reportio.fmt_float(rep.epsilon),
                 reportio.fmt_float(rep.min_risk),
                 len(rep.classes),
-                top.intersect(support.expand(rep.epsilon)).n_components,
-                top.complement().intersect(support.expand(rep.epsilon)).n_components,
+                top.intersect(dilated).n_components,
+                top.complement().intersect(dilated).n_components,
                 "true" if rep.unique_up_to_degeneracy else "false",
                 reportio.representative_string(top),
                 mono,
@@ -304,7 +297,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "reports": [reportio.solve_report_to_dict(r) for r in reports],
     }
     _emit(reportio.dumps(payload), cfg.out)
-    return 2 if warned else 0
+    return 2 if any(r.warnings for r in reports) else 0
 
 
 def cmd_certify(cfg: RunConfig) -> int:
@@ -320,7 +313,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         _emit(reportio.dumps(payload), cfg.out)
         return 0
     assert cfg.distribution is not None
-    report = solver.solve(cfg.distribution, eps, grid_n=cfg.grid_n, keep_all=cfg.keep_all)
+    report = _solve(cfg, eps)
     gap = certify.duality_gap(cfg.distribution, eps, cfg.grid_h, cfg.max_k)
     payload = {
         "solver_min_risk": report.min_risk,
@@ -358,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "examples":
+            if args.eps is not None and args.eps < 0:
+                raise ValidationError("epsilon must be nonnegative")
             return cmd_examples(args.name, args.eps)
         cfg = _config_from_args(args)
         if args.command == "solve":
@@ -373,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliUsageError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -77,17 +77,20 @@ class FirstOrderScan:
     window_widened: bool
     truncated: bool = False
 
-    def __iter__(self):
-        return iter((self.a_candidates, self.b_candidates))
+
+def _reads(kind: str) -> tuple[int, int]:
+    """Classes whose densities the kind's conditions read at x+eps and at x-eps."""
+    if kind == "a":
+        return 1, 0
+    if kind == "b":
+        return 0, 1
+    raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
 
 
 def defect(pair: DistributionPair, eps: float, kind: str, x: float) -> float:
     """First-order defect g_a or g_b at x."""
-    if kind == "a":
-        return pair.pdf(1, x + eps) - pair.pdf(0, x - eps)
-    if kind == "b":
-        return pair.pdf(0, x + eps) - pair.pdf(1, x - eps)
-    raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
+    plus, minus = _reads(kind)
+    return pair.pdf(plus, x + eps) - pair.pdf(minus, x - eps)
 
 
 def scan_window(pair: DistributionPair, eps: float) -> tuple[Interval | None, bool]:
@@ -114,30 +117,22 @@ def scan_window(pair: DistributionPair, eps: float) -> tuple[Interval | None, bo
 
 def check_second_order(pair: DistributionPair, eps: float, x: float, kind: str) -> str:
     """PASS iff the local-minimality derivative combination is >= -TAU_DERIV."""
+    plus, minus = _reads(kind)
     try:
-        if kind == "a":
-            s = pair.derivative(1, x + eps) - pair.derivative(0, x - eps)
-        elif kind == "b":
-            s = pair.derivative(0, x + eps) - pair.derivative(1, x - eps)
-        else:
-            raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
+        s = pair.derivative(plus, x + eps) - pair.derivative(minus, x - eps)
     except BreakpointDerivative:
         return INCONCLUSIVE
     return PASS if s >= -TAU_DERIV else FAIL
 
 
-def _shifted_breakpoints(pair: DistributionPair, eps: float, kind: str) -> list[float]:
-    """Breakpoints of the defect function (density breakpoints shifted by ∓eps)."""
-    plus, minus = ((1, 0) if kind == "a" else (0, 1))
-    pts = [b - eps for b in pair.breakpoints(plus)]
-    pts += [b + eps for b in pair.breakpoints(minus)]
-    return sorted(set(pts))
+def _shifted(points, eps: float, kind: str) -> list[float]:
+    """Density points seen by the defect: ``points(c)`` shifted by ∓eps.
 
-
-def _shifted_discontinuities(pair: DistributionPair, eps: float, kind: str) -> list[float]:
-    plus, minus = ((1, 0) if kind == "a" else (0, 1))
-    pts = [b - eps for b in pair.discontinuities(plus)]
-    pts += [b + eps for b in pair.discontinuities(minus)]
+    ``points`` is ``pair.breakpoints`` or ``pair.discontinuities``.
+    """
+    plus, minus = _reads(kind)
+    pts = [b - eps for b in points(plus)]
+    pts += [b + eps for b in points(minus)]
     return sorted(set(pts))
 
 
@@ -173,7 +168,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
     if not lo < hi:
         return [], False
 
-    special = [s for s in _shifted_breakpoints(pair, eps, kind) if lo < s < hi]
+    special = [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi]
     edges = [lo] + special + [hi]
     total = hi - lo
 
@@ -243,7 +238,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                                   second_order=check_second_order(pair, eps, r, kind),
                                   residual=g(r)))
         taken.append(r)
-    disc = set(_shifted_discontinuities(pair, eps, kind))
+    disc = set(_shifted(pair.discontinuities, eps, kind))
     for s in jumps:
         if near_existing(s, taken):
             continue

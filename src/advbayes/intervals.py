@@ -10,9 +10,7 @@ erosion composites satisfy literal set identities such as
 identities that hold only up to measure zero, and the contraction of a
 closed interval of length exactly ``2*eps`` is a single point.
 
-Merging uses exact float equality (tolerance zero).  Callers that
-accumulate round-off across unrelated shifts can close sub-``delta`` gaps
-explicitly via :meth:`IntervalSet.snap`.
+Merging uses exact float equality (tolerance zero).
 """
 
 from __future__ import annotations
@@ -169,10 +167,6 @@ class IntervalSet:
     def n_components(self) -> int:
         return len(self.intervals)
 
-    def components(self) -> tuple[int, tuple[Interval, ...]]:
-        """Connected-component count together with the component list."""
-        return len(self.intervals), self.intervals
-
     def contains_point(self, x: float) -> bool:
         return any(iv.contains(x) for iv in self.intervals)
 
@@ -274,19 +268,6 @@ class IntervalSet:
             if not math.isinf(iv.length) and iv.length <= 2 * eps:
                 return False
         return True
-
-    def snap(self, delta: float = 1e-12) -> "IntervalSet":
-        """Close gaps of width at most ``delta`` (cleans float round-off)."""
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
-        out: list[Interval] = []
-        for iv in self.intervals:
-            if out and iv.lo - out[-1].hi <= delta:
-                last = out[-1]
-                out[-1] = Interval(last.lo, iv.hi, last.lo_closed, iv.hi_closed)
-            else:
-                out.append(iv)
-        return IntervalSet(out)
 
     # -- serialization -------------------------------------------------------
 

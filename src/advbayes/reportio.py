@@ -15,7 +15,6 @@ from typing import Any, Iterable
 from .certify import DualCertificate, GapReport
 from .conditions import FirstOrderScan
 from .intervals import IntervalSet
-from .risk import RiskBreakdown
 from .solver import (
     CandidateClassifier,
     DegenerateReport,
@@ -62,14 +61,6 @@ def dumps(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def interval_set_to_rows(s: IntervalSet) -> list[list]:
-    return s.to_rows()
-
-
-def risk_to_dict(r: RiskBreakdown) -> dict:
-    return r.to_dict()
-
-
 def candidate_to_dict(c: CandidateClassifier) -> dict:
     return {
         "set": c.set.to_rows(),
@@ -85,7 +76,7 @@ def class_to_dict(c: EquivalenceClass) -> dict:
         "members": [m.set.to_rows() for m in c.members],
         "degenerate_core": c.degenerate_core.to_rows(),
         "risk": c.risk,
-        "assumptions_met": c.assumptions_met,
+        "assumptions_met": c.degenerate.assumptions_met,
     }
 
 
@@ -129,7 +120,7 @@ def solve_report_to_dict(r: SolveReport) -> dict:
             }
             for p in r.plateau_checks
         ],
-        "degenerate_reports": [degenerate_to_dict(d) for d in r.degenerate],
+        "degenerate_reports": [degenerate_to_dict(c.degenerate) for c in r.classes],
         "warnings": r.warnings,
     }
 

@@ -30,6 +30,11 @@ class AssumptionUnmet(ValueError):
     """Hypotheses of the structure-monotonicity theorem do not hold."""
 
 
+def _set_key(s: IntervalSet) -> tuple:
+    """Sort and deduplication key of a set: its (lo, hi) endpoint pairs."""
+    return tuple((iv.lo, iv.hi) for iv in s.intervals)
+
+
 @dataclass
 class CandidateClassifier:
     set: IntervalSet
@@ -38,16 +43,7 @@ class CandidateClassifier:
     second_order_clean: bool
 
     def sort_key(self):
-        return tuple((iv.lo, iv.hi) for iv in self.set.intervals)
-
-
-@dataclass
-class EquivalenceClass:
-    representative: IntervalSet
-    members: list[CandidateClassifier]
-    degenerate_core: IntervalSet
-    risk: float
-    assumptions_met: bool = True
+        return _set_key(self.set)
 
 
 @dataclass
@@ -56,6 +52,15 @@ class DegenerateReport:
     maximal_degenerate: IntervalSet
     assumptions_met: bool
     detected_intervals: list[Interval] = field(default_factory=list)
+
+
+@dataclass
+class EquivalenceClass:
+    representative: IntervalSet
+    members: list[CandidateClassifier]
+    degenerate_core: IntervalSet
+    risk: float
+    degenerate: DegenerateReport
 
 
 @dataclass
@@ -77,7 +82,6 @@ class SolveReport:
     warnings: list[str]
     first_order: FirstOrderScan | None = None
     plateau_checks: list[PlateauCheck] = field(default_factory=list)
-    degenerate: list[DegenerateReport] = field(default_factory=list)
 
     def representatives(self) -> list[IntervalSet]:
         return [c.representative for c in self.classes]
@@ -128,7 +132,7 @@ def enumerate_candidates(
 
     def emit(points: list[float], kinds: list[str]) -> bool:
         s = _set_from_sequence(points, kinds)
-        key = tuple((iv.lo, iv.hi) for iv in s.intervals)
+        key = _set_key(s)
         if key not in results:
             if len(results) >= cap:
                 return False
@@ -154,8 +158,7 @@ def enumerate_candidates(
 
     if not extend(0, [], []):
         truncated = True
-    out = sorted(results.values(), key=lambda s: tuple((iv.lo, iv.hi) for iv in s.intervals))
-    return out, truncated
+    return sorted(results.values(), key=_set_key), truncated
 
 
 def are_equivalent(pair: DistributionPair, eps: float, a1: IntervalSet, a2: IntervalSet) -> bool:
@@ -254,7 +257,6 @@ def solve(
     *,
     grid_n: int = 2048,
     keep_all: bool = False,
-    cap: int = ENUMERATION_CAP,
 ) -> SolveReport:
     """Run the full enumeration-and-comparison procedure at one radius."""
     if eps < 0:
@@ -273,20 +275,16 @@ def solve(
         if scan.truncated:
             warnings.append("first-order candidate list was truncated")
 
-        def usable(c: CandidatePoint) -> bool:
-            return keep_all or c.second_order != FAIL
+        def usable(cands: list[CandidatePoint]) -> list[float]:
+            return [p for c in cands if keep_all or c.second_order != FAIL
+                    for p in c.enumeration_points()]
 
-        for c in scan.a_candidates:
-            if usable(c):
-                a_pts.extend(c.enumeration_points())
-        for c in scan.b_candidates:
-            if usable(c):
-                b_pts.extend(c.enumeration_points())
+        a_pts, b_pts = usable(scan.a_candidates), usable(scan.b_candidates)
 
     window = scan.window if scan is not None else None
-    sets, truncated = enumerate_candidates(a_pts, b_pts, eps, window, cap)
+    sets, truncated = enumerate_candidates(a_pts, b_pts, eps, window)
     if truncated:
-        warnings.append(f"candidate enumeration truncated at {cap} sets")
+        warnings.append(f"candidate enumeration truncated at {ENUMERATION_CAP} sets")
 
     pass_points = set()
     if scan is not None:
@@ -294,6 +292,8 @@ def solve(
             if c.second_order == PASS:
                 pass_points.update(c.enumeration_points())
 
+    # ``sets`` arrive sorted by _set_key, so candidates, minimizers and each
+    # class's members are in that order too.
     candidates = []
     for s in sets:
         endpoints = [p for p in s.boundary_points()]
@@ -306,7 +306,6 @@ def solve(
                 second_order_clean=clean,
             )
         )
-    candidates.sort(key=CandidateClassifier.sort_key)
 
     min_risk = min(c.risk.total for c in candidates)
     minimizers = [c for c in candidates if c.risk.total <= min_risk + TAU_RISK]
@@ -336,19 +335,17 @@ def solve(
     for members in groups.values():
         rep = min(members, key=lambda m: (m.set.n_components, m.sort_key())).set
         deg = degenerate_report(pair, eps, rep, probe_points)
-        core = deg.maximal_degenerate
-        for iv in deg.detected_intervals:
-            core = core.union(IntervalSet((iv,)))
+        core = deg.maximal_degenerate.union(IntervalSet(deg.detected_intervals))
         classes.append(
             EquivalenceClass(
                 representative=rep,
-                members=sorted(members, key=CandidateClassifier.sort_key),
+                members=members,
                 degenerate_core=core,
                 risk=min(m.risk.total for m in members),
-                assumptions_met=deg.assumptions_met,
+                degenerate=deg,
             )
         )
-    classes.sort(key=lambda c: tuple((iv.lo, iv.hi) for iv in c.representative.intervals))
+    classes.sort(key=lambda c: _set_key(c.representative))
 
     plateau_checks = []
     if scan is not None:
@@ -376,9 +373,6 @@ def solve(
                                  checked_points=interior)
                 )
 
-    deg_reports = [degenerate_report(pair, eps, cl.representative, probe_points)
-                   for cl in classes]
-
     return SolveReport(
         epsilon=eps,
         candidates=candidates,
@@ -389,7 +383,6 @@ def solve(
         warnings=warnings,
         first_order=scan,
         plateau_checks=plateau_checks,
-        degenerate=deg_reports,
     )
 
 

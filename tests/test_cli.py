@@ -47,6 +47,11 @@ class TestParseConfig:
         )
         assert cfg.eps_values == pytest.approx([0.1, 0.2, 0.3])
 
+    def test_numeric_out_rejected(self):
+        # open() would take a number as a file descriptor
+        with pytest.raises(ParseError):
+            parse_config('{"example": "degenerate", "run": {"epsilon": 0.05, "out": 2}}')
+
     def test_atoms_block(self):
         cfg = parse_config(
             '{"atoms": {"class0": [[-0.3, 0.5]], "class1": [[0.3, 0.5]]}, "run": {"epsilon": 0.3}}'
@@ -80,6 +85,34 @@ class TestExitCodes:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["unique_up_to_degeneracy"] is True
+
+    def test_eps_range_missing_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"example": "degenerate", "run": {"epsilon": {"min": 0.1}}}')
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_n", ['"fine"', "1e400"])
+    def test_non_numeric_grid_n(self, tmp_path, capsys, grid_n):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"example": "degenerate", "run": {"epsilon": 0.05, "grid_n": %s}}' % grid_n)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_examples_negative_eps(self, capsys):
+        assert main(["examples", "degenerate", "--eps", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "nonnegative" in captured.err and "[PASS]" not in captured.out
+
+    def test_config_is_directory(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path), "--eps", "0.1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", "--config", str(cfg), "--eps", "0.1"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_warning_exit_code(self, tmp_path):
         out = tmp_path / "r.json"
@@ -142,16 +175,6 @@ class TestSweepCommand:
         # uniqueness flips exactly at half the mean separation
         uniq = [r["unique_up_to_degeneracy"] for r in data["rows"]]
         assert uniq == ["true", "false", "false"]
-
-    def test_thread_env_var_does_not_change_output(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["sweep", "--example", "non_uniqueness_all",
-                "--eps-min", "0.1", "--eps-max", "0.3", "--steps", "3"]
-        monkeypatch.setenv("ADVBAYES_THREADS", "1")
-        assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("ADVBAYES_THREADS", "4")
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_single_step_matches_solve(self, tmp_path):
         sweep_out = tmp_path / "sweep.json"

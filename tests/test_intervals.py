@@ -69,8 +69,6 @@ class TestOperations:
         assert IntervalSet.empty().n_components == 0
         assert iset((-INF, 1, False, False), (2, 3, False, False)).n_components == 2
         assert IntervalSet.reals().n_components == 1
-        count, parts = iset((0, 1, False, False), (2, 3, False, False)).components()
-        assert count == 2 and len(parts) == 2 and parts[0].lo == 0
 
     def test_lebesgue_length(self):
         assert IntervalSet.empty().lebesgue_length() == 0
@@ -116,10 +114,6 @@ class TestExpandContract:
         assert not IntervalSet.open(0, 1).is_regular(0.5)
         assert IntervalSet.reals().is_regular(100.0)
         assert IntervalSet.empty().is_regular(100.0)
-
-    def test_snap(self):
-        s = iset((0, 1, False, False), (1 + 1e-13, 2, False, False))
-        assert s.snap(1e-12).n_components == 1
 
     def test_contract_erodes_components_separately(self):
         s = IntervalSet.of_open((0, 1), (2, 10))

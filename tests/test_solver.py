@@ -215,6 +215,21 @@ class TestDegenerateReport:
         assert iv.lo == pytest.approx(-0.05, abs=1e-12)
         assert iv.hi == pytest.approx(0.05, abs=1e-12)
 
+    def test_one_report_per_class(self, nua_pair, deg_pair, monkeypatch):
+        reported = []
+
+        def counted(pair, eps, a, *args, **kwargs):
+            reported.append(a)
+            return degenerate_report(pair, eps, a, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "degenerate_report", counted)
+        for pair, eps, n_classes in ((nua_pair, 0.2, 2), (deg_pair, 0.05, 1)):
+            reported.clear()
+            rep = solve(pair, eps)
+            assert len(rep.classes) == n_classes
+            assert len(reported) == n_classes
+            assert set(reported) == set(rep.representatives())
+
     def test_small_component_listed(self, nua_pair):
         eps = 0.3
         a = IntervalSet.of_open((0.0, 0.6), (5.0, INF))
