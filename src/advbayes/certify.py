@@ -87,16 +87,18 @@ class GapReport:
     max_k: int
 
 
+def _covers(pair: DistributionPair, lo: float, hi: float) -> bool:
+    """True when [lo, hi] holds the _COVERAGE share of each class's mass."""
+    return all(
+        pair.cdf(which, hi) - pair.cdf(which, lo) >= _COVERAGE * pair.total_mass(which)
+        for which in (0, 1)
+    )
+
+
 def _mass_window(pair: DistributionPair) -> tuple[float, float]:
     lo, hi = pair.finite_extent()
     for _ in range(60):
-        ok = True
-        for which in (0, 1):
-            total = pair.total_mass(which)
-            covered = pair.cdf(which, hi) - pair.cdf(which, lo)
-            if covered < _COVERAGE * total:
-                ok = False
-        if ok:
+        if _covers(pair, lo, hi):
             return lo, hi
         width = hi - lo
         lo -= 0.5 * width
@@ -134,16 +136,13 @@ def discretize(
     """Cell-midpoint atoms with exact cell masses for both classes."""
     if grid_h <= 0:
         raise ValueError("grid_h must be positive")
-    mlo, mhi = _mass_window(pair)
     if window is None:
-        lo, hi = mlo, mhi
+        lo, hi = _mass_window(pair)
     else:
         lo, hi = float(window[0]), float(window[1])
-        for which in (0, 1):
-            total = pair.total_mass(which)
-            if pair.cdf(which, hi) - pair.cdf(which, lo) < _COVERAGE * total:
-                lo, hi = min(lo, mlo), max(hi, mhi)
-                break
+        if not _covers(pair, lo, hi):
+            mlo, mhi = _mass_window(pair)
+            lo, hi = min(lo, mlo), max(hi, mhi)
     n_cells = max(1, int(math.ceil((hi - lo) / grid_h - 1e-12)))
     edges = np.linspace(lo, hi, n_cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -223,115 +222,88 @@ def _window_min(v: np.ndarray, width: int) -> np.ndarray:
 class _PrimalDP:
     """Layered shortest path over alternating grid endpoints.
 
-    Node ``a@i`` means a left endpoint at ``xs[i]`` (a complement piece just
-    ended), ``b@k`` a right endpoint (an interval just ended).  Edge costs
-    carry the class-1 mass of dilated complement pieces and the class-0
-    mass of dilated intervals, with the overlap of consecutive dilations
-    subtracted exactly (it is nonzero only within ``floor(2*eps/h)`` grid
-    steps, which keeps transitions separable).
+    ``layers[L][i]`` is the least cost of the pieces up to the L-th
+    endpoint (counting from 0) when that endpoint sits at ``xs[i]``.  Even layers are left
+    endpoints: a class-1 complement piece just ended, and ``L // 2``
+    intervals are complete.  Odd layers are right endpoints: a class-0
+    interval just ended, and ``(L + 1) // 2`` intervals are complete.
+    Layer 0 starts with the leading complement ``(-inf, xs[i])``, and
+    layer 1 may start with the leading interval ``(-inf, xs[i])``.  Edge
+    costs carry the mass of the dilated piece in its class, with the
+    overlap of consecutive dilations subtracted exactly (it is nonzero only
+    within ``floor(2*eps/h)`` grid steps, which keeps transitions
+    separable).
     """
 
     def __init__(self, pair: DistributionPair, eps: float, xs: np.ndarray, max_k: int):
         self.xs = xs
         self.max_k = max_k
         n = len(xs)
-        self.f0p = pair.cdf_array(0, xs + eps)
-        self.f0m = pair.cdf_array(0, xs - eps)
-        self.f1p = pair.cdf_array(1, xs + eps)
-        self.f1m = pair.cdf_array(1, xs - eps)
-        self.m0 = pair.total_mass(0)
-        self.m1 = pair.total_mass(1)
+        # Per class c: cdf at xs + eps, cdf at xs - eps, total mass.
+        self.fp = tuple(pair.cdf_array(c, xs + eps) for c in (0, 1))
+        self.fm = tuple(pair.cdf_array(c, xs - eps) for c in (0, 1))
+        self.m = (pair.total_mass(0), pair.total_mass(1))
         h = xs[1] - xs[0] if n > 1 else 1.0
         self.d_steps = int(math.floor(2.0 * eps / h + 1e-9))
 
-    def _step_ab(self, a_prev: np.ndarray) -> np.ndarray:
-        sep = _prefix_min_shifted(a_prev - self.f0m, self.d_steps + 1)
-        win = _window_min(a_prev - self.f0m - self.f1p, self.d_steps) + self.f1m
-        return self.f0p + np.minimum(sep, win)
+    def _step(self, prev: np.ndarray, c: int) -> np.ndarray:
+        """Next layer, whose edges add a dilated piece of class ``c``."""
+        fp, fm, op, om = self.fp[c], self.fm[c], self.fp[1 - c], self.fm[1 - c]
+        sep = _prefix_min_shifted(prev - fm, self.d_steps + 1)
+        win = _window_min(prev - fm - op, self.d_steps) + om
+        return fp + np.minimum(sep, win)
 
-    def _step_ba(self, b_cur: np.ndarray) -> np.ndarray:
-        sep = _prefix_min_shifted(b_cur - self.f1m, self.d_steps + 1)
-        win = _window_min(b_cur - self.f1m - self.f0p, self.d_steps) + self.f0m
-        return self.f1p + np.minimum(sep, win)
+    def _edge_costs(self, prev: np.ndarray, k: int, c: int) -> np.ndarray:
+        """Costs of reaching node ``k`` of the next layer from each ``prev[:k]``."""
+        fp, fm, op, om = self.fp[c], self.fm[c], self.fp[1 - c], self.fm[1 - c]
+        v = prev[:k] - fm[:k]
+        lo = max(0, k - self.d_steps)
+        v[lo:] -= op[lo:k] - om[k]
+        return v + fp[k]
 
     def run(self) -> tuple[float, IntervalSet]:
-        n = len(self.xs)
-        a_layers = [self.f1p.copy()]  # a_layers[c] : c intervals completed
-        b_layers: list[np.ndarray] = []
-        for c in range(1, self.max_k + 1):
-            b = self._step_ab(a_layers[c - 1])
-            if c == 1:
-                b = np.minimum(b, self.f0p)  # leading half-infinite interval
-            b_layers.append(b)
-            if c < self.max_k:
-                a_layers.append(self._step_ba(b))
+        layers = [self.fp[1]]
+        for layer in range(1, 2 * self.max_k):
+            nxt = self._step(layers[-1], (layer + 1) % 2)
+            if layer == 1:
+                nxt = np.minimum(nxt, self.fp[0])  # leading half-infinite interval
+            layers.append(nxt)
 
-        best = self.m1  # ∅
-        best_state: tuple = ("empty",)
-        if self.max_k >= 1 and self.m0 < best:
-            best, best_state = self.m0, ("reals",)
-        for c in range(1, self.max_k + 1):
-            totals = b_layers[c - 1] + (self.m1 - self.f1m)
+        best, argmin, state = self.m[1], IntervalSet.empty(), None
+        if self.m[0] < best:
+            best, argmin = self.m[0], IntervalSet.reals()
+        # Right-endpoint layers first, then left-endpoint layers: the strict
+        # ``<`` keeps the first of tied minima.  The trailing piece is a
+        # class-1 complement after a right endpoint, a class-0 interval
+        # after a left one.
+        n_layers = len(layers)
+        for layer in [*range(1, n_layers, 2), *range(0, n_layers, 2)]:
+            t = layer % 2
+            totals = layers[layer] + (self.m[t] - self.fm[t])
             j = int(np.argmin(totals))
             if totals[j] < best:
-                best, best_state = float(totals[j]), ("b", c, j)
-        for c in range(0, self.max_k):
-            totals = a_layers[c] + (self.m0 - self.f0m)
-            i = int(np.argmin(totals))
-            if totals[i] < best:
-                best, best_state = float(totals[i]), ("a", c, i)
-        return best, self._reconstruct(best_state, a_layers, b_layers)
+                best, state = float(totals[j]), (layer, j)
+        if state is not None:
+            argmin = self._reconstruct(layers, *state)
+        return best, argmin
 
-    def _edge_ab_costs(self, a_prev: np.ndarray, k: int) -> np.ndarray:
-        v = a_prev[:k] - self.f0m[:k]
-        lo = max(0, k - self.d_steps)
-        v = v.copy()
-        v[lo:] -= self.f1p[lo:k] - self.f1m[k]
-        return v + self.f0p[k]
-
-    def _edge_ba_costs(self, b_cur: np.ndarray, i: int) -> np.ndarray:
-        v = b_cur[:i] - self.f1m[:i]
-        lo = max(0, i - self.d_steps)
-        v = v.copy()
-        v[lo:] -= self.f0p[lo:i] - self.f0m[i]
-        return v + self.f1p[i]
-
-    def _reconstruct(self, state: tuple, a_layers, b_layers) -> IntervalSet:
-        if state[0] == "empty":
-            return IntervalSet.empty()
-        if state[0] == "reals":
-            return IntervalSet.reals()
+    def _reconstruct(self, layers: list[np.ndarray], layer: int, idx: int) -> IntervalSet:
         xs = self.xs
         pieces: list[Interval] = []
-        kind, c, idx = state
-        if kind == "a":  # trailing interval (xs[idx], +inf)
-            right: float = INF
-            a_of_piece = idx
-        else:
-            right = None  # type: ignore[assignment]
-            a_of_piece = None  # type: ignore[assignment]
+        right = INF  # right end of the interval that a left endpoint opens
         while True:
-            if kind == "a":
-                if right is not None and a_of_piece is not None:
-                    pieces.append(Interval(xs[a_of_piece], right))
-                if c == 0:
+            if layer % 2 == 0:
+                pieces.append(Interval(xs[idx], right))
+                if layer == 0:
                     break  # leading complement (-inf, xs[idx])
-                costs = self._edge_ba_costs(b_layers[c - 1], idx)
-                j = int(np.argmin(costs))
-                kind, idx = "b", j
-            else:  # at b@idx with c completed intervals
-                if c == 1:
-                    lead = self.f0p[idx]
-                    costs = self._edge_ab_costs(a_layers[0], idx) if idx > 0 else None
-                    if costs is None or lead <= float(np.min(costs)) + 1e-15:
-                        pieces.append(Interval(-INF, xs[idx]))
-                        break
-                    i = int(np.argmin(costs))
-                else:
-                    i = int(np.argmin(self._edge_ab_costs(a_layers[c - 1], idx)))
+            else:
                 right = xs[idx]
-                a_of_piece = i
-                kind, c, idx = "a", c - 1, i
+            costs = self._edge_costs(layers[layer - 1], idx, (layer + 1) % 2)
+            if layer == 1 and (idx == 0 or self.fp[0][idx] <= float(np.min(costs)) + 1e-15):
+                pieces.append(Interval(-INF, right))
+                break
+            idx = int(np.argmin(costs))
+            layer -= 1
         return IntervalSet(reversed(pieces))
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -126,27 +127,32 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValidationError("epsilon must be finite and nonnegative")
+
+
 def _eps_range(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 1:
         raise ValidationError("steps must be at least 1")
-    if lo < 0 or hi < lo:
-        raise ValidationError("need 0 <= eps_min <= eps_max")
+    if not (math.isfinite(hi) and 0 <= lo <= hi):
+        raise ValidationError("need finite 0 <= eps_min <= eps_max")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
 def _validate(cfg: RunConfig) -> None:
-    if any(e < 0 for e in cfg.eps_values):
-        raise ValidationError("epsilon must be nonnegative")
+    for eps in cfg.eps_values:
+        _check_eps(eps)
     if cfg.grid_n < 64:
         raise ValidationError("grid_n must be at least 64")
-    if cfg.grid_h <= 0:
-        raise ValidationError("grid_h must be positive")
+    if not (math.isfinite(cfg.grid_h) and cfg.grid_h > 0):
+        raise ValidationError("grid_h must be finite and positive")
     if not 1 <= cfg.max_k <= 3:
         raise ValidationError("max_k must be between 1 and 3")
-    if cfg.tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise ValidationError("tolerance must be finite and positive")
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -183,6 +189,8 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.eps is not None:
+        _check_eps(args.eps)
     if args.config:
         with open(args.config) as fh:
             try:
@@ -191,19 +199,20 @@ def _config_from_args(args) -> RunConfig:
                 raise ParseError(f"config is not UTF-8 text: {exc}")
         cfg = parse_config(text)
     elif args.example and args.example != "non_equiv":
-        cfg = RunConfig(distribution=examples.example_pair(args.example, eps=args.eps))
+        try:
+            cfg = RunConfig(distribution=examples.example_pair(args.example, eps=args.eps))
+        except ValueError as exc:
+            raise ValidationError(str(exc))
         cfg.example = args.example
     elif args.example == "non_equiv":
-        if args.eps is None or args.eps < 0:
-            raise ValidationError("the atomic example needs --eps >= 0")
+        if args.eps is None:
+            raise ValidationError("the atomic example needs --eps")
         cfg = RunConfig(distribution=None, atoms=examples.atomic_pair(args.eps))
         cfg.example = "non_equiv"
     else:
         raise CliUsageError("one of --config or --example is required")
 
     if args.eps is not None:
-        if args.eps < 0:
-            raise ValidationError("epsilon must be nonnegative")
         cfg.eps_values = [args.eps]
     if args.eps_min is not None or args.eps_max is not None or args.steps is not None:
         if args.eps_min is None or args.eps_max is None or args.steps is None:
@@ -351,8 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "examples":
-            if args.eps is not None and args.eps < 0:
-                raise ValidationError("epsilon must be nonnegative")
+            if args.eps is not None:
+                _check_eps(args.eps)
             return cmd_examples(args.name, args.eps)
         cfg = _config_from_args(args)
         if args.command == "solve":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BreakpointDerivative, DistributionPair
+from .density import BreakpointDerivative, DistributionPair, _bisect
 from .intervals import INF, Interval
 
 PASS = "PASS"
@@ -143,24 +143,6 @@ def _scan_bounds(pair: DistributionPair, eps: float, window: Interval) -> tuple[
     return lo, hi
 
 
-def _bisect_root(g, lo: float, hi: float) -> float:
-    glo = g(lo)
-    for _ in range(200):
-        if hi - lo <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (glo > 0) != (gm > 0):
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
-
-
 def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                window: Interval) -> tuple[list[CandidatePoint], bool]:
     g = lambda x: defect(pair, eps, kind, x)
@@ -191,7 +173,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
             if v0 == 0.0:
                 roots.append(float(xs[i]))
             elif (v0 > 0) != (v1 > 0):
-                roots.append(_bisect_root(g, float(xs[i]), float(xs[i + 1])))
+                roots.append(_bisect(g, float(xs[i]), float(xs[i + 1]), v0, _BISECT_TOL))
         if vals[-1] == 0.0:
             roots.append(float(xs[-1]))
 
@@ -238,17 +220,11 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                                   second_order=check_second_order(pair, eps, r, kind),
                                   residual=g(r)))
         taken.append(r)
-    disc = set(_shifted(pair.discontinuities, eps, kind))
-    for s in jumps:
-        if near_existing(s, taken):
-            continue
-        out.append(CandidatePoint(kind=kind, location=s, second_order=INCONCLUSIVE,
-                                  residual=g(s), at_jump=True))
-        taken.append(s)
-    # Discontinuity-shifted points are admissible endpoints regardless of
-    # any sign change: the stationarity argument needs continuity there.
-    for s in sorted(disc):
-        if not (lo < s < hi) or near_existing(s, taken):
+    # Jump points, then discontinuity-shifted points: the latter are
+    # admissible endpoints regardless of any sign change, since the
+    # stationarity argument needs continuity there.
+    for s in jumps + _shifted(pair.discontinuities, eps, kind):
+        if not lo < s < hi or near_existing(s, taken):
             continue
         out.append(CandidatePoint(kind=kind, location=s, second_order=INCONCLUSIVE,
                                   residual=g(s), at_jump=True))

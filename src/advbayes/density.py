@@ -22,6 +22,7 @@ from .intervals import INF, Interval, IntervalSet
 MASS_TOL = 1e-9
 MAX_POLY_DEGREE = 5
 _BREAKPOINT_SNAP = 1e-12
+_ROOT_REFINE_TOL = 1e-13
 
 
 class BreakpointDerivative(ValueError):
@@ -90,15 +91,103 @@ def _poly_antiderivative(coeffs: Sequence[float]) -> tuple[float, ...]:
     return (0.0,) + tuple(c / (i + 1) for i, c in enumerate(coeffs))
 
 
-def _real_roots_in(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1] == 0.0:
-        trimmed.pop()
-    if len(trimmed) <= 1:
+# -- root finding ------------------------------------------------------------
+
+
+def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
+    """Root of ``f`` in [lo, hi] by bisection; ``flo = f(lo)`` must be nonzero.
+
+    Stops once the bracket is no wider than ``tol`` and returns its midpoint.
+    """
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo > 0) != (fm > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _poly_trim(c: Sequence[float]) -> list[float]:
+    out = list(c)
+    while out and abs(out[-1]) == 0.0:
+        out.pop()
+    return out
+
+
+def _poly_div(num: list[float], den: list[float]) -> list[float]:
+    """Remainder of polynomial division (ascending coefficients)."""
+    num = list(num)
+    dn, dd = len(num) - 1, len(den) - 1
+    while dn >= dd and any(num):
+        factor = num[dn] / den[dd]
+        for i in range(dd + 1):
+            num[dn - dd + i] -= factor * den[i]
+        num[dn] = 0.0
+        num = _poly_trim(num)
+        dn = len(num) - 1
+    return num
+
+
+def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
+    p0 = _poly_trim(coeffs)
+    p1 = _poly_trim([i * c for i, c in enumerate(p0)][1:])
+    chain = [p0, p1]
+    while chain[-1]:
+        rem = _poly_div(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return [c for c in chain if c]
+
+
+def _sign_variations(chain: list[list[float]], x: float) -> int:
+    signs = []
+    for c in chain:
+        v = _poly_eval(c, x)
+        if v != 0.0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def poly_roots_in_cell(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
+    """Isolated real roots in (lo, hi) via Sturm bracketing plus bisection."""
+    chain = _sturm_chain(coeffs)
+    if len(chain) < 2:
         return []
-    roots = np.roots(trimmed[::-1])
-    out = [float(r.real) for r in roots if abs(r.imag) < 1e-9 and lo < r.real < hi]
-    return sorted(out)
+    f = lambda x: _poly_eval(coeffs, x)
+
+    def count(a: float, b: float) -> int:
+        return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+    roots: list[float] = []
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        n = count(a, b)
+        if n == 0:
+            continue
+        if n == 1 or b - a <= _ROOT_REFINE_TOL:
+            fa, fb = f(a), f(b)
+            if fa == 0.0:
+                roots.append(a)
+            elif fb == 0.0:
+                roots.append(b)
+            elif (fa > 0) != (fb > 0):
+                roots.append(_bisect(f, a, b, fa, _ROOT_REFINE_TOL))
+            else:
+                roots.append(0.5 * (a + b))  # even-multiplicity touch
+            continue
+        mid = 0.5 * (a + b)
+        stack.extend([(a, mid), (mid, b)])
+    return sorted(roots)
 
 
 @dataclass(frozen=True)
@@ -135,7 +224,7 @@ class PiecewisePoly:
             vals = [_poly_eval(row, float(x)) for x in xs]
             if min(vals) < -1e-12:
                 raise ValueError(f"density is negative on cell [{lo}, {hi}]")
-            probes = sorted([lo, hi] + _real_roots_in(row, lo, hi))
+            probes = sorted([lo, hi] + poly_roots_in_cell(row, lo, hi))
             for a, b in zip(probes, probes[1:]):
                 if _poly_eval(row, (a + b) / 2.0) < -1e-12:
                     raise ValueError(f"density is negative on cell [{lo}, {hi}]")
@@ -221,7 +310,7 @@ class PiecewisePoly:
     def sup_density(self) -> float:
         best = 0.0
         for (lo, hi), row in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coeffs):
-            pts = [lo, hi] + _real_roots_in(_poly_derivative(row), lo, hi)
+            pts = [lo, hi] + poly_roots_in_cell(_poly_derivative(row), lo, hi)
             best = max(best, max(_poly_eval(row, p) for p in pts))
         return best
 
@@ -341,6 +430,27 @@ class DistributionPair:
 
     def sup_density(self, which: int) -> float:
         return sum(c.sup_density for c in self._components(which))
+
+    @functools.cached_property
+    def eta_degenerate_on_support(self) -> bool:
+        """True when one class density vanishes identically on a cell of the support."""
+        support = self.support()
+        breaks = sorted(
+            set(self.breakpoints(0)) | set(self.breakpoints(1)) | set(support.boundary_points())
+        )
+        for lo, hi in zip(breaks, breaks[1:]):
+            if hi - lo <= 0:
+                continue
+            cell = IntervalSet((Interval(lo, hi, True, True),))
+            if not support.contains_set(cell):
+                continue
+            for which in (0, 1):
+                if self.has_gaussian(which):
+                    continue
+                xs = np.linspace(lo, hi, 8)[1:-1]
+                if max(self.pdf(which, float(x)) for x in xs) <= 1e-15:
+                    return True
+        return False
 
     def finite_extent(self) -> tuple[float, float]:
         """Finite range holding everything that matters numerically."""

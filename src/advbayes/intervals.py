@@ -71,13 +71,6 @@ class Interval:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-def _starts_before(a: Interval, b: Interval) -> bool:
-    # Order by left endpoint; at a tie the closed endpoint starts first.
-    if a.lo != b.lo:
-        return a.lo < b.lo
-    return a.lo_closed and not b.lo_closed
-
-
 def _hi_key(iv: Interval) -> tuple[float, bool]:
     return (iv.hi, iv.hi_closed)
 

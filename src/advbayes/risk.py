@@ -14,11 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DistributionPair, Gaussian, PiecewisePoly, _poly_eval
+from .density import (
+    _ROOT_REFINE_TOL,
+    DistributionPair,
+    Gaussian,
+    PiecewisePoly,
+    _bisect,
+    _poly_trim,
+    poly_roots_in_cell,
+)
 from .intervals import INF, Interval, IntervalSet
 
 TAU_RISK = 1e-9
-_ROOT_REFINE_TOL = 1e-13
 
 
 class DegenerateTie(ValueError):
@@ -56,101 +63,6 @@ def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> Risk
 
 def standard_risk(pair: DistributionPair, a: IntervalSet) -> RiskBreakdown:
     return adversarial_risk(pair, a, 0.0)
-
-
-# -- Sturm-sequence root isolation for polynomial cells ----------------------
-
-
-def _poly_trim(c: list[float]) -> list[float]:
-    out = list(c)
-    while out and abs(out[-1]) == 0.0:
-        out.pop()
-    return out
-
-
-def _poly_div(num: list[float], den: list[float]) -> list[float]:
-    """Remainder of polynomial division (ascending coefficients)."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    while dn >= dd and any(num):
-        factor = num[dn] / den[dd]
-        for i in range(dd + 1):
-            num[dn - dd + i] -= factor * den[i]
-        num[dn] = 0.0
-        num = _poly_trim(num)
-        dn = len(num) - 1
-    return num
-
-
-def _sturm_chain(coeffs: list[float]) -> list[list[float]]:
-    p0 = _poly_trim(coeffs)
-    p1 = _poly_trim([i * c for i, c in enumerate(p0)][1:])
-    chain = [p0, p1]
-    while chain[-1]:
-        rem = _poly_div(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain: list[list[float]], x: float) -> int:
-    signs = []
-    for c in chain:
-        v = _poly_eval(c, x)
-        if v != 0.0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _bisect(f, lo: float, hi: float, tol: float = _ROOT_REFINE_TOL) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo > 0) != (fm > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def poly_roots_in_cell(coeffs: list[float], lo: float, hi: float) -> list[float]:
-    """Isolated real roots in (lo, hi) via Sturm bracketing plus bisection."""
-    chain = _sturm_chain(coeffs)
-    if len(chain) < 2:
-        return []
-    f = lambda x: _poly_eval(coeffs, x)
-
-    def count(a: float, b: float) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    roots: list[float] = []
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        n = count(a, b)
-        if n == 0:
-            continue
-        if n == 1 or b - a <= _ROOT_REFINE_TOL:
-            fa, fb = f(a), f(b)
-            if (fa > 0) != (fb > 0) or fa == 0.0 or fb == 0.0:
-                roots.append(_bisect(f, a, b))
-            else:
-                roots.append(0.5 * (a + b))  # even-multiplicity touch
-            continue
-        mid = 0.5 * (a + b)
-        stack.extend([(a, mid), (mid, b)])
-    return sorted(roots)
 
 
 # -- Bayes classifier ---------------------------------------------------------
@@ -219,9 +131,15 @@ def _cell_crossings(pair: DistributionPair, a: float, b: float) -> list[float]:
     if np.max(np.abs(vals)) <= 1e-15 * scale:
         raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
     roots = []
-    for i in range(len(xs) - 1):
-        if (vals[i] > 0) != (vals[i + 1] > 0):
-            roots.append(_bisect(d, float(xs[i]), float(xs[i + 1])))
+    for lo, hi, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+        if (v0 > 0) == (v1 > 0):
+            continue
+        if v0 == 0.0:
+            roots.append(float(lo))
+        elif v1 == 0.0:
+            roots.append(float(hi))
+        else:
+            roots.append(_bisect(d, float(lo), float(hi), v0, _ROOT_REFINE_TOL))
     return roots
 
 

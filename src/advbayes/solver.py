@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import conditions
 from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty
 from .density import DistributionPair
@@ -174,27 +172,6 @@ def are_equivalent(pair: DistributionPair, eps: float, a1: IntervalSet, a2: Inte
     return pair.mass_set(1, d1) <= TAU_RISK
 
 
-def _eta_degenerate_on_support(pair: DistributionPair) -> bool:
-    """True when one class density vanishes identically on a cell of the support."""
-    support = pair.support()
-    breaks = sorted(
-        set(pair.breakpoints(0)) | set(pair.breakpoints(1)) | set(support.boundary_points())
-    )
-    for lo, hi in zip(breaks, breaks[1:]):
-        if hi - lo <= 0:
-            continue
-        cell = IntervalSet((Interval(lo, hi, True, True),))
-        if not support.contains_set(cell):
-            continue
-        for which in (0, 1):
-            if pair.has_gaussian(which):
-                continue
-            xs = np.linspace(lo, hi, 8)[1:-1]
-            if max(pair.pdf(which, float(x)) for x in xs) <= 1e-15:
-                return True
-    return False
-
-
 def degenerate_report(
     pair: DistributionPair,
     eps: float,
@@ -225,7 +202,7 @@ def degenerate_report(
         [Interval(p, p, True, True) for p in a.boundary_points()]
     )
     maximal = closure_outside.union(boundary)
-    assumptions = support.n_components == 1 and not _eta_degenerate_on_support(pair)
+    assumptions = support.n_components == 1 and not pair.eta_degenerate_on_support
 
     detected: list[Interval] = []
     if not assumptions and probe_points:
@@ -427,7 +404,7 @@ def check_monotonicity(
     support = pair.support()
     if support.n_components != 1:
         raise AssumptionUnmet("support is not an interval")
-    if _eta_degenerate_on_support(pair):
+    if pair.eta_degenerate_on_support:
         raise AssumptionUnmet("eta is 0 or 1 on a set of positive mass")
 
     both_trivial_1 = report1.has_minimizer(IntervalSet.reals()) and report1.has_minimizer(

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from advbayes import examples
+from advbayes.density import DistributionPair, Gaussian
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,14 @@ def nua_pair():
 @pytest.fixture(scope="session")
 def deg_pair():
     return examples.degenerate()
+
+
+@pytest.fixture(scope="session")
+def bump_pair():
+    """k alternating bumps, class 0 at 4i and class 1 at 4i+2 (swapped if flip)."""
+    def make(k: int, flip: bool = False) -> DistributionPair:
+        bumps = [[Gaussian(weight=0.5 / k, mu=4.0 * i + offset, sigma=0.7) for i in range(k)]
+                 for offset in (0.0, 2.0)]
+        return DistributionPair(*(bumps[::-1] if flip else bumps))
+
+    return make

@@ -75,6 +75,19 @@ def ref_deg_eta(eps: float):
     return p0, p1, pts
 
 
+def ref_bumps(k: int):
+    """k alternating bumps: class 0 at 4i, class 1 at 4i+2, sigma 0.7."""
+    p0 = lambda x: sum(normpdf(x, 4.0 * i, 0.7) for i in range(k)) * 0.5 / k
+    p1 = lambda x: sum(normpdf(x, 4.0 * i + 2.0, 0.7) for i in range(k)) * 0.5 / k
+    return p0, p1, []
+
+
+def ref_gaussian_vs_uniform():
+    p0 = lambda x: 0.25 if -1.0 <= x <= 1.0 else 0.0
+    p1 = lambda x: 0.5 * normpdf(x, 0.0, 0.5)
+    return p0, p1, [-1.0, 1.0]
+
+
 # -- quadrature ---------------------------------------------------------------
 
 

@@ -156,11 +156,21 @@ class TestPrimal:
         assert vals[1] <= vals[0] + 1e-15
         assert vals[2] <= vals[1] + 1e-15
 
-    def test_argmin_risk_matches_value(self, eqmeans_pair):
+    def test_argmin_risk_matches_value(self, eqmeans_pair, bump_pair):
         val, argmin = primal_bruteforce(eqmeans_pair, 0.5, 5e-3, 2)
         assert adversarial_risk(eqmeans_pair, argmin, 0.5).total == pytest.approx(
             val, abs=1e-9
         )
+        # Bump argmins have min(k, max_k) components and a half-infinite piece
+        # at one end, so reconstruction walks back through every layer.
+        eps = 0.3
+        for k in (2, 3):
+            for flip in (False, True):
+                pair = bump_pair(k, flip)
+                for max_k in (1, 2, 3):
+                    val, argmin = primal_bruteforce(pair, eps, 5e-3, max_k)
+                    assert argmin.n_components == min(k, max_k)
+                    assert abs(adversarial_risk(pair, argmin, eps).total - val) <= 1e-12
 
     def test_budget_guard(self, eqvar_pair):
         with pytest.raises(BudgetExceeded):

@@ -104,6 +104,34 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "nonnegative" in captured.err and "[PASS]" not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "nan"],
+        ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "inf"],
+        ["solve", "--example", "gaussians_equal_variances", "--eps", "nan"],
+        ["solve", "--example", "gaussians_equal_variances", "--eps", "inf"],
+        ["sweep", "--example", "degenerate", "--eps-min", "0.1", "--eps-max", "nan",
+         "--steps", "3"],
+        ["certify", "--example", "degenerate", "--eps", "0.05", "--tol", "nan"],
+        ["certify", "--example", "non_equiv", "--eps", "nan"],
+        ["examples", "degenerate", "--eps", "nan"],
+        ["solve", "--example", "deg_eta_0_1_counterexample", "--eps", "0"],
+    ])
+    def test_bad_number_rejected(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("key", ["epsilon", "grid_h", "tolerance"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_run_value(self, tmp_path, capsys, key, value):
+        run = {"epsilon": "0.05", key: value}  # raw JSON text; ``key`` may replace epsilon
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"example": "degenerate", "run": {%s}}'
+                       % ", ".join(f'"{k}": {v}' for k, v in run.items()))
+        assert main(["certify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_config_is_directory(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path), "--eps", "0.1"]) == 1
         assert "error:" in capsys.readouterr().err

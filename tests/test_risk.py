@@ -1,9 +1,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from advbayes import examples
+from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
 from advbayes.risk import (
     DegenerateTie,
@@ -168,6 +170,36 @@ class TestBayesClassifier:
         )
         with pytest.raises(DegenerateTie):
             bayes_classifier(pair)
+
+
+class TestBayesSampleScan:
+    """Pairs with an active Gaussian component: sign scan plus bisection."""
+
+    @staticmethod
+    def crossings(ref, guesses, half_width):
+        p0, p1, _ = ref
+        d = lambda x: p1(x) - p0(x)
+        return [brentq(d, g - half_width, g + half_width, xtol=1e-15) for g in guesses]
+
+    def test_alternating_bumps(self, bump_pair):
+        bayes = bayes_classifier(bump_pair(3))
+        assert bayes.n_components == 3 and bayes.intervals[-1].hi == INF
+        expected = self.crossings(oracles.ref_bumps(3), [1.0, 3.0, 5.0, 7.0, 9.0], 1.0)
+        got = bayes.boundary_points()
+        assert len(got) == 5
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
+
+    def test_gaussian_against_uniform(self):
+        pair = DistributionPair(
+            class0=[PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=((0.25,),))],
+            class1=[Gaussian(weight=0.5, mu=0.0, sigma=0.5)],
+        )
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == 3
+        r_lo, r_hi = self.crossings(oracles.ref_gaussian_vs_uniform(), [-0.5, 0.5], 0.4)
+        got = bayes.boundary_points()
+        assert len(got) == 4 and got[0] == -1.0 and got[3] == 1.0
+        assert np.max(np.abs(np.array(got[1:3]) - [r_lo, r_hi])) <= 1e-12
 
 
 class TestSturm:

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from advbayes import examples, solver
+from advbayes import cli, examples, solver
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
 from advbayes.risk import adversarial_risk
@@ -229,6 +230,24 @@ class TestDegenerateReport:
             assert len(rep.classes) == n_classes
             assert len(reported) == n_classes
             assert set(reported) == set(rep.representatives())
+
+    @pytest.mark.parametrize("name", ["non_uniqueness_all", "degenerate"])
+    def test_eta_degeneracy_once_per_sweep(self, monkeypatch, capsys, name):
+        prop = DistributionPair.eta_degenerate_on_support
+        evaluated = []
+
+        def counted(pair):
+            evaluated.append(pair)
+            return prop.func(pair)
+
+        wrapped = functools.cached_property(counted)
+        wrapped.__set_name__(DistributionPair, prop.attrname)
+        monkeypatch.setattr(DistributionPair, prop.attrname, wrapped)
+        argv = ["sweep", "--example", name, "--eps-min", "0.05", "--eps-max", "0.2",
+                "--steps", "4"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(evaluated) == 1
 
     def test_small_component_listed(self, nua_pair):
         eps = 0.3
