@@ -20,6 +20,7 @@ SWEEPS = {
 def main() -> int:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
     outdir.mkdir(parents=True, exist_ok=True)
+    worst = 0
     for name, (lo, hi, steps) in SWEEPS.items():
         csv = outdir / f"sweep_{name}.csv"
         out = outdir / f"sweep_{name}.json"
@@ -35,7 +36,8 @@ def main() -> int:
             ]
         )
         print(f"{name}: exit {code} -> {csv}")
-    return 0
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

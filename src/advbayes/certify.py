@@ -45,6 +45,8 @@ class AtomList:
         mas = np.asarray(self.masses, dtype=float)
         if pos.shape != mas.shape or pos.ndim != 1:
             raise ValueError("positions and masses must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(mas))):
+            raise ValueError("positions and masses must be finite")
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         if np.any(mas < 0):

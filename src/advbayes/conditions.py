@@ -146,6 +146,7 @@ def _scan_bounds(pair: DistributionPair, eps: float, window: Interval) -> tuple[
 def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                window: Interval) -> tuple[list[CandidatePoint], bool]:
     g = lambda x: defect(pair, eps, kind, x)
+    plus, minus = _reads(kind)
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:
         return [], False
@@ -162,18 +163,21 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
         m = max(9, int(round(grid_n * span / total)) + 1)
         inset = span * 1e-9
         xs = np.linspace(a + inset, b - inset, m)
-        vals = np.array([g(float(x)) for x in xs])
+        # Only the sign of each sample steers the scalar bisection below, so
+        # roots equal a scalar-sampled scan's unless a sample is within
+        # rounding of zero (np.exp and math.exp may differ by one ulp).
+        vals = pair.pdf_array(plus, xs + eps) - pair.pdf_array(minus, xs - eps)
         is_plateau = bool(np.max(np.abs(vals)) <= TAU_PLATEAU)
         plateau_flags.append(is_plateau)
         side_vals.append((float(vals[0]), float(vals[-1])))
         if is_plateau:
             continue
-        for i in range(m - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if v0 == 0.0:
+        pos = vals > 0
+        for i in np.flatnonzero((vals[:-1] == 0.0) | (pos[:-1] != pos[1:])):
+            if vals[i] == 0.0:
                 roots.append(float(xs[i]))
-            elif (v0 > 0) != (v1 > 0):
-                roots.append(_bisect(g, float(xs[i]), float(xs[i + 1]), v0, _BISECT_TOL))
+            else:
+                roots.append(_bisect(g, float(xs[i]), float(xs[i + 1]), vals[i], _BISECT_TOL))
         if vals[-1] == 0.0:
             roots.append(float(xs[-1]))
 

@@ -53,6 +53,10 @@ class Gaussian:
         z = (x - self.mu) / self.sigma
         return self.weight * math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
+    def pdf_array(self, xs: np.ndarray) -> np.ndarray:
+        z = (xs - self.mu) / self.sigma
+        return self.weight * np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+
     def dpdf(self, x: float) -> float:
         return -(x - self.mu) / (self.sigma**2) * self.pdf(x)
 
@@ -76,7 +80,8 @@ class Gaussian:
         return self.weight / (self.sigma * math.sqrt(2.0 * math.pi))
 
 
-def _poly_eval(coeffs: Sequence[float], x: float) -> float:
+def _poly_eval(coeffs: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
+    """Horner evaluation; on an ndarray each element gets the scalar's exact bits."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -215,19 +220,21 @@ class PiecewisePoly:
         for row in self.coeffs:
             if len(row) == 0 or len(row) - 1 > MAX_POLY_DEGREE:
                 raise ValueError(f"cell degree must be between 0 and {MAX_POLY_DEGREE}")
+            if any(not math.isfinite(c) for c in row):
+                raise ValueError("coefficients must be finite")
         self._check_nonnegative()
 
     def _check_nonnegative(self) -> None:
         # 64 samples per cell plus sign probes around interior roots.
         for (lo, hi), row in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coeffs):
-            xs = np.linspace(lo, hi, 64)
-            vals = [_poly_eval(row, float(x)) for x in xs]
-            if min(vals) < -1e-12:
+            probes = np.array(sorted([lo, hi] + poly_roots_in_cell(row, lo, hi)))
+            xs = np.concatenate([np.linspace(lo, hi, 64), (probes[:-1] + probes[1:]) / 2.0])
+            # Unvalidated rows may overflow: silently, as in float arithmetic;
+            # the mass check of DistributionPair rejects them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = _poly_eval(row, xs)
+            if vals.min() < -1e-12:
                 raise ValueError(f"density is negative on cell [{lo}, {hi}]")
-            probes = sorted([lo, hi] + poly_roots_in_cell(row, lo, hi))
-            for a, b in zip(probes, probes[1:]):
-                if _poly_eval(row, (a + b) / 2.0) < -1e-12:
-                    raise ValueError(f"density is negative on cell [{lo}, {hi}]")
 
     def _cell_index(self, x: float) -> int | None:
         bp = self.breakpoints
@@ -244,11 +251,27 @@ class PiecewisePoly:
                 lo = mid
         return lo
 
+    def _cell_indices(self, xs: np.ndarray) -> np.ndarray:
+        """``_cell_index`` elementwise, clipped to the first and last cell."""
+        bp = self.breakpoints
+        return np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(bp) - 2)
+
     def pdf(self, x: float) -> float:
         j = self._cell_index(x)
         if j is None:
             return 0.0
         return _poly_eval(self.coeffs[j], x)
+
+    def pdf_array(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        j = self._cell_indices(xs)
+        j[(xs < self.breakpoints[0]) | (xs > self.breakpoints[-1])] = -1
+        out = np.zeros_like(xs)
+        for cell, row in enumerate(self.coeffs):
+            mask = j == cell
+            if mask.any():
+                out[mask] = _poly_eval(row, xs[mask])
+        return out
 
     def dpdf(self, x: float) -> float:
         for b in self.breakpoints:
@@ -289,7 +312,7 @@ class PiecewisePoly:
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         bp = np.asarray(self.breakpoints)
-        j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(bp) - 2)
+        j = self._cell_indices(xs)
         out = np.asarray(self._cum_masses, dtype=float)[j]
         for cell, row in enumerate(self.coeffs):
             mask = j == cell
@@ -353,7 +376,7 @@ class DistributionPair:
         if not self.class0 or not self.class1:
             raise ValueError("both classes need at least one density component")
         total = self.total_mass(0) + self.total_mass(1)
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"class masses must sum to 1, got {total!r}")
 
     def _components(self, which: int) -> tuple[DensityComponent, ...]:
@@ -367,6 +390,12 @@ class DistributionPair:
 
     def pdf(self, which: int, x: float) -> float:
         return sum(c.pdf(x) for c in self._components(which))
+
+    def pdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(xs, dtype=float)
+        for c in self._components(which):
+            out += c.pdf_array(xs)
+        return out
 
     def derivative(self, which: int, x: float) -> float:
         return sum(c.dpdf(x) for c in self._components(which))
@@ -448,7 +477,7 @@ class DistributionPair:
                 if self.has_gaussian(which):
                     continue
                 xs = np.linspace(lo, hi, 8)[1:-1]
-                if max(self.pdf(which, float(x)) for x in xs) <= 1e-15:
+                if self.pdf_array(which, xs).max() <= 1e-15:
                     return True
         return False
 

@@ -126,20 +126,19 @@ def _cell_crossings(pair: DistributionPair, a: float, b: float) -> list[float]:
     # Gaussian components present: dense sign scan with bisection refinement.
     d = lambda x: pair.pdf(1, x) - pair.pdf(0, x)
     xs = np.linspace(a, b, 512)
-    vals = np.array([d(float(x)) for x in xs])
+    vals = pair.pdf_array(1, xs) - pair.pdf_array(0, xs)
     scale = max(pair.sup_density(0), pair.sup_density(1))
     if np.max(np.abs(vals)) <= 1e-15 * scale:
         raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
     roots = []
-    for lo, hi, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
-        if (v0 > 0) == (v1 > 0):
-            continue
-        if v0 == 0.0:
-            roots.append(float(lo))
-        elif v1 == 0.0:
-            roots.append(float(hi))
+    pos = vals > 0
+    for i in np.flatnonzero(pos[:-1] != pos[1:]):
+        if vals[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif vals[i + 1] == 0.0:
+            roots.append(float(xs[i + 1]))
         else:
-            roots.append(_bisect(d, float(lo), float(hi), v0, _ROOT_REFINE_TOL))
+            roots.append(_bisect(d, float(xs[i]), float(xs[i + 1]), vals[i], _ROOT_REFINE_TOL))
     return roots
 
 

@@ -195,3 +195,109 @@ def literal_bruteforce(pair, eps: float, xs, max_k: int):
             s = IntervalSet(ivs)
             best = min(best, adversarial_risk(pair, s, eps).total)
     return best
+
+
+# -- literal first-order scan -----------------------------------------------------
+
+
+def literal_first_order(pair, eps: float, grid_n: int = 2048):
+    """Candidate dicts of both kinds from a sample-by-sample scalar scan.
+
+    A literal copy of the first-order scan in which every sample is two
+    scalar ``pair.pdf`` calls and sign changes are found by a Python loop.
+    It reuses the package's scalar pieces (window, shifted points, bisection,
+    second-order check) and none of its array evaluators.  Returns
+    ``(a_dicts, b_dicts, truncated)``, or None when the window is empty.
+    """
+    from advbayes import conditions as fo
+
+    window, _ = fo.scan_window(pair, eps)
+    if window is None:
+        return None
+    a_dicts, trunc_a = _literal_scan_kind(pair, eps, "a", grid_n, window)
+    b_dicts, trunc_b = _literal_scan_kind(pair, eps, "b", grid_n, window)
+    return a_dicts, b_dicts, trunc_a or trunc_b
+
+
+def _literal_scan_kind(pair, eps, kind, grid_n, window):
+    from advbayes import conditions as fo
+    from advbayes.density import _bisect
+
+    plus, minus = (1, 0) if kind == "a" else (0, 1)
+    g = lambda x: pair.pdf(plus, x + eps) - pair.pdf(minus, x - eps)
+    lo, hi = fo._scan_bounds(pair, eps, window)
+    if not lo < hi:
+        return [], False
+
+    special = [s for s in fo._shifted(pair.breakpoints, eps, kind) if lo < s < hi]
+    edges = [lo] + special + [hi]
+    total = hi - lo
+    roots, plateau_flags, side_vals = [], [], []
+    for a, b in zip(edges, edges[1:]):
+        span = b - a
+        m = max(9, int(round(grid_n * span / total)) + 1)
+        inset = span * 1e-9
+        xs = np.linspace(a + inset, b - inset, m)
+        vals = [g(float(x)) for x in xs]
+        is_plateau = max(abs(v) for v in vals) <= fo.TAU_PLATEAU
+        plateau_flags.append(is_plateau)
+        side_vals.append((vals[0], vals[-1]))
+        if is_plateau:
+            continue
+        for i in range(m - 1):
+            v0, v1 = vals[i], vals[i + 1]
+            if v0 == 0.0:
+                roots.append(float(xs[i]))
+            elif (v0 > 0) != (v1 > 0):
+                roots.append(_bisect(g, float(xs[i]), float(xs[i + 1]), v0, fo._BISECT_TOL))
+        if vals[-1] == 0.0:
+            roots.append(float(xs[-1]))
+
+    plateaus = []
+    i = 0
+    while i < len(plateau_flags):
+        if plateau_flags[i]:
+            j = i
+            while j + 1 < len(plateau_flags) and plateau_flags[j + 1]:
+                j += 1
+            plateaus.append((edges[i], edges[j + 1]))
+            i = j + 1
+        else:
+            i += 1
+
+    jumps = []
+    for k, s in enumerate(special):
+        if plateau_flags[k] or plateau_flags[k + 1]:
+            continue
+        gl, gr = side_vals[k][1], side_vals[k + 1][0]
+        if gl != 0.0 and gr != 0.0 and (gl > 0) != (gr > 0):
+            jumps.append(s)
+
+    def near_existing(x, locs):
+        return any(abs(x - y) <= 1e-11 * max(1.0, abs(y)) for y in locs)
+
+    out, taken = [], []
+    for p_lo, p_hi in plateaus:
+        verdicts = [fo.check_second_order(pair, eps, x, kind) for x in (p_lo, p_hi)]
+        verdict = fo.PASS if fo.PASS in verdicts else (
+            fo.INCONCLUSIVE if fo.INCONCLUSIVE in verdicts else fo.FAIL)
+        out.append({"kind": kind, "second_order": verdict, "residual": 0.0,
+                    "at_jump": False, "plateau": [p_lo, p_hi]})
+        taken.extend([p_lo, p_hi])
+    for r in sorted(set(roots)):
+        if near_existing(r, taken):
+            continue
+        out.append({"kind": kind, "second_order": fo.check_second_order(pair, eps, r, kind),
+                    "residual": g(r), "at_jump": False, "location": r})
+        taken.append(r)
+    for s in jumps + fo._shifted(pair.discontinuities, eps, kind):
+        if not lo < s < hi or near_existing(s, taken):
+            continue
+        out.append({"kind": kind, "second_order": fo.INCONCLUSIVE, "residual": g(s),
+                    "at_jump": True, "location": s})
+        taken.append(s)
+
+    truncated = len(out) > fo.MAX_CANDIDATES_PER_KIND
+    out = out[:fo.MAX_CANDIDATES_PER_KIND]
+    out.sort(key=lambda d: d["plateau"][0] if "plateau" in d else d["location"])
+    return out, truncated

@@ -49,6 +49,9 @@ class TestDiscretize:
             AtomList(positions=np.array([0.0, 0.0]), masses=np.array([0.1, 0.1]), klass=0)
         with pytest.raises(ValueError):
             AtomList(positions=np.array([0.0]), masses=np.array([-0.1]), klass=0)
+        for pos, mass in ((0.0, np.nan), (np.nan, 0.5), (0.0, np.inf), (-np.inf, 0.5)):
+            with pytest.raises(ValueError):
+                AtomList(positions=np.array([pos]), masses=np.array([mass]), klass=0)
 
 
 class TestDualValue:

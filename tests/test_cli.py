@@ -132,6 +132,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("atom", ["[0.0, NaN]", "[NaN, 0.5]", "[0.0, Infinity]"])
+    def test_non_finite_atom(self, tmp_path, capsys, atom):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"atoms": {"class0": [%s], "class1": [[0.3, 0.5]]}, '
+                       '"run": {"epsilon": 0.3}}' % atom)
+        assert main(["certify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("coeffs", ["[[NaN]]", "[[Infinity]]", "[[1e308, 1e308]]"])
+    def test_non_finite_density(self, tmp_path, capsys, coeffs):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            '{"class0": [{"type": "piecewise_poly", "breakpoints": [0, 1], "coeffs": [[0.5]]}], '
+            '"class1": [{"type": "piecewise_poly", "breakpoints": [0, 10], "coeffs": %s}], '
+            '"run": {"epsilon": 0.1}}' % coeffs)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_config_is_directory(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path), "--eps", "0.1"]) == 1
         assert "error:" in capsys.readouterr().err

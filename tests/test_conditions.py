@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
 from advbayes import conditions, examples
+from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.conditions import (
     FAIL,
     INCONCLUSIVE,
@@ -210,3 +213,88 @@ class TestProximity:
         cands = locations(scan.a_candidates) + locations(scan.b_candidates)
         z = examples.equal_means_interval_endpoint(0.0)
         assert min(abs(c - z) for c in cands) > eps
+
+
+# -- array scan against the literal scalar scan ---------------------------------
+
+
+@st.composite
+def gaussian_mixture_pairs(draw):
+    share0 = draw(st.floats(0.2, 0.8))
+    classes = []
+    for share in (share0, 1.0 - share0):
+        raw = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+        classes.append([Gaussian(weight=share * w / sum(raw), mu=draw(st.floats(-4.0, 4.0)),
+                                 sigma=draw(st.floats(0.2, 2.0))) for w in raw])
+    return DistributionPair(*classes)
+
+
+@st.composite
+def piecewise_poly_pairs(draw):
+    """Nonnegative cells: constants and lines from few end values (so plateaus
+    and jumps occur) and shifted parabolas, each class scaled to mass 1/2."""
+    classes = []
+    for _ in range(2):
+        n = draw(st.integers(1, 4))
+        ticks = draw(st.lists(st.integers(-8, 8), min_size=n + 1, max_size=n + 1, unique=True))
+        bp = [0.25 * t for t in sorted(ticks)]
+        rows = []
+        for lo, hi in zip(bp, bp[1:]):
+            if draw(st.booleans()):
+                vlo, vhi = (draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])) for _ in range(2))
+                slope = (vhi - vlo) / (hi - lo)
+                rows.append((vlo - slope * lo, slope) if slope else (vlo,))
+            else:
+                a, b = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0))
+                r = draw(st.floats(lo, hi))
+                rows.append((a * r * r + b, -2.0 * a * r, a))
+        poly = PiecewisePoly(breakpoints=tuple(bp), coeffs=tuple(rows))
+        if poly.total_mass < 1e-3:
+            rows = [(1.0,)] * n
+            poly = PiecewisePoly(breakpoints=tuple(bp), coeffs=tuple(rows))
+        scale = 0.5 / poly.total_mass
+        classes.append([PiecewisePoly(breakpoints=tuple(bp),
+                                      coeffs=tuple(tuple(c * scale for c in row) for row in rows))])
+    return DistributionPair(*classes)
+
+
+def _scan_matches_oracle(pair, eps):
+    expected = oracles.literal_first_order(pair, eps)
+    if expected is None:
+        with pytest.raises(WindowEmpty):
+            solve_first_order(pair, eps)
+        return
+    scan = solve_first_order(pair, eps)
+    got = ([c.to_dict() for c in scan.a_candidates],
+           [c.to_dict() for c in scan.b_candidates], scan.truncated)
+    assert got == expected
+
+
+@given(gaussian_mixture_pairs(), st.floats(0.02, 1.0))
+@settings(deadline=None, max_examples=40)
+def test_scan_matches_scalar_oracle_gaussian_mixtures(pair, eps):
+    _scan_matches_oracle(pair, eps)
+
+
+@given(piecewise_poly_pairs(), st.floats(0.02, 1.0))
+@settings(deadline=None, max_examples=60)
+def test_scan_matches_scalar_oracle_piecewise_pairs(pair, eps):
+    _scan_matches_oracle(pair, eps)
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("gaussians_equal_variances", 0.5), ("non_uniqueness_all", 0.2), ("degenerate", 0.05)])
+def test_scan_samples_without_scalar_pdf(monkeypatch, name, eps):
+    """Samples go through ``pdf_array``; scalar ``pdf`` serves only the
+    bisection, residuals and jump points.  Sampling with scalar ``pdf``
+    takes about 8,200 calls on each of these."""
+    calls = []
+    pdf = DistributionPair.pdf
+
+    def counted(self, which, x):
+        calls.append(x)
+        return pdf(self, which, x)
+
+    monkeypatch.setattr(DistributionPair, "pdf", counted)
+    solve_first_order(getattr(examples, name)(), eps)
+    assert len(calls) < 512

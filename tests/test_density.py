@@ -37,6 +37,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=((0.1, 0.0, -1.0, 0.0, 1.0),))
 
+    def test_non_finite_coefficients(self):
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PiecewisePoly(breakpoints=(0.0, 1.0), coeffs=((c,),))
+
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             PiecewisePoly(breakpoints=(0.0, 1.0), coeffs=((1.0,) * 7,))
@@ -134,6 +139,54 @@ class TestMass:
                 arr = pair.cdf_array(which, xs)
                 scl = np.array([pair.cdf(which, float(x)) for x in xs])
                 assert np.max(np.abs(arr - scl)) <= 1e-14
+
+
+class TestPdfArray:
+    """Array evaluators against the scalar ``pdf`` they mirror."""
+
+    def test_piecewise_bit_identical(self, nus_pair, nua_pair, deg_pair):
+        rng = np.random.default_rng(7)
+        comps = [c for pair in (nus_pair, nua_pair, deg_pair)
+                 for c in pair.class0 + pair.class1]
+        comps.append(PiecewisePoly(breakpoints=(-1.0, 0.5, 2.0),
+                                   coeffs=((0.1, 0.05, 0.2, 0.01), (0.3, -0.1, 0.05))))
+        for c in comps:
+            bp = np.asarray(c.breakpoints)
+            xs = np.concatenate([
+                rng.uniform(bp[0], bp[-1], size=200),   # interior
+                bp,                                      # every breakpoint, the last included
+                np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                [bp[0] - 1.0, bp[-1] + 1.0, -1e300, 1e300],  # outside the support
+            ])
+            arr = c.pdf_array(xs)
+            assert arr.dtype == np.float64 and arr.shape == xs.shape
+            assert arr.tolist() == [c.pdf(float(x)) for x in xs]
+
+    def test_gaussian_within_1e15_relative(self):
+        rng = np.random.default_rng(8)
+        for g in (Gaussian(weight=0.5, mu=0.0, sigma=1.0),
+                  Gaussian(weight=0.13, mu=-2.5, sigma=0.3),
+                  Gaussian(weight=1.0, mu=4.0, sigma=7.0)):
+            xs = g.mu + g.sigma * rng.uniform(-12.0, 12.0, size=2000)
+            arr = g.pdf_array(xs)
+            scl = np.array([g.pdf(float(x)) for x in xs])
+            assert np.all(np.abs(arr - scl) <= 1e-15 * scl)
+
+    def test_pair_sums_components(self, eqvar_pair, eqmeans_pair, nua_pair):
+        mixed = DistributionPair(
+            class0=[Gaussian(weight=0.25, mu=-1.0, sigma=0.5),
+                    PiecewisePoly(breakpoints=(-1.0, 0.0, 1.0), coeffs=((0.125,), (0.125,)))],
+            class1=[PiecewisePoly(breakpoints=(0.0, 2.0), coeffs=((0.0, 0.125),)),
+                    Gaussian(weight=0.25, mu=1.5, sigma=2.0)],
+        )
+        xs = np.concatenate([np.linspace(-4.0, 4.0, 401), [-1.0, 0.0, 1.0, 2.0]])
+        for pair in (eqvar_pair, eqmeans_pair, nua_pair, mixed):
+            for which in (0, 1):
+                arr = pair.pdf_array(which, xs)
+                scl = np.array([pair.pdf(which, float(x)) for x in xs])
+                assert np.all(np.abs(arr - scl) <= 1e-15 * scl)
+                if not pair.has_gaussian(which):
+                    assert arr.tolist() == scl.tolist()
 
 
 class TestEta:
