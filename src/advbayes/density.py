@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 
 from .intervals import INF, Interval, IntervalSet
 
@@ -56,6 +56,10 @@ class Gaussian:
     def pdf_array(self, xs: np.ndarray) -> np.ndarray:
         z = (xs - self.mu) / self.sigma
         return self.weight * np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+
+    def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
+        z = (xs - self.mu) / self.sigma
+        return math.log(self.weight / (self.sigma * math.sqrt(2.0 * math.pi))) - 0.5 * z * z
 
     def dpdf(self, x: float) -> float:
         return -(x - self.mu) / (self.sigma**2) * self.pdf(x)
@@ -273,6 +277,10 @@ class PiecewisePoly:
                 out[mask] = _poly_eval(row, xs[mask])
         return out
 
+    def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(self.pdf_array(xs), 0.0))
+
     def dpdf(self, x: float) -> float:
         for b in self.breakpoints:
             if abs(x - b) <= _BREAKPOINT_SNAP * max(1.0, abs(b)):
@@ -396,6 +404,10 @@ class DistributionPair:
         for c in self._components(which):
             out += c.pdf_array(xs)
         return out
+
+    def logpdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
+        """log pdf, finite where a Gaussian tail underflows ``pdf_array`` to 0."""
+        return logsumexp([c.logpdf_array(xs) for c in self._components(which)], axis=0)
 
     def derivative(self, which: int, x: float) -> float:
         return sum(c.dpdf(x) for c in self._components(which))

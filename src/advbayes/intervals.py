@@ -254,13 +254,13 @@ class IntervalSet:
 
     def is_regular(self, eps: float) -> bool:
         """Every component of the set and of its complement is longer than 2·eps."""
-        for iv in self.intervals:
+        ivs = self.intervals
+        for iv in ivs:
             if not math.isinf(iv.length) and iv.length <= 2 * eps:
                 return False
-        for iv in self.complement().intervals:
-            if not math.isinf(iv.length) and iv.length <= 2 * eps:
-                return False
-        return True
+        # The bounded components of the complement are the gaps between
+        # consecutive components (a shared endpoint is a one-point gap).
+        return all(nxt.lo - iv.hi > 2 * eps for iv, nxt in zip(ivs, ivs[1:]))
 
     # -- serialization -------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -52,13 +53,40 @@ class RiskBreakdown:
         }
 
 
-def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> RiskBreakdown:
-    """Risk when every point within ``eps`` of the decision boundary is lost."""
+def adversarial_risks(
+    pair: DistributionPair, sets: Iterable[IntervalSet], eps: float
+) -> list[RiskBreakdown]:
+    """``adversarial_risk`` of each set, sharing one table of endpoint CDFs.
+
+    Sets are dilated one at a time as the iterable yields them.  Each
+    distinct (class, endpoint) pair costs one scalar ``pair.cdf`` call, and
+    the masses are summed exactly as ``DistributionPair.mass_set`` sums
+    them, so every risk has the bits of a one-set evaluation.
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    fn = pair.mass_set(1, a.complement().expand(eps))
-    fp = pair.mass_set(0, a.expand(eps))
-    return RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp, epsilon=eps)
+    tables: tuple[dict[float, float], dict[float, float]] = ({}, {})
+
+    def cdf(which: int, x: float) -> float:
+        v = tables[which].get(x)
+        if v is None:
+            v = tables[which][x] = pair.cdf(which, x)
+        return v
+
+    def mass_set(which: int, s: IntervalSet) -> float:
+        return sum(cdf(which, iv.hi) - cdf(which, iv.lo) if iv.lo < iv.hi else 0.0 for iv in s)
+
+    out = []
+    for a in sets:
+        fn = mass_set(1, a.complement().expand(eps))
+        fp = mass_set(0, a.expand(eps))
+        out.append(RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp, epsilon=eps))
+    return out
+
+
+def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> RiskBreakdown:
+    """Risk when every point within ``eps`` of the decision boundary is lost."""
+    return adversarial_risks(pair, (a,), eps)[0]
 
 
 def standard_risk(pair: DistributionPair, a: IntervalSet) -> RiskBreakdown:
@@ -91,9 +119,24 @@ def _two_gaussian_crossings(g1: Gaussian, g0: Gaussian) -> list[float]:
     return sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])
 
 
+def _log_gap(pair: DistributionPair, xs: np.ndarray) -> np.ndarray:
+    """log p1 - log p0, and 0 where both densities vanish identically."""
+    with np.errstate(invalid="ignore"):
+        gap = pair.logpdf_array(1, xs) - pair.logpdf_array(0, xs)
+    return np.where(np.isnan(gap), 0.0, gap)
+
+
+def _gap(pair: DistributionPair, x: float) -> float:
+    """p1 - p0 at x, signed by ``_log_gap`` where both densities underflow to 0."""
+    p1, p0 = pair.pdf(1, x), pair.pdf(0, x)
+    if p1 == 0.0 and p0 == 0.0:
+        return float(_log_gap(pair, np.array([x]))[0])
+    return p1 - p0
+
+
 def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     """Canonical open set where class 1 is the more likely label."""
-    d = lambda x: pair.pdf(1, x) - pair.pdf(0, x)
+    d = lambda x: _gap(pair, x)
     breaks = sorted(set(pair.breakpoints(0)) | set(pair.breakpoints(1)))
     gaussian_only = not breaks
     crossings: list[float] = []
@@ -124,12 +167,15 @@ def _cell_crossings(pair: DistributionPair, a: float, b: float) -> list[float]:
             raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
         return poly_roots_in_cell(diff, a, b)
     # Gaussian components present: dense sign scan with bisection refinement.
-    d = lambda x: pair.pdf(1, x) - pair.pdf(0, x)
+    d = lambda x: _gap(pair, x)
     xs = np.linspace(a, b, 512)
-    vals = pair.pdf_array(1, xs) - pair.pdf_array(0, xs)
+    p1, p0 = pair.pdf_array(1, xs), pair.pdf_array(0, xs)
+    vals = p1 - p0
     scale = max(pair.sup_density(0), pair.sup_density(1))
     if np.max(np.abs(vals)) <= 1e-15 * scale:
         raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
+    under = (p1 == 0.0) & (p0 == 0.0)
+    vals[under] = _log_gap(pair, xs[under])
     roots = []
     pos = vals > 0
     for i in np.flatnonzero(pos[:-1] != pos[1:]):

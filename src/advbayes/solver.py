@@ -12,6 +12,8 @@ class, members differ only by mass-invisible "degenerate" regions.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +21,7 @@ from . import conditions
 from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty
 from .density import DistributionPair
 from .intervals import INF, Interval, IntervalSet
-from .risk import TAU_RISK, RiskBreakdown, adversarial_risk
+from .risk import TAU_RISK, RiskBreakdown, adversarial_risk, adversarial_risks
 
 ENUMERATION_CAP = 4096
 
@@ -31,6 +33,15 @@ class AssumptionUnmet(ValueError):
 def _set_key(s: IntervalSet) -> tuple:
     """Sort and deduplication key of a set: its (lo, hi) endpoint pairs."""
     return tuple((iv.lo, iv.hi) for iv in s.intervals)
+
+
+def _near_sorted(points: list[float], p: float, tol: float) -> bool:
+    """Some entry of the sorted ``points`` lies within ``tol`` of ``p``.
+
+    Only the two neighbours of ``p`` in sorted order need checking.
+    """
+    i = bisect.bisect_left(points, p)
+    return (i < len(points) and points[i] - p <= tol) or (i > 0 and p - points[i - 1] <= tol)
 
 
 @dataclass
@@ -268,21 +279,20 @@ def solve(
         for c in scan.a_candidates + scan.b_candidates:
             if c.second_order == PASS:
                 pass_points.update(c.enumeration_points())
+    passed = sorted(pass_points)
+    near_pass = functools.cache(lambda p: _near_sorted(passed, p, 1e-9))
 
     # ``sets`` arrive sorted by _set_key, so candidates, minimizers and each
     # class's members are in that order too.
-    candidates = []
-    for s in sets:
-        endpoints = [p for p in s.boundary_points()]
-        clean = all(any(abs(p - q) <= 1e-9 for q in pass_points) for p in endpoints)
-        candidates.append(
-            CandidateClassifier(
-                set=s,
-                risk=adversarial_risk(pair, s, eps),
-                regular=s.is_regular(eps),
-                second_order_clean=clean,
-            )
+    candidates = [
+        CandidateClassifier(
+            set=s,
+            risk=r,
+            regular=s.is_regular(eps),
+            second_order_clean=all(near_pass(p) for p in s.boundary_points()),
         )
+        for s, r in zip(sets, adversarial_risks(pair, sets, eps))
+    ]
 
     min_risk = min(c.risk.total for c in candidates)
     minimizers = [c for c in candidates if c.risk.total <= min_risk + TAU_RISK]

@@ -146,6 +146,17 @@ def oracle_adv_risk(ref, pairs: list[tuple[float, float]], eps: float) -> float:
     return fn + fp
 
 
+def mass_set_risk(pair, s, eps: float):
+    """(total, fn, fp) of one set from two per-set ``mass_set`` calls.
+
+    The literal definition of the adversarial risk on the package's interval
+    algebra and masses, without the risk module's shared CDF table.
+    """
+    fn = pair.mass_set(1, s.complement().expand(eps))
+    fp = pair.mass_set(0, s.expand(eps))
+    return fn + fp, fn, fp
+
+
 # -- LP matching oracle --------------------------------------------------------
 
 
@@ -180,21 +191,20 @@ def literal_bruteforce(pair, eps: float, xs, max_k: int):
     it checks the layered-DP minimization independently.
     """
     from advbayes.intervals import Interval, IntervalSet
-    from advbayes.risk import adversarial_risk
+    from advbayes.risk import adversarial_risks
 
-    best = adversarial_risk(pair, IntervalSet.empty(), eps).total
-    r = adversarial_risk(pair, IntervalSet.reals(), eps).total
-    best = min(best, r)
-    ext = [-INF] + list(xs) + [INF]
-    for k in range(1, max_k + 1):
-        for combo in itertools.combinations(range(len(ext)), 2 * k):
-            p = [ext[i] for i in combo]
-            if any(q == -INF for q in p[1:]) or any(q == INF for q in p[:-1]):
-                continue
-            ivs = [Interval(p[i], p[i + 1]) for i in range(0, 2 * k, 2)]
-            s = IntervalSet(ivs)
-            best = min(best, adversarial_risk(pair, s, eps).total)
-    return best
+    def sets():
+        yield IntervalSet.empty()
+        yield IntervalSet.reals()
+        ext = [-INF] + list(xs) + [INF]
+        for k in range(1, max_k + 1):
+            for combo in itertools.combinations(range(len(ext)), 2 * k):
+                p = [ext[i] for i in combo]
+                if any(q == -INF for q in p[1:]) or any(q == INF for q in p[:-1]):
+                    continue
+                yield IntervalSet([Interval(p[i], p[i + 1]) for i in range(0, 2 * k, 2)])
+
+    return min(r.total for r in adversarial_risks(pair, sets(), eps))
 
 
 # -- literal first-order scan -----------------------------------------------------

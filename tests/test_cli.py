@@ -254,12 +254,59 @@ class TestCertifyCommand:
         data = json.loads(out.read_text())
         assert data["certificate"]["dual_value"] == 0.5
 
+    @pytest.mark.parametrize("name, tol, failing", [
+        ("non_uniqueness_all", "1e-20", ["solver_vs_primal"]),  # gap is exactly 0
+        ("non_uniqueness_single", "1e-6", ["gap"]),  # solver - primal is about 2e-15
+        ("gaussians_equal_means", "1e-12", ["solver_vs_primal", "gap"]),
+    ])
+    def test_failed_check_named(self, name, tol, failing, capsys):
+        code = main(["certify", "--example", name, "--eps", "0.2", "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 1
+        data = json.loads(out)
+        values = {"solver_vs_primal": data["solver_vs_primal"], "gap": data["gap_report"]["gap"]}
+        named = ", ".join(f"{k} = {values[k]!r}" for k in failing)
+        assert err.splitlines() == [f"error: certificate exceeds --tol {float(tol)!r}: {named}"]
+
+    def test_pass_writes_no_stderr(self, capsys):
+        assert main(["certify", "--example", "non_uniqueness_all", "--eps", "0.2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_budget_exit_code(self):
         code = main(
             ["certify", "--example", "gaussians_equal_variances", "--eps", "1.0",
              "--grid-h", "1e-6"]
         )
         assert code == 3
+
+
+class TestParserCache:
+    ARGVS = [
+        ["solve", "--example", "non_uniqueness_all", "--eps", "0.2"],
+        ["solve", "--example", "non_uniqueness_all", "--eps", "0.1", "--keep-all"],
+        ["sweep", "--example", "degenerate", "--eps-min", "0.05", "--eps-max", "0.1",
+         "--steps", "2"],
+        ["examples", "non_uniqueness_single"],
+        ["certify", "--example", "non_equiv", "--eps", "0.3", "--full-matching"],
+        ["solve", "--example", "degenerate", "--eps", "0.05", "--grid-n", "512"],
+        ["solve", "--bogus"],
+        ["solve", "--example", "non_uniqueness_all", "--eps", "0.2"],
+    ]
+
+    def test_one_parser_serves_every_call(self, capsys):
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        separate = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()  # a fresh parser, as in a new process
+            separate.append(run(argv))
+        cli._build_parser.cache_clear()
+        shared = [run(argv) for argv in self.ARGVS]
+        assert shared == separate
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestExamplesCommand:

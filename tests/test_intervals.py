@@ -114,6 +114,8 @@ class TestExpandContract:
         assert not IntervalSet.open(0, 1).is_regular(0.5)
         assert IntervalSet.reals().is_regular(100.0)
         assert IntervalSet.empty().is_regular(100.0)
+        # (0, 1) ∪ (1, 2) leaves the one-point gap {1}
+        assert not iset((0, 1, False, False), (1, 2, False, False)).is_regular(0.1)
 
     def test_contract_erodes_components_separately(self):
         s = IntervalSet.of_open((0, 1), (2, 10))
@@ -207,6 +209,15 @@ def test_regularized_components_not_small(s, eps):
     for iv in s.contract(eps).expand(eps):
         if not math.isinf(iv.length):
             assert iv.length >= 2 * eps
+
+
+@given(interval_sets(), lattice_eps)
+@settings(deadline=None)
+def test_is_regular_matches_definition(s, eps):
+    """Every bounded component of the set and of its complement is longer than 2*eps."""
+    pieces = list(s.intervals) + list(s.complement().intervals)
+    expected = all(math.isinf(iv.length) or iv.length > 2 * eps for iv in pieces)
+    assert s.is_regular(eps) == expected
 
 
 def test_expansion_matches_ball_characterization():

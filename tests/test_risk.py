@@ -1,6 +1,10 @@
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
@@ -11,6 +15,7 @@ from advbayes.risk import (
     DegenerateTie,
     EndpointMismatch,
     adversarial_risk,
+    adversarial_risks,
     bayes_classifier,
     poly_roots_in_cell,
     risk_gap_bound,
@@ -100,6 +105,73 @@ class TestAdversarialRisk:
             assert adversarial_risk(nua_pair, open_v, eps).total == pytest.approx(
                 adversarial_risk(nua_pair, closed_v, eps).total, abs=1e-15
             )
+
+
+# Gaussian-mixture, piecewise and mixed pairs for the batched-risk property.
+BATCH_PAIRS = [
+    examples.gaussians_equal_variances(),
+    examples.gaussians_equal_means(),
+    examples.non_uniqueness_single(),
+    examples.non_uniqueness_all(),
+    examples.degenerate(),
+    examples.deg_eta_0_1_counterexample(0.1),
+    DistributionPair(
+        class0=[Gaussian(weight=0.25, mu=-1.0, sigma=0.4), Gaussian(weight=0.25, mu=1.5, sigma=0.3)],
+        class1=[Gaussian(weight=0.5, mu=0.5, sigma=0.6)],
+    ),
+    DistributionPair(
+        class0=[PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=((0.25,),))],
+        class1=[Gaussian(weight=0.5, mu=0.0, sigma=0.5)],
+    ),
+]
+
+# Dyadic endpoints repeat across sets, so the batch reuses table entries.
+batch_points = st.one_of(
+    st.integers(min_value=-48, max_value=48).map(lambda k: k / 16.0),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@st.composite
+def batch_sets(draw):
+    """∅, ℝ, points, half-infinite pieces and components closer than 2*eps."""
+    pts = sorted(set(draw(st.lists(batch_points, max_size=8))))
+    flags = draw(st.lists(st.booleans(), min_size=2 * len(pts), max_size=2 * len(pts)))
+    ivs = []
+    for i, (lo, hi) in enumerate(zip(pts, pts[1:])):
+        if draw(st.booleans()):
+            ivs.append(Interval(lo, hi, flags[2 * i], flags[2 * i + 1]))
+    if pts and draw(st.booleans()):
+        ivs.append(Interval(pts[0], pts[0], True, True))
+    if pts and draw(st.booleans()):
+        ivs.append(Interval(-INF, pts[0], False, flags[-1]))
+    if pts and draw(st.booleans()):
+        ivs.append(Interval(pts[-1], INF, flags[-2], False))
+    return IntervalSet(ivs)
+
+
+@given(
+    st.sampled_from(range(len(BATCH_PAIRS))),
+    st.lists(st.one_of(st.just(IntervalSet.empty()), st.just(IntervalSet.reals()), batch_sets()),
+             min_size=1, max_size=12),
+    st.one_of(st.just(0.0), st.integers(1, 16).map(lambda k: k / 32.0),
+              st.floats(min_value=0.0, max_value=1.5, allow_nan=False)),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_risks_match_per_set_masses(index, sets, eps):
+    """One streamed batch gives every set the bits of per-set ``mass_set`` calls."""
+    pair = BATCH_PAIRS[index]
+    got = adversarial_risks(pair, (s for s in sets), eps)
+    assert len(got) == len(sets)
+    for s, r in zip(sets, got):
+        expected = oracles.mass_set_risk(pair, s, eps)
+        assert repr((r.total, r.fn_mass, r.fp_mass)) == repr(expected), s
+        assert r.epsilon == eps
+
+
+def test_batched_risks_reject_negative_eps(nua_pair):
+    with pytest.raises(ValueError):
+        adversarial_risks(nua_pair, [IntervalSet.reals()], -0.1)
 
 
 class TestRiskProperties:
@@ -200,6 +272,28 @@ class TestBayesSampleScan:
         got = bayes.boundary_points()
         assert len(got) == 4 and got[0] == -1.0 and got[3] == 1.0
         assert np.max(np.abs(np.array(got[1:3]) - [r_lo, r_hi])) <= 1e-12
+
+
+class TestBayesUnderflow:
+    """Both densities underflow to 0 between far-apart bumps; log-densities
+    still order them."""
+
+    @staticmethod
+    def log_gap(x):
+        lognorm = lambda mu: -0.5 * ((x - mu) / 0.1) ** 2 - math.log(0.1 * math.sqrt(2 * math.pi))
+        log_p0 = np.logaddexp(math.log(0.25) + lognorm(0.0), math.log(0.25) + lognorm(100.0))
+        return math.log(0.5) + lognorm(1.0) - log_p0
+
+    def test_far_bump_crossing(self):
+        pair = DistributionPair(
+            class0=[Gaussian(weight=0.25, mu=0.0, sigma=0.1), Gaussian(weight=0.25, mu=100.0, sigma=0.1)],
+            class1=[Gaussian(weight=0.5, mu=1.0, sigma=0.1)],
+        )
+        assert pair.pdf(0, 50.0) == 0.0 and pair.pdf(1, 50.0) == 0.0
+        expected = [brentq(self.log_gap, lo, hi, xtol=1e-15) for lo, hi in ((0.2, 0.8), (40.0, 60.0))]
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == 1
+        assert np.max(np.abs(np.array(bayes.boundary_points()) - expected)) <= 1e-12
 
 
 class TestSturm:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advbayes import cli, examples, solver
 from advbayes.density import DistributionPair, PiecewisePoly
@@ -192,6 +194,37 @@ class TestEquivalence:
                 pair.mass_set(0, m.set.expand(eps)) for m in rep.minimizers
             ]
             assert max(masses) - min(masses) <= 1e-9
+
+
+@given(
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=12),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([0.0, 1e-9, 0.1]),
+    st.integers(min_value=-3, max_value=3),
+)
+@settings(deadline=None)
+def test_near_sorted_matches_linear_scan(points, p, tol, nudge):
+    if points and nudge:  # land p within a few ulps or a tolerance of an entry
+        p = points[abs(nudge) % len(points)] + nudge * (tol or 1e-15) * 0.75
+    expected = any(abs(p - q) <= tol for q in points)
+    assert solver._near_sorted(sorted(points), p, tol) == expected
+
+
+def test_candidate_risks_share_endpoint_cdfs(bump_pair, monkeypatch):
+    """Candidate risks read one CDF table: the 2,584 sets of the 8-bump pair
+    have a few dozen distinct dilated endpoints.  Evaluating each set on its
+    own takes 39,348 scalar ``cdf`` calls."""
+    calls = []
+    cdf = DistributionPair.cdf
+
+    def counted(self, which, x):
+        calls.append(x)
+        return cdf(self, which, x)
+
+    monkeypatch.setattr(DistributionPair, "cdf", counted)
+    rep = solve(bump_pair(8), 0.3)
+    assert len(rep.candidates) == 2584
+    assert len(calls) < 512
 
 
 class TestDegenerateReport:
