@@ -1,7 +1,7 @@
 """Command-line front end: solve, sweep, certify, examples.
 
 Exit codes: 0 success, 1 usage or validation error, 2 completed with
-warnings (e.g. candidate truncation), 3 grid-search budget exceeded.
+warnings (e.g. a widened endpoint window), 3 grid-search budget exceeded.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BreakpointDerivative, DistributionPair, _bisect
+from .density import BreakpointDerivative, DistributionPair, _bisect, log_gap, signed_gap
 from .intervals import INF, Interval
 
 PASS = "PASS"
@@ -147,6 +147,8 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                window: Interval) -> tuple[list[CandidatePoint], bool]:
     g = lambda x: defect(pair, eps, kind, x)
     plus, minus = _reads(kind)
+    # Where both shifted densities underflow to 0, log-densities give the sign.
+    sign = lambda x: signed_gap(pair, plus, x + eps, minus, x - eps)
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:
         return [], False
@@ -166,9 +168,13 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
         # Only the sign of each sample steers the scalar bisection below, so
         # roots equal a scalar-sampled scan's unless a sample is within
         # rounding of zero (np.exp and math.exp may differ by one ulp).
-        vals = pair.pdf_array(plus, xs + eps) - pair.pdf_array(minus, xs - eps)
+        p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
+        vals = p_plus - p_minus
         is_plateau = bool(np.max(np.abs(vals)) <= TAU_PLATEAU)
         plateau_flags.append(is_plateau)
+        under = (p_plus == 0.0) & (p_minus == 0.0)
+        if not is_plateau and under.any():
+            vals[under] = log_gap(pair, plus, xs[under] + eps, minus, xs[under] - eps)
         side_vals.append((float(vals[0]), float(vals[-1])))
         if is_plateau:
             continue
@@ -177,7 +183,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
             if vals[i] == 0.0:
                 roots.append(float(xs[i]))
             else:
-                roots.append(_bisect(g, float(xs[i]), float(xs[i + 1]), vals[i], _BISECT_TOL))
+                roots.append(_bisect(sign, float(xs[i]), float(xs[i + 1]), vals[i], _BISECT_TOL))
         if vals[-1] == 0.0:
             roots.append(float(xs[-1]))
 

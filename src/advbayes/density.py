@@ -507,6 +507,25 @@ class DistributionPair:
         return min(los), max(his)
 
 
+# -- signed density differences -------------------------------------------------
+
+
+def log_gap(pair: DistributionPair, plus: int, xp: np.ndarray, minus: int,
+            xm: np.ndarray) -> np.ndarray:
+    """log p_plus(xp) - log p_minus(xm), and 0 where both densities vanish identically."""
+    with np.errstate(invalid="ignore"):
+        gap = pair.logpdf_array(plus, xp) - pair.logpdf_array(minus, xm)
+    return np.where(np.isnan(gap), 0.0, gap)
+
+
+def signed_gap(pair: DistributionPair, plus: int, xp: float, minus: int, xm: float) -> float:
+    """p_plus(xp) - p_minus(xm), signed by ``log_gap`` where both densities underflow to 0."""
+    hi, lo = pair.pdf(plus, xp), pair.pdf(minus, xm)
+    if hi == 0.0 and lo == 0.0:
+        return float(log_gap(pair, plus, np.array([xp]), minus, np.array([xm]))[0])
+    return hi - lo
+
+
 # -- config schema -----------------------------------------------------------
 
 

@@ -107,7 +107,6 @@ def solve_report_to_dict(r: SolveReport) -> dict:
         "min_risk": r.min_risk,
         "unique_up_to_degeneracy": r.unique_up_to_degeneracy,
         "n_classes": len(r.classes),
-        "candidates": [candidate_to_dict(c) for c in r.candidates],
         "minimizers": [candidate_to_dict(c) for c in r.minimizers],
         "classes": [class_to_dict(c) for c in r.classes],
         "first_order": scan_to_dict(r.first_order),

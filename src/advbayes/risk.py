@@ -22,7 +22,9 @@ from .density import (
     PiecewisePoly,
     _bisect,
     _poly_trim,
+    log_gap,
     poly_roots_in_cell,
+    signed_gap,
 )
 from .intervals import INF, Interval, IntervalSet
 
@@ -119,19 +121,9 @@ def _two_gaussian_crossings(g1: Gaussian, g0: Gaussian) -> list[float]:
     return sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])
 
 
-def _log_gap(pair: DistributionPair, xs: np.ndarray) -> np.ndarray:
-    """log p1 - log p0, and 0 where both densities vanish identically."""
-    with np.errstate(invalid="ignore"):
-        gap = pair.logpdf_array(1, xs) - pair.logpdf_array(0, xs)
-    return np.where(np.isnan(gap), 0.0, gap)
-
-
 def _gap(pair: DistributionPair, x: float) -> float:
-    """p1 - p0 at x, signed by ``_log_gap`` where both densities underflow to 0."""
-    p1, p0 = pair.pdf(1, x), pair.pdf(0, x)
-    if p1 == 0.0 and p0 == 0.0:
-        return float(_log_gap(pair, np.array([x]))[0])
-    return p1 - p0
+    """p1 - p0 at x, signed by log-densities where both densities underflow to 0."""
+    return signed_gap(pair, 1, x, 0, x)
 
 
 def bayes_classifier(pair: DistributionPair) -> IntervalSet:
@@ -175,7 +167,7 @@ def _cell_crossings(pair: DistributionPair, a: float, b: float) -> list[float]:
     if np.max(np.abs(vals)) <= 1e-15 * scale:
         raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
     under = (p1 == 0.0) & (p0 == 0.0)
-    vals[under] = _log_gap(pair, xs[under])
+    vals[under] = log_gap(pair, 1, xs[under], 0, xs[under])
     roots = []
     pos = vals > 0
     for i in np.flatnonzero(pos[:-1] != pos[1:]):

@@ -1,19 +1,20 @@
-"""Enumerate, rank, and classify every optimal robust classifier.
+"""Find, rank, and classify every optimal robust classifier.
 
 The procedure: collect all admissible endpoint candidates from the
-stationarity conditions, form every open regular set whose left endpoints
+stationarity conditions; among the open regular sets whose left endpoints
 come from the a-pool and right endpoints from the b-pool (always including
-the empty set and the full line), evaluate each set's adversarial risk,
-keep the minimizers, and group them into equivalence classes.  Two
-minimizers are interchangeable exactly when their dilations carry the same
-class-0 mass (or the dilated complements the same class-1 mass); within a
-class, members differ only by mass-invisible "degenerate" regions.
+the empty set and the full line), find every set of minimal adversarial
+risk with a dynamic program over the sorted pool, since a regular set's
+risk is a sum of one mass per component and per gap; and group the
+minimizers into equivalence classes.  Two minimizers are interchangeable
+exactly when their dilations carry the same class-0 mass (or the dilated
+complements the same class-1 mass); within a class, members differ only by
+mass-invisible "degenerate" regions.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,8 +23,6 @@ from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty
 from .density import DistributionPair
 from .intervals import INF, Interval, IntervalSet
 from .risk import TAU_RISK, RiskBreakdown, adversarial_risk, adversarial_risks
-
-ENUMERATION_CAP = 4096
 
 
 class AssumptionUnmet(ValueError):
@@ -83,7 +82,6 @@ class PlateauCheck:
 @dataclass
 class SolveReport:
     epsilon: float
-    candidates: list[CandidateClassifier]
     minimizers: list[CandidateClassifier]
     classes: list[EquivalenceClass]
     unique_up_to_degeneracy: bool
@@ -115,59 +113,66 @@ def _set_from_sequence(points: list[float], kinds: list[str]) -> IntervalSet:
 
 
 def enumerate_candidates(
+    pair: DistributionPair,
     a_points: list[float],
     b_points: list[float],
     eps: float,
     window: Interval | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> tuple[list[IntervalSet], bool]:
-    """All open regular sets with left/right endpoints drawn from the pools.
+) -> tuple[list[IntervalSet], list[RiskBreakdown]]:
+    """Every near-minimal open regular set built from the pools, with its risk.
 
-    Alternating endpoint sequences whose consecutive gaps all exceed 2*eps
-    strictly; half-infinite leading and trailing pieces are allowed, and ∅
-    and ℝ are always included.  Deduplicated; capped at ``cap`` sets.
+    The sets are those of alternating endpoint sequences whose consecutive
+    points are more than 2*eps apart (half-infinite leading and trailing
+    pieces allowed), plus ∅ and ℝ.  Dilations of such a set never merge, so
+    its risk is a sum over the edges of its sequence: a component (a, b)
+    adds the class-0 mass of (a-eps, b+eps), a gap (b, a') the class-1 mass
+    of (b-eps, a'+eps), and the first and last edges the half-infinite
+    pieces.  A backward pass over the sorted pool nodes gives each node's
+    cheapest completion; a walk pruned on it lists every sequence whose
+    edge sum is within 2*TAU_RISK of the minimum.  The listed sets, sorted
+    by ``_set_key``, get their exact risks from ``adversarial_risks``.
     """
-    pool: dict[float, set[str]] = {}
-    for x in a_points:
-        pool.setdefault(x, set()).add("a")
-    for x in b_points:
-        pool.setdefault(x, set()).add("b")
+    nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
     if window is not None:
-        pool = {x: k for x, k in pool.items() if window.lo <= x <= window.hi}
-    xs = sorted(pool)
+        nodes = [(x, k) for x, k in nodes if window.lo <= x <= window.hi]
+    table: tuple[dict[float, float], dict[float, float]] = ({}, {})
 
-    results: dict[tuple, IntervalSet] = {}
-    truncated = False
+    def mass(which: int, lo: float, hi: float) -> float:
+        t = table[which]
+        for x in (lo, hi):
+            if x not in t:
+                t[x] = pair.cdf(which, x)
+        return t[hi] - t[lo]
 
-    def emit(points: list[float], kinds: list[str]) -> bool:
-        s = _set_from_sequence(points, kinds)
-        key = _set_key(s)
-        if key not in results:
-            if len(results) >= cap:
-                return False
-            results[key] = s
-        return True
+    # The piece that starts at a node is a component (class 0 pays) after an
+    # "a" and a gap (class 1 pays) after a "b".
+    xs = [x for x, _ in nodes]
+    pays = [0 if k == "a" else 1 for _, k in nodes]
+    n = len(nodes)
+    succ = [[j for j in range(i + 1, n) if pays[j] != pays[i] and xs[j] - xs[i] > 2 * eps]
+            for i in range(n)]
+    start = [mass(1 - c, -INF, x + eps) for x, c in zip(xs, pays)]
+    end = [mass(c, x - eps, INF) for x, c in zip(xs, pays)]
+    best = [0.0] * n
+    for i in reversed(range(n)):
+        c, lo = pays[i], xs[i] - eps
+        best[i] = min([end[i]] + [mass(c, lo, xs[j] + eps) + best[j] for j in succ[i]])
 
-    emit([], [])  # ∅
-    results[((-INF, INF),)] = IntervalSet.reals()  # ℝ
-
-    def extend(idx: int, points: list[float], kinds: list[str]) -> bool:
-        if points and not emit(points, kinds):
-            return False
-        want = "b" if (kinds and kinds[-1] == "a") else ("a" if kinds else None)
-        for j in range(idx, len(xs)):
-            x = xs[j]
-            if points and x - points[-1] <= 2 * eps:
-                continue
-            allowed = pool[x] if want is None else (pool[x] & {want})
-            for k in sorted(allowed):
-                if not extend(j + 1, points + [x], kinds + [k]):
-                    return False
-        return True
-
-    if not extend(0, [], []):
-        truncated = True
-    return sorted(results.values(), key=_set_key), truncated
+    trivial = [(IntervalSet.empty(), mass(1, -INF, INF)), (IntervalSet.reals(), mass(0, -INF, INF))]
+    bound = min([r for _, r in trivial] + [s + b for s, b in zip(start, best)]) + 2 * TAU_RISK
+    sets = [s for s, r in trivial if r <= bound]
+    stack = [(i, start[i], (i,)) for i in range(n) if start[i] + best[i] <= bound]
+    while stack:
+        i, cost, path = stack.pop()
+        if cost + end[i] <= bound:
+            sets.append(_set_from_sequence([xs[j] for j in path], [nodes[j][1] for j in path]))
+        c, lo = pays[i], xs[i] - eps
+        for j in succ[i]:
+            step = cost + mass(c, lo, xs[j] + eps)
+            if step + best[j] <= bound:
+                stack.append((j, step, path + (j,)))
+    sets.sort(key=_set_key)
+    return sets, adversarial_risks(pair, sets, eps)
 
 
 def are_equivalent(pair: DistributionPair, eps: float, a1: IntervalSet, a2: IntervalSet) -> bool:
@@ -246,7 +251,7 @@ def solve(
     grid_n: int = 2048,
     keep_all: bool = False,
 ) -> SolveReport:
-    """Run the full enumeration-and-comparison procedure at one radius."""
+    """Find every minimizer at one radius and group them into equivalence classes."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     warnings: list[str] = []
@@ -270,9 +275,7 @@ def solve(
         a_pts, b_pts = usable(scan.a_candidates), usable(scan.b_candidates)
 
     window = scan.window if scan is not None else None
-    sets, truncated = enumerate_candidates(a_pts, b_pts, eps, window)
-    if truncated:
-        warnings.append(f"candidate enumeration truncated at {ENUMERATION_CAP} sets")
+    sets, risks = enumerate_candidates(pair, a_pts, b_pts, eps, window)
 
     pass_points = set()
     if scan is not None:
@@ -280,22 +283,20 @@ def solve(
             if c.second_order == PASS:
                 pass_points.update(c.enumeration_points())
     passed = sorted(pass_points)
-    near_pass = functools.cache(lambda p: _near_sorted(passed, p, 1e-9))
 
-    # ``sets`` arrive sorted by _set_key, so candidates, minimizers and each
-    # class's members are in that order too.
-    candidates = [
+    # ``sets`` arrive sorted by _set_key, so minimizers and each class's
+    # members are in that order too.
+    min_risk = min(r.total for r in risks)
+    minimizers = [
         CandidateClassifier(
             set=s,
             risk=r,
             regular=s.is_regular(eps),
-            second_order_clean=all(near_pass(p) for p in s.boundary_points()),
+            second_order_clean=all(_near_sorted(passed, p, 1e-9) for p in s.boundary_points()),
         )
-        for s, r in zip(sets, adversarial_risks(pair, sets, eps))
+        for s, r in zip(sets, risks)
+        if r.total <= min_risk + TAU_RISK
     ]
-
-    min_risk = min(c.risk.total for c in candidates)
-    minimizers = [c for c in candidates if c.risk.total <= min_risk + TAU_RISK]
 
     # Union-find over the pairwise interchangeability relation.
     parent = list(range(len(minimizers)))
@@ -362,7 +363,6 @@ def solve(
 
     return SolveReport(
         epsilon=eps,
-        candidates=candidates,
         minimizers=minimizers,
         classes=classes,
         unique_up_to_degeneracy=len(classes) == 1,

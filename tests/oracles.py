@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 INF = math.inf
 
@@ -80,6 +80,39 @@ def ref_bumps(k: int):
     p0 = lambda x: sum(normpdf(x, 4.0 * i, 0.7) for i in range(k)) * 0.5 / k
     p1 = lambda x: sum(normpdf(x, 4.0 * i + 2.0, 0.7) for i in range(k)) * 0.5 / k
     return p0, p1, []
+
+
+def ref_far_bumps_log():
+    """log p0, log p1 for class 0 = 0.25 N(0, 0.1^2) + 0.25 N(100, 0.1^2) and
+    class 1 = 0.5 N(1, 0.1^2): both densities underflow to 0 near x = 50."""
+    lognorm = lambda x, mu: -0.5 * ((x - mu) / 0.1) ** 2 - math.log(0.1 * math.sqrt(2 * math.pi))
+    log_p0 = lambda x: float(np.logaddexp(math.log(0.25) + lognorm(x, 0.0),
+                                          math.log(0.25) + lognorm(x, 100.0)))
+    log_p1 = lambda x: math.log(0.5) + lognorm(x, 1.0)
+    return log_p0, log_p1
+
+
+def sign_change_roots(f, lo: float, hi: float, n: int) -> list[float]:
+    """``brentq`` root of ``f`` in each sign change on an n-point grid over [lo, hi]."""
+    xs = np.linspace(lo, hi, n)
+    vals = [f(float(x)) for x in xs]
+    return [brentq(f, float(xs[i]), float(xs[i + 1]), xtol=1e-15)
+            for i in range(n - 1) if (vals[i] > 0) != (vals[i + 1] > 0)]
+
+
+def ref_bumps_mass(k: int):
+    """Class masses of ``ref_bumps(k)`` on (lo, hi) from the literal normal CDF."""
+    def cdf(x: float, mu: float) -> float:
+        if math.isinf(x):
+            return 1.0 if x > 0 else 0.0
+        return 0.5 * math.erfc(-(x - mu) / (0.7 * math.sqrt(2.0)))
+
+    def mass(which: int, lo: float, hi: float) -> float:
+        offset = 2.0 if which == 1 else 0.0
+        return 0.5 / k * math.fsum(cdf(hi, 4.0 * i + offset) - cdf(lo, 4.0 * i + offset)
+                                   for i in range(k))
+
+    return mass
 
 
 def ref_gaussian_vs_uniform():
@@ -207,15 +240,134 @@ def literal_bruteforce(pair, eps: float, xs, max_k: int):
     return min(r.total for r in adversarial_risks(pair, sets(), eps))
 
 
+# -- regular sets from an endpoint pool ---------------------------------------------
+
+ENUMERATION_CAP = 4096
+
+
+def enumerate_regular_sets(a_points, b_points, eps: float, window=None,
+                           cap: int = ENUMERATION_CAP):
+    """Every open regular set with left/right endpoints drawn from the pools.
+
+    The exhaustive DFS the solver once ran: alternating endpoint sequences
+    whose consecutive gaps all exceed 2*eps strictly; half-infinite leading
+    and trailing pieces are allowed, and ∅ and ℝ are always included.
+    ``window`` is an (lo, hi) pair that the endpoints must lie in.  Returns
+    ``(sets, truncated)``: the sets sorted by their (lo, hi) pairs, at most
+    ``cap`` of them.
+    """
+    from advbayes.intervals import Interval, IntervalSet
+
+    def key(s):
+        return tuple((iv.lo, iv.hi) for iv in s.intervals)
+
+    def from_sequence(points, kinds):
+        pieces = []
+        i = 0
+        if kinds and kinds[0] == "b":
+            pieces.append(Interval(-INF, points[0]))
+            i = 1
+        while i + 1 < len(kinds) and kinds[i] == "a" and kinds[i + 1] == "b":
+            pieces.append(Interval(points[i], points[i + 1]))
+            i += 2
+        if i < len(kinds) and kinds[i] == "a":
+            pieces.append(Interval(points[i], INF))
+        return IntervalSet(pieces)
+
+    pool: dict[float, set[str]] = {}
+    for x in a_points:
+        pool.setdefault(x, set()).add("a")
+    for x in b_points:
+        pool.setdefault(x, set()).add("b")
+    if window is not None:
+        lo, hi = window
+        pool = {x: k for x, k in pool.items() if lo <= x <= hi}
+    xs = sorted(pool)
+
+    results = {(): IntervalSet.empty(), ((-INF, INF),): IntervalSet.reals()}
+
+    def extend(idx, points, kinds):
+        if points:
+            s = from_sequence(points, kinds)
+            if key(s) not in results:
+                if len(results) >= cap:
+                    return False
+                results[key(s)] = s
+        want = "b" if (kinds and kinds[-1] == "a") else ("a" if kinds else None)
+        for j in range(idx, len(xs)):
+            x = xs[j]
+            if points and x - points[-1] <= 2 * eps:
+                continue
+            allowed = pool[x] if want is None else (pool[x] & {want})
+            for k in sorted(allowed):
+                if not extend(j + 1, points + [x], kinds + [k]):
+                    return False
+        return True
+
+    truncated = not extend(0, [], [])
+    return sorted(results.values(), key=key), truncated
+
+
+def pool_dp_min(mass, a_points, b_points, eps: float, window=None) -> float:
+    """Minimum adversarial risk over the regular sets of the pools, by a forward DP.
+
+    ``mass(which, lo, hi)`` is a class mass on (lo, hi), infinite ends
+    allowed.  ``best[j]`` is the cheapest risk of the pieces up to node j:
+    the leading half line, then alternating components (class-0 mass of
+    (a-eps, b+eps)) and gaps (class-1 mass of (b-eps, a'+eps)).  Each
+    sequence is closed by its trailing half line; ∅ and ℝ cost the whole
+    class-1 and class-0 masses.
+    """
+    nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
+    if window is not None:
+        lo, hi = window
+        nodes = [(x, k) for x, k in nodes if lo <= x <= hi]
+    answer = min(mass(1, -INF, INF), mass(0, -INF, INF))
+    best = []
+    for j, (y, kind) in enumerate(nodes):
+        # The piece that ends at y: a gap before an "a", a component before a "b".
+        before = 1 if kind == "a" else 0
+        cost = mass(before, -INF, y + eps)
+        for i in range(j):
+            x, prev = nodes[i]
+            if prev != kind and y - x > 2 * eps:
+                cost = min(cost, best[i] + mass(before, x - eps, y + eps))
+        best.append(cost)
+        answer = min(answer, cost + mass(1 - before, y - eps, INF))
+    return answer
+
+
 # -- literal first-order scan -----------------------------------------------------
+
+
+def literal_logpdf(pair, which: int, x: float) -> float:
+    """log of a class density from literal component formulas, summed in the log domain.
+
+    A Gaussian component contributes log(w / (sigma sqrt(2 pi))) - z^2 / 2, so
+    far tails stay finite where the density underflows; a piecewise
+    component contributes the log of its scalar pdf (-inf outside its support).
+    """
+    terms = []
+    for c in pair.class1 if which == 1 else pair.class0:
+        if hasattr(c, "sigma"):
+            z = (x - c.mu) / c.sigma
+            terms.append(math.log(c.weight) - math.log(c.sigma * math.sqrt(2 * math.pi)) - 0.5 * z * z)
+        else:
+            v = c.pdf(x)
+            terms.append(math.log(v) if v > 0 else -INF)
+    top = max(terms)
+    if top == -INF:
+        return -INF
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
 def literal_first_order(pair, eps: float, grid_n: int = 2048):
     """Candidate dicts of both kinds from a sample-by-sample scalar scan.
 
     A literal copy of the first-order scan in which every sample is two
-    scalar ``pair.pdf`` calls and sign changes are found by a Python loop.
-    It reuses the package's scalar pieces (window, shifted points, bisection,
+    scalar ``pair.pdf`` calls and sign changes are found by a Python loop;
+    where both densities are 0, ``literal_logpdf`` gives the sign.  It
+    reuses the package's scalar pieces (window, shifted points, bisection,
     second-order check) and none of its array evaluators.  Returns
     ``(a_dicts, b_dicts, truncated)``, or None when the window is empty.
     """
@@ -235,6 +387,15 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
 
     plus, minus = (1, 0) if kind == "a" else (0, 1)
     g = lambda x: pair.pdf(plus, x + eps) - pair.pdf(minus, x - eps)
+
+    def sign(x):
+        """g, or the literal log-density difference where both densities are 0."""
+        p, m = pair.pdf(plus, x + eps), pair.pdf(minus, x - eps)
+        if p == 0.0 and m == 0.0:
+            gap = literal_logpdf(pair, plus, x + eps) - literal_logpdf(pair, minus, x - eps)
+            return 0.0 if math.isnan(gap) else gap
+        return p - m
+
     lo, hi = fo._scan_bounds(pair, eps, window)
     if not lo < hi:
         return [], False
@@ -250,6 +411,8 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
         xs = np.linspace(a + inset, b - inset, m)
         vals = [g(float(x)) for x in xs]
         is_plateau = max(abs(v) for v in vals) <= fo.TAU_PLATEAU
+        if not is_plateau:
+            vals = [sign(float(x)) if v == 0.0 else v for x, v in zip(xs, vals)]
         plateau_flags.append(is_plateau)
         side_vals.append((vals[0], vals[-1]))
         if is_plateau:
@@ -259,7 +422,7 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
             if v0 == 0.0:
                 roots.append(float(xs[i]))
             elif (v0 > 0) != (v1 > 0):
-                roots.append(_bisect(g, float(xs[i]), float(xs[i + 1]), v0, fo._BISECT_TOL))
+                roots.append(_bisect(sign, float(xs[i]), float(xs[i + 1]), v0, fo._BISECT_TOL))
         if vals[-1] == 0.0:
             roots.append(float(xs[-1]))
 

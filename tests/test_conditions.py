@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
+from strategies import gaussian_mixture_pairs, piecewise_poly_pairs
 from advbayes import conditions, examples
-from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
+from advbayes.density import DistributionPair, Gaussian
 from advbayes.conditions import (
     FAIL,
     INCONCLUSIVE,
@@ -215,47 +216,38 @@ class TestProximity:
         assert min(abs(c - z) for c in cands) > eps
 
 
+class TestFirstOrderUnderflow:
+    """Both shifted densities underflow to 0 between far-apart bumps; the scan
+    signs those samples by log-densities instead of reading them as roots."""
+
+    EPS = 0.2
+
+    @staticmethod
+    def pair():
+        return DistributionPair(
+            class0=[Gaussian(weight=0.25, mu=0.0, sigma=0.1),
+                    Gaussian(weight=0.25, mu=100.0, sigma=0.1)],
+            class1=[Gaussian(weight=0.5, mu=1.0, sigma=0.1)],
+        )
+
+    def test_roots_match_brentq_on_log_difference(self):
+        pair, eps = self.pair(), self.EPS
+        assert pair.pdf(1, 50.5 + eps) == 0.0 and pair.pdf(0, 50.5 - eps) == 0.0
+        scan = solve_first_order(pair, eps)
+        assert not scan.truncated
+        log_p0, log_p1 = oracles.ref_far_bumps_log()
+        for cands, log_plus, log_minus in ((scan.a_candidates, log_p1, log_p0),
+                                           (scan.b_candidates, log_p0, log_p1)):
+            expected = oracles.sign_change_roots(
+                lambda x: log_plus(x + eps) - log_minus(x - eps), -3.0, 103.0, 20001)
+            assert len(expected) == 2
+            assert np.max(np.abs(np.array(locations(cands)) - expected)) <= 1e-10
+
+    def test_scan_matches_scalar_oracle(self):
+        _scan_matches_oracle(self.pair(), self.EPS)
+
+
 # -- array scan against the literal scalar scan ---------------------------------
-
-
-@st.composite
-def gaussian_mixture_pairs(draw):
-    share0 = draw(st.floats(0.2, 0.8))
-    classes = []
-    for share in (share0, 1.0 - share0):
-        raw = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
-        classes.append([Gaussian(weight=share * w / sum(raw), mu=draw(st.floats(-4.0, 4.0)),
-                                 sigma=draw(st.floats(0.2, 2.0))) for w in raw])
-    return DistributionPair(*classes)
-
-
-@st.composite
-def piecewise_poly_pairs(draw):
-    """Nonnegative cells: constants and lines from few end values (so plateaus
-    and jumps occur) and shifted parabolas, each class scaled to mass 1/2."""
-    classes = []
-    for _ in range(2):
-        n = draw(st.integers(1, 4))
-        ticks = draw(st.lists(st.integers(-8, 8), min_size=n + 1, max_size=n + 1, unique=True))
-        bp = [0.25 * t for t in sorted(ticks)]
-        rows = []
-        for lo, hi in zip(bp, bp[1:]):
-            if draw(st.booleans()):
-                vlo, vhi = (draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])) for _ in range(2))
-                slope = (vhi - vlo) / (hi - lo)
-                rows.append((vlo - slope * lo, slope) if slope else (vlo,))
-            else:
-                a, b = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0))
-                r = draw(st.floats(lo, hi))
-                rows.append((a * r * r + b, -2.0 * a * r, a))
-        poly = PiecewisePoly(breakpoints=tuple(bp), coeffs=tuple(rows))
-        if poly.total_mass < 1e-3:
-            rows = [(1.0,)] * n
-            poly = PiecewisePoly(breakpoints=tuple(bp), coeffs=tuple(rows))
-        scale = 0.5 / poly.total_mass
-        classes.append([PiecewisePoly(breakpoints=tuple(bp),
-                                      coeffs=tuple(tuple(c * scale for c in row) for row in rows))])
-    return DistributionPair(*classes)
 
 
 def _scan_matches_oracle(pair, eps):

@@ -4,7 +4,8 @@
 the sha256 of each output: stdout, stderr and, for sweeps, the CSV file.
 The test reruns every listed argv in-process and names each run whose
 bytes differ.  A change that alters report bytes on purpose says so and
-re-pins the file in a change of its own:
+re-pins the file in a change of its own; the command prints each argv
+whose pinned outputs change, so the re-pin can be reviewed:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -130,9 +131,28 @@ def test_reports_match_golden(tmp_path):
     )
 
 
+def _run_id(run: dict) -> str:
+    return json.dumps({"argv": run["argv"], "inputs": run.get("inputs", {})}, sort_keys=True)
+
+
 def _write_golden() -> None:
+    """Re-pin every run, printing each argv whose pinned outputs change."""
+    old = {}
+    if GOLDEN.exists():
+        old = {_run_id(run): run for run in json.loads(GOLDEN.read_text())["runs"]}
     with tempfile.TemporaryDirectory() as tmp:
         runs = [{**run, **run_pinned(run, Path(tmp))} for run in pinned_runs()]
+    for run in runs:
+        before = old.pop(_run_id(run), None)
+        if before is None:
+            print(f"new: {' '.join(run['argv'])}")
+            continue
+        changed = sorted(k for k in run.keys() | before.keys()
+                         if k not in ("argv", "inputs") and run.get(k) != before.get(k))
+        if changed:
+            print(f"changed ({', '.join(changed)}): {' '.join(run['argv'])}")
+    for run in old.values():
+        print(f"dropped: {' '.join(run['argv'])}")
     lines = ",\n".join("  " + json.dumps(run, sort_keys=True) for run in runs)
     GOLDEN.write_text(f'{{"versions": {json.dumps(versions(), sort_keys=True)},\n'
                       f' "runs": [\n{lines}\n]}}\n')

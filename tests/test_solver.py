@@ -3,26 +3,45 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from advbayes import cli, examples, solver
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
-from advbayes.risk import adversarial_risk
+from advbayes.risk import TAU_RISK, adversarial_risk
 from advbayes.solver import (
     AssumptionUnmet,
     are_equivalent,
     check_monotonicity,
     degenerate_report,
-    enumerate_candidates,
     solve,
 )
+from strategies import gaussian_mixture_pairs, piecewise_poly_pairs
+
+
+def record_enumeration(monkeypatch) -> list[tuple]:
+    """Record (pool, result) of every ``solver.enumerate_candidates`` call;
+    the pool is (a_points, b_points, eps, window as an (lo, hi) pair or None)."""
+    calls = []
+    enumerate_ = solver.enumerate_candidates
+
+    def recorded(pair, a_pts, b_pts, eps, window=None):
+        result = enumerate_(pair, a_pts, b_pts, eps, window)
+        calls.append(((a_pts, b_pts, eps, None if window is None else (window.lo, window.hi)),
+                      result))
+        return result
+
+    monkeypatch.setattr(solver, "enumerate_candidates", recorded)
+    return calls
 
 
 class TestEnumerate:
+    """The exhaustive DFS oracle the solver's minimizers are checked against."""
+
     def test_single_shared_point(self):
-        sets, truncated = enumerate_candidates([1.0], [1.0], 0.5)
+        sets, truncated = oracles.enumerate_regular_sets([1.0], [1.0], 0.5)
         assert not truncated
         as_tuples = {tuple((iv.lo, iv.hi) for iv in s.intervals) for s in sets}
         assert as_tuples == {
@@ -33,20 +52,20 @@ class TestEnumerate:
         }
 
     def test_empty_pools(self):
-        sets, _ = enumerate_candidates([], [], 0.3)
+        sets, _ = oracles.enumerate_regular_sets([], [], 0.3)
         assert {s.n_components for s in sets} == {0, 1}
         assert len(sets) == 2  # ∅ and ℝ
 
     def test_degenerate_pools_produce_excluded_middle(self):
         eps = 0.05
         pts = [-0.25 - eps, -0.25 + eps, 0.25 - eps, 0.25 + eps]
-        sets, _ = enumerate_candidates(pts, pts, eps)
+        sets, _ = oracles.enumerate_regular_sets(pts, pts, eps)
         target = IntervalSet.of_open((-INF, -0.25 + eps), (0.25 - eps, INF))
         assert any(s == target for s in sets)
 
     def test_separation_enforced(self):
         # interval of length exactly 2*eps must not appear
-        sets, _ = enumerate_candidates([-0.2], [0.2], 0.2)
+        sets, _ = oracles.enumerate_regular_sets([-0.2], [0.2], 0.2)
         assert all(
             all(iv.length > 0.4 or math.isinf(iv.length) for iv in s.intervals)
             for s in sets
@@ -54,8 +73,39 @@ class TestEnumerate:
 
     def test_cap(self):
         pts = list(np.linspace(0, 100, 26))
-        sets, truncated = enumerate_candidates(pts, pts, 0.001, cap=50)
+        sets, truncated = oracles.enumerate_regular_sets(pts, pts, 0.001, cap=50)
         assert truncated and len(sets) <= 50
+
+
+class TestPoolDP:
+    @staticmethod
+    def tie_pair():
+        """Class 0 only beyond |x| = 2: the 2*eps-long set (-0.2, 0.2) would tie ∅."""
+        return DistributionPair(
+            class0=[PiecewisePoly(breakpoints=(-3.0, -2.0, 2.0, 3.0),
+                                  coeffs=((0.35,), (0.0,), (0.35,)))],
+            class1=[PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=((0.15,),))],
+        )
+
+    def test_separation_is_strict(self):
+        pair = self.tie_pair()
+        tied = IntervalSet.open(-0.2, 0.2)
+        assert oracles.mass_set_risk(pair, tied, 0.2)[0] == pytest.approx(0.3, abs=1e-15)
+        sets, risks = solver.enumerate_candidates(pair, [-0.2], [0.2], 0.2)
+        assert sets == [IntervalSet.empty()]
+        assert risks[0].total == pytest.approx(0.3, abs=1e-15)
+
+    def test_lists_near_minimizers_of_the_oracle(self):
+        pair, eps = self.tie_pair(), 0.2
+        # (a, b) with -1.8 <= a <= -1.2 and 1.2 <= b <= 1.8 all have risk 0.
+        pool = ([-1.7, -1.3, -0.2, 0.5], [-0.5, 0.2, 1.3, 1.7], eps)
+        sets, risks = solver.enumerate_candidates(pair, *pool)
+        everything, truncated = oracles.enumerate_regular_sets(*pool)
+        exact = [oracles.mass_set_risk(pair, s, eps) for s in everything]
+        low = min(r[0] for r in exact)
+        assert not truncated and len(everything) > 10 and len(sets) > 1
+        assert sets == [s for s, r in zip(everything, exact) if r[0] <= low + 2 * TAU_RISK]
+        assert [r.total for r in risks] == [r[0] for s, r in zip(everything, exact) if s in sets]
 
 
 class TestSolveGaussians:
@@ -120,18 +170,21 @@ class TestSolvePiecewise:
         assert rep.classes[0].representative == IntervalSet.reals()
         assert rep.min_risk == pytest.approx(0.1, abs=1e-12)
 
-    def test_keep_all_retains_failing_candidates(self, eqvar_pair):
-        slim = solve(eqvar_pair, 0.5)
-        full = solve(eqvar_pair, 0.5, keep_all=True)
-        assert len(full.candidates) > len(slim.candidates)
+    def test_keep_all_retains_failing_candidates(self, eqvar_pair, monkeypatch):
+        calls = record_enumeration(monkeypatch)
+        solve(eqvar_pair, 0.5)
+        solve(eqvar_pair, 0.5, keep_all=True)
+        (slim, _), (full, _) = calls
+        assert len(full[0]) + len(full[1]) > len(slim[0]) + len(slim[1])
+
         # a one-sided set built from the curvature-rejected right endpoint
-        def left_half_lines(report):
+        def left_half_lines(pool):
             return [
-                c.set
-                for c in report.candidates
-                if c.set.n_components == 1
-                and c.set.intervals[0].lo == -INF
-                and math.isfinite(c.set.intervals[0].hi)
+                s
+                for s in oracles.enumerate_regular_sets(*pool)[0]
+                if s.n_components == 1
+                and s.intervals[0].lo == -INF
+                and math.isfinite(s.intervals[0].hi)
             ]
 
         assert any(
@@ -139,13 +192,13 @@ class TestSolvePiecewise:
         )
         assert not left_half_lines(slim)
 
-    def test_window_empty_fallback(self, nus_pair):
+    def test_window_empty_fallback(self, nus_pair, monkeypatch):
+        calls = record_enumeration(monkeypatch)
         rep = solve(nus_pair, 1.5)
         assert rep.warnings
-        assert {str(c.set) for c in rep.candidates} == {
-            str(IntervalSet.empty()),
-            str(IntervalSet.reals()),
-        }
+        [(pool, (sets, _))] = calls
+        assert pool == ([], [], 1.5, None)
+        assert {str(s) for s in sets} <= {str(IntervalSet.empty()), str(IntervalSet.reals())}
         assert rep.classes[0].representative == IntervalSet.reals()
 
 
@@ -211,9 +264,9 @@ def test_near_sorted_matches_linear_scan(points, p, tol, nudge):
 
 
 def test_candidate_risks_share_endpoint_cdfs(bump_pair, monkeypatch):
-    """Candidate risks read one CDF table: the 2,584 sets of the 8-bump pair
-    have a few dozen distinct dilated endpoints.  Evaluating each set on its
-    own takes 39,348 scalar ``cdf`` calls."""
+    """Candidate risks read one CDF table: the 2,584 regular sets of the 8-bump
+    pool have a few dozen distinct dilated endpoints.  Evaluating each set on
+    its own takes 39,348 scalar ``cdf`` calls."""
     calls = []
     cdf = DistributionPair.cdf
 
@@ -221,10 +274,56 @@ def test_candidate_risks_share_endpoint_cdfs(bump_pair, monkeypatch):
         calls.append(x)
         return cdf(self, which, x)
 
+    enumerations = record_enumeration(monkeypatch)
     monkeypatch.setattr(DistributionPair, "cdf", counted)
-    rep = solve(bump_pair(8), 0.3)
-    assert len(rep.candidates) == 2584
+    solve(bump_pair(8), 0.3)
+    monkeypatch.setattr(DistributionPair, "cdf", cdf)
+    [(pool, _)] = enumerations
+    assert len(oracles.enumerate_regular_sets(*pool)[0]) == 2584
     assert len(calls) < 512
+
+
+def test_thirty_two_bumps_without_enumeration_cap(bump_pair, monkeypatch):
+    """The 32-bump pool (63 nodes) has far more regular sets than the old
+    4,096-set enumeration cap; the DP over the pool finds the minimum with a
+    few hundred scalar ``cdf`` calls and no warning."""
+    calls = []
+    cdf = DistributionPair.cdf
+
+    def counted(self, which, x):
+        calls.append(x)
+        return cdf(self, which, x)
+
+    enumerations = record_enumeration(monkeypatch)
+    monkeypatch.setattr(DistributionPair, "cdf", counted)
+    rep = solve(bump_pair(32), 0.3)
+    monkeypatch.setattr(DistributionPair, "cdf", cdf)
+    assert not rep.warnings
+    assert len(calls) < 512
+    [(pool, _)] = enumerations
+    expected = oracles.pool_dp_min(oracles.ref_bumps_mass(32), *pool)
+    assert abs(rep.min_risk - expected) <= 1e-12
+
+
+@given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs()),
+       st.floats(0.02, 1.0), st.booleans())
+@settings(deadline=None, max_examples=200)
+def test_minimizers_match_exhaustive_oracle(pair, eps, keep_all):
+    """On pools under the DFS oracle's cap, ``solve`` keeps exactly the
+    oracle's minimizers, in order and with the bits of per-set risks."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_enumeration(mp)
+        rep = solve(pair, eps, keep_all=keep_all)
+    [(pool, _)] = calls
+    sets, truncated = oracles.enumerate_regular_sets(*pool)
+    assume(not truncated)
+    risks = [oracles.mass_set_risk(pair, s, eps) for s in sets]
+    low = min(r[0] for r in risks)
+    expected = [(s, r) for s, r in zip(sets, risks) if r[0] <= low + TAU_RISK]
+    assert [m.set for m in rep.minimizers] == [s for s, _ in expected]
+    assert [repr((m.risk.total, m.risk.fn_mass, m.risk.fp_mass)) for m in rep.minimizers] == [
+        repr(r) for _, r in expected]
+    assert rep.min_risk == low
 
 
 class TestDegenerateReport:
@@ -443,21 +542,31 @@ class TestAgainstGridOracle:
 
 
 class TestReportShape:
-    def test_min_risk_is_minimum(self, nua_pair):
+    def test_min_risk_is_minimum(self, nua_pair, monkeypatch):
+        calls = record_enumeration(monkeypatch)
         rep = solve(nua_pair, 0.15)
-        assert rep.min_risk == min(c.risk.total for c in rep.candidates)
+        [(pool, _)] = calls
+        sets, truncated = oracles.enumerate_regular_sets(*pool)
+        assert not truncated
+        assert rep.min_risk == min(oracles.mass_set_risk(nua_pair, s, 0.15)[0] for s in sets)
 
     def test_unique_iff_one_class(self, deg_pair, nua_pair):
         for pair, eps in ((deg_pair, 0.05), (nua_pair, 0.2)):
             rep = solve(pair, eps)
             assert rep.unique_up_to_degeneracy == (len(rep.classes) == 1)
 
-    def test_candidates_sorted(self, deg_pair):
-        rep = solve(deg_pair, 0.05)
-        keys = [c.sort_key() for c in rep.candidates]
-        assert keys == sorted(keys)
+    def test_candidates_sorted(self, nua_pair, monkeypatch):
+        calls = record_enumeration(monkeypatch)
+        rep = solve(nua_pair, 0.2)
+        [(_, (sets, _))] = calls
+        keys = [solver._set_key(s) for s in sets]
+        assert len(sets) > 1 and keys == sorted(keys)
+        keys = [m.sort_key() for m in rep.minimizers]
+        assert len(keys) > 1 and keys == sorted(keys)
 
-    def test_all_enumerated_regular(self, deg_pair, nua_pair):
+    def test_all_enumerated_regular(self, deg_pair, nua_pair, monkeypatch):
+        calls = record_enumeration(monkeypatch)
         for pair, eps in ((deg_pair, 0.05), (nua_pair, 0.2)):
             rep = solve(pair, eps)
-            assert all(c.regular for c in rep.candidates)
+            assert all(s.is_regular(eps) for s in calls[-1][1][0])
+            assert all(m.regular for m in rep.minimizers)
