@@ -121,14 +121,9 @@ def _two_gaussian_crossings(g1: Gaussian, g0: Gaussian) -> list[float]:
     return sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])
 
 
-def _gap(pair: DistributionPair, x: float) -> float:
-    """p1 - p0 at x, signed by log-densities where both densities underflow to 0."""
-    return signed_gap(pair, 1, x, 0, x)
-
-
 def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     """Canonical open set where class 1 is the more likely label."""
-    d = lambda x: _gap(pair, x)
+    d = lambda x: signed_gap(pair, 1, x, 0, x)
     breaks = sorted(set(pair.breakpoints(0)) | set(pair.breakpoints(1)))
     gaussian_only = not breaks
     crossings: list[float] = []
@@ -159,7 +154,7 @@ def _cell_crossings(pair: DistributionPair, a: float, b: float) -> list[float]:
             raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
         return poly_roots_in_cell(diff, a, b)
     # Gaussian components present: dense sign scan with bisection refinement.
-    d = lambda x: _gap(pair, x)
+    d = lambda x: signed_gap(pair, 1, x, 0, x)
     xs = np.linspace(a, b, 512)
     p1, p0 = pair.pdf_array(1, xs), pair.pdf_array(0, xs)
     vals = p1 - p0

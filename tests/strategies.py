@@ -6,13 +6,15 @@ from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 
 
 @st.composite
-def gaussian_mixture_pairs(draw):
+def gaussian_mixture_pairs(draw, mu: float = 4.0, sigma: tuple[float, float] = (0.2, 2.0)):
+    """1-4 components per class, means in [-mu, mu]; with wide means and small
+    sigmas both densities underflow to 0 between components."""
     share0 = draw(st.floats(0.2, 0.8))
     classes = []
     for share in (share0, 1.0 - share0):
         raw = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
-        classes.append([Gaussian(weight=share * w / sum(raw), mu=draw(st.floats(-4.0, 4.0)),
-                                 sigma=draw(st.floats(0.2, 2.0))) for w in raw])
+        classes.append([Gaussian(weight=share * w / sum(raw), mu=draw(st.floats(-mu, mu)),
+                                 sigma=draw(st.floats(*sigma))) for w in raw])
     return DistributionPair(*classes)
 
 

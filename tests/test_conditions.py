@@ -268,6 +268,12 @@ def test_scan_matches_scalar_oracle_gaussian_mixtures(pair, eps):
     _scan_matches_oracle(pair, eps)
 
 
+@given(gaussian_mixture_pairs(mu=60.0, sigma=(0.1, 0.5)), st.floats(0.02, 1.0))
+@settings(deadline=None, max_examples=25)
+def test_scan_matches_scalar_oracle_far_apart_mixtures(pair, eps):
+    _scan_matches_oracle(pair, eps)
+
+
 @given(piecewise_poly_pairs(), st.floats(0.02, 1.0))
 @settings(deadline=None, max_examples=60)
 def test_scan_matches_scalar_oracle_piecewise_pairs(pair, eps):
