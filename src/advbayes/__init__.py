@@ -1,5 +1,6 @@
 """Enumerate and certify optimal robust classifiers on the line."""
 
+from .conditions import bayes_classifier
 from .density import (
     BreakpointDerivative,
     DistributionPair,
@@ -8,7 +9,7 @@ from .density import (
     PiecewisePoly,
 )
 from .intervals import Interval, IntervalSet
-from .risk import RiskBreakdown, adversarial_risk, bayes_classifier, standard_risk
+from .risk import RiskBreakdown, adversarial_risk, standard_risk
 from .solver import SolveReport, are_equivalent, solve
 
 __all__ = [

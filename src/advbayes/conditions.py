@@ -9,6 +9,10 @@ every solution inside the admissible window: isolated roots by bracketing
 and bisection, whole plateaus where the defect vanishes identically, and
 the discontinuity-shifted points where the conditions are vacuous and any
 endpoint location is admissible.
+
+At eps = 0 the a-kind defect is ``p1 - p0``, so the same scan gives the
+boundary of the Bayes classifier {p1 > p0}; ``bayes_boundary_proximity``
+measures how far the endpoint candidates at a radius lie from it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import BreakpointDerivative, DistributionPair, _bisect, log_gap, signed_gap
-from .intervals import INF, Interval
+from .intervals import INF, Interval, IntervalSet
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -28,12 +32,15 @@ INCONCLUSIVE = "INCONCLUSIVE"
 TAU_ROOT = 1e-10
 TAU_PLATEAU = 1e-11
 TAU_DERIV = 1e-10
-MAX_CANDIDATES_PER_KIND = 64
 _BISECT_TOL = 1e-12
 
 
 class WindowEmpty(Exception):
     """The admissible endpoint window is empty; only ∅ and ℝ remain."""
+
+
+class DegenerateTie(ValueError):
+    """p1 == p0 on an interval where the class densities are nonzero."""
 
 
 @dataclass(frozen=True)
@@ -144,14 +151,14 @@ def _scan_bounds(pair: DistributionPair, eps: float, window: Interval) -> tuple[
 
 
 def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
-               window: Interval) -> tuple[list[CandidatePoint], bool]:
+               window: Interval) -> list[CandidatePoint]:
     g = lambda x: defect(pair, eps, kind, x)
     plus, minus = _reads(kind)
     # Where both shifted densities underflow to 0, log-densities give the sign.
     sign = lambda x: signed_gap(pair, plus, x + eps, minus, x - eps)
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:
-        return [], False
+        return []
 
     special = [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi]
     edges = [lo] + special + [hi]
@@ -240,12 +247,8 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                                   residual=g(s), at_jump=True))
         taken.append(s)
 
-    truncated = False
-    if len(out) > MAX_CANDIDATES_PER_KIND:
-        out = out[:MAX_CANDIDATES_PER_KIND]
-        truncated = True
     out.sort(key=lambda c: c.enumeration_points()[0])
-    return out, truncated
+    return out
 
 
 def solve_first_order(pair: DistributionPair, eps: float, grid_n: int = 2048) -> FirstOrderScan:
@@ -255,10 +258,59 @@ def solve_first_order(pair: DistributionPair, eps: float, grid_n: int = 2048) ->
     window, widened = scan_window(pair, eps)
     if window is None:
         raise WindowEmpty(f"endpoint window has empty interior at eps={eps}")
-    a_c, trunc_a = _scan_kind(pair, eps, "a", grid_n, window)
-    b_c, trunc_b = _scan_kind(pair, eps, "b", grid_n, window)
-    return FirstOrderScan(a_candidates=a_c, b_candidates=b_c, window=window,
-                          window_widened=widened, truncated=trunc_a or trunc_b)
+    return FirstOrderScan(a_candidates=_scan_kind(pair, eps, "a", grid_n, window),
+                          b_candidates=_scan_kind(pair, eps, "b", grid_n, window),
+                          window=window, window_widened=widened)
+
+
+def bayes_classifier(pair: DistributionPair) -> IntervalSet:
+    """Canonical open set where class 1 is the more likely label.
+
+    Its boundary is where the a-kind defect p1 - p0 changes sign at eps = 0,
+    so one a-kind scan gives every crossing and plateau on the scanned
+    range; outside that range the set is constant.
+    """
+    cands = _scan_kind(pair, 0.0, "a", 2048, scan_window(pair, 0.0)[0])
+    plateaus = [c.plateau for c in cands if c.plateau is not None]
+    pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
+    pts.update(x for c in cands for x in c.enumeration_points())
+    return _positive_set(pair, sorted(pts), plateaus)
+
+
+def _positive_set(pair: DistributionPair, pts: list[float],
+                  plateaus: list[tuple[float, float]]) -> IntervalSet:
+    """Open set {p1 > p0} assembled from sign probes between critical points.
+
+    The half-infinite pieces are probed at the ends of the scanned range.  A
+    piece inside a plateau whose densities agree to TAU_PLATEAU relative is
+    a tie; where both densities vanish it simply lies outside the set.
+    """
+    d = lambda x: signed_gap(pair, 1, x, 0, x)
+    lo_ext, hi_ext = pair.finite_extent()
+    edges = [-INF] + pts + [INF]
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        probe = lo_ext - 1.0 if a == -INF else hi_ext + 1.0 if b == INF else 0.5 * (a + b)
+        if any(p_lo <= probe <= p_hi for p_lo, p_hi in plateaus):
+            p0, p1 = pair.pdf(0, probe), pair.pdf(1, probe)
+            if p0 > 0 and abs(p1 - p0) <= TAU_PLATEAU * p0:
+                raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
+        v = d(probe)
+        if v == 0.0 and -INF < a and b < INF:
+            # The sign is constant between critical points, so a zero at the
+            # midpoint is a touch point and a quarter point gives the sign.
+            v = d(0.75 * a + 0.25 * b)
+        if v > 0:
+            pieces.append(Interval(a, b))
+    # Rejoin across critical points that still sit inside {d > 0}.
+    joined: list[Interval] = []
+    for iv in IntervalSet(pieces):
+        if joined and joined[-1].hi == iv.lo and d(iv.lo) > 0:
+            last = joined[-1]
+            joined[-1] = Interval(last.lo, iv.hi, last.lo_closed, iv.hi_closed)
+        else:
+            joined.append(iv)
+    return IntervalSet(joined)
 
 
 def bayes_boundary_proximity(pair: DistributionPair, eps: float,
@@ -269,8 +321,6 @@ def bayes_boundary_proximity(pair: DistributionPair, eps: float,
     support, which for distributions with eta in {0, 1} coincides with the
     boundary of the region where class 1 is certain.
     """
-    from .risk import bayes_classifier
-
     support = pair.support()
     bayes = bayes_classifier(pair)
     boundary = [p for p in bayes.boundary_points() if support.interior_contains(p)]

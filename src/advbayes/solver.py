@@ -265,8 +265,6 @@ def solve(
     if scan is not None:
         if scan.window_widened:
             warnings.append("support is not an interval; endpoint window was widened")
-        if scan.truncated:
-            warnings.append("first-order candidate list was truncated")
 
         def usable(cands: list[CandidatePoint]) -> list[float]:
             return [p for c in cands if keep_all or c.second_order != FAIL

@@ -369,16 +369,15 @@ def literal_first_order(pair, eps: float, grid_n: int = 2048):
     where both densities are 0, ``literal_logpdf`` gives the sign.  It
     reuses the package's scalar pieces (window, shifted points, bisection,
     second-order check) and none of its array evaluators.  Returns
-    ``(a_dicts, b_dicts, truncated)``, or None when the window is empty.
+    ``(a_dicts, b_dicts)``, or None when the window is empty.
     """
     from advbayes import conditions as fo
 
     window, _ = fo.scan_window(pair, eps)
     if window is None:
         return None
-    a_dicts, trunc_a = _literal_scan_kind(pair, eps, "a", grid_n, window)
-    b_dicts, trunc_b = _literal_scan_kind(pair, eps, "b", grid_n, window)
-    return a_dicts, b_dicts, trunc_a or trunc_b
+    return (_literal_scan_kind(pair, eps, "a", grid_n, window),
+            _literal_scan_kind(pair, eps, "b", grid_n, window))
 
 
 def _literal_scan_kind(pair, eps, kind, grid_n, window):
@@ -398,7 +397,7 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
 
     lo, hi = fo._scan_bounds(pair, eps, window)
     if not lo < hi:
-        return [], False
+        return []
 
     special = [s for s in fo._shifted(pair.breakpoints, eps, kind) if lo < s < hi]
     edges = [lo] + special + [hi]
@@ -470,7 +469,5 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
                     "at_jump": True, "location": s})
         taken.append(s)
 
-    truncated = len(out) > fo.MAX_CANDIDATES_PER_KIND
-    out = out[:fo.MAX_CANDIDATES_PER_KIND]
     out.sort(key=lambda d: d["plateau"][0] if "plateau" in d else d["location"])
-    return out, truncated
+    return out

@@ -13,8 +13,9 @@ import pytest
 
 from advbayes import examples, solver
 from advbayes.certify import dual_value, duality_gap, primal_bruteforce
+from advbayes.conditions import bayes_classifier
 from advbayes.intervals import INF, Interval, IntervalSet
-from advbayes.risk import adversarial_risk, bayes_classifier, risk_gap_bound
+from advbayes.risk import adversarial_risk, risk_gap_bound
 from advbayes.solver import AssumptionUnmet, check_monotonicity, solve
 
 

@@ -14,6 +14,7 @@ from advbayes.conditions import (
     PASS,
     WindowEmpty,
     bayes_boundary_proximity,
+    bayes_classifier,
     check_second_order,
     defect,
     scan_window,
@@ -198,8 +199,6 @@ class TestProximity:
     def test_soln_within_eps_of_crossing(self, eqvar_pair):
         # opposed monotone densities around the crossing: some candidate
         # lies within eps of every Bayes boundary point
-        from advbayes.risk import bayes_classifier
-
         for eps in (0.1, 0.4):
             scan = solve_first_order(eqvar_pair, eps)
             cands = locations(scan.a_candidates) + locations(scan.b_candidates)
@@ -258,7 +257,7 @@ def _scan_matches_oracle(pair, eps):
         return
     scan = solve_first_order(pair, eps)
     got = ([c.to_dict() for c in scan.a_candidates],
-           [c.to_dict() for c in scan.b_candidates], scan.truncated)
+           [c.to_dict() for c in scan.b_candidates])
     assert got == expected
 
 

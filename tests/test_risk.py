@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +8,22 @@ from scipy.optimize import brentq
 
 import oracles
 from advbayes import examples
-from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
+from advbayes.conditions import (
+    DegenerateTie,
+    bayes_boundary_proximity,
+    bayes_classifier,
+    solve_first_order,
+)
+from advbayes.density import DistributionPair, Gaussian, PiecewisePoly, poly_roots_in_cell
 from advbayes.intervals import INF, Interval, IntervalSet
 from advbayes.risk import (
-    DegenerateTie,
     EndpointMismatch,
     adversarial_risk,
     adversarial_risks,
-    bayes_classifier,
-    poly_roots_in_cell,
     risk_gap_bound,
     standard_risk,
 )
+from strategies import gaussian_mixture_pairs, piecewise_poly_pairs
 
 
 def rand_sets(rng, n, half_infinite=True):
@@ -290,6 +296,70 @@ class TestBayesUnderflow:
         bayes = bayes_classifier(pair)
         assert bayes.n_components == 1
         assert np.max(np.abs(np.array(bayes.boundary_points()) - expected)) <= 1e-12
+
+
+class TestBayesLiteralSign:
+    """The Bayes set against the literal sign of log p1 - log p0
+    (``oracles.literal_logpdf``)."""
+
+    @staticmethod
+    def log_gap(pair, x):
+        return oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+
+    def test_crossing_near_scan_end(self):
+        # p0 > p1 only on (-12.297, -1.776); the left crossing lies between
+        # the outermost sample and the end of the scanned range
+        pair = DistributionPair(
+            class0=[Gaussian(weight=0.5, mu=-3.3, sigma=0.8)],
+            class1=[Gaussian(weight=0.3, mu=2.7, sigma=0.85), Gaussian(weight=0.2, mu=-0.6, sigma=1.05)],
+        )
+        expected = oracles.sign_change_roots(lambda x: self.log_gap(pair, x), -40.0, 40.0, 8001)
+        assert len(expected) == 2
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == 2
+        assert bayes.intervals[0].lo == -INF and bayes.intervals[-1].hi == INF
+        assert np.max(np.abs(np.array(bayes.boundary_points()) - expected)) <= 1e-12
+
+    def test_zero_density_gaps(self):
+        # both densities vanish on (-2eps, -eps) and (eps, 2eps): no tie there
+        eps = 0.1
+        pair = examples.deg_eta_0_1_counterexample(eps)
+        p0, p1, pts = oracles.ref_deg_eta(eps)
+        expected = [(a, b) for a, b in zip(pts, pts[1:]) if p1(0.5 * (a + b)) > p0(0.5 * (a + b))]
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == len(expected) == 3
+        assert not any(iv.lo_closed or iv.hi_closed for iv in bayes)
+        assert np.max(np.abs(np.array(bayes.boundary_points()) - np.ravel(expected))) <= 1e-12
+        # every Bayes boundary point is on the boundary of the support
+        scan = solve_first_order(pair, eps)
+        records = bayes_boundary_proximity(pair, eps, scan.a_candidates + scan.b_candidates)
+        assert records and all(r["nearest_boundary"] is None for r in records)
+
+
+@given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
+                 piecewise_poly_pairs()))
+@settings(deadline=None, max_examples=150)
+def test_bayes_matches_literal_sign(pair):
+    """Off the boundary points, the Bayes set holds exactly the grid points of
+    the scanned range where log p1 > log p0; a tie is raised only where both
+    densities agree to 1e-11 relative and are nonzero on an interval.  The
+    boundary points are the set's own and the density breakpoints, where the
+    literal set may hold an isolated point that no open set holds.  Points
+    where a density is negative within validation rounding (a subnormal
+    slope) carry no mass and have no log, so they are skipped too."""
+    lo_ext, hi_ext = pair.finite_extent()
+    xs = [float(x) for x in np.linspace(lo_ext - 1.0, hi_ext + 1.0, 997)]
+    logs = [(oracles.literal_logpdf(pair, 0, x), oracles.literal_logpdf(pair, 1, x)) for x in xs]
+    try:
+        bayes = bayes_classifier(pair)
+    except DegenerateTie:
+        tied = [math.isfinite(l0) and abs(l1 - l0) <= 1e-11 for l0, l1 in logs]
+        assert any(t and u for t, u in zip(tied, tied[1:]))
+        return
+    edges = bayes.boundary_points() + pair.breakpoints(0) + pair.breakpoints(1)
+    for x, (l0, l1) in zip(xs, logs):
+        if all(abs(x - z) > 1e-9 for z in edges) and min(pair.pdf(0, x), pair.pdf(1, x)) >= 0:
+            assert bayes.contains_point(x) == (l1 - l0 > 0), x
 
 
 class TestSturm:

@@ -283,10 +283,12 @@ def test_candidate_risks_share_endpoint_cdfs(bump_pair, monkeypatch):
     assert len(calls) < 512
 
 
-def test_thirty_two_bumps_without_enumeration_cap(bump_pair, monkeypatch):
-    """The 32-bump pool (63 nodes) has far more regular sets than the old
-    4,096-set enumeration cap; the DP over the pool finds the minimum with a
-    few hundred scalar ``cdf`` calls and no warning."""
+@pytest.mark.parametrize("k", [32, 64])
+def test_bump_pools_without_caps(bump_pair, monkeypatch, k):
+    """k bumps have 2k-1 crossings per kind, past the old 64-candidate cap at
+    k=64, and far more regular sets than the old 4,096-set enumeration cap;
+    the DP over the whole pool finds the minimum with fewer than 16k scalar
+    ``cdf`` calls and no warning."""
     calls = []
     cdf = DistributionPair.cdf
 
@@ -296,12 +298,13 @@ def test_thirty_two_bumps_without_enumeration_cap(bump_pair, monkeypatch):
 
     enumerations = record_enumeration(monkeypatch)
     monkeypatch.setattr(DistributionPair, "cdf", counted)
-    rep = solve(bump_pair(32), 0.3)
+    rep = solve(bump_pair(k), 0.3)
     monkeypatch.setattr(DistributionPair, "cdf", cdf)
     assert not rep.warnings
-    assert len(calls) < 512
+    assert len(rep.first_order.a_candidates) == len(rep.first_order.b_candidates) == 2 * k - 1
+    assert len(calls) < 16 * k
     [(pool, _)] = enumerations
-    expected = oracles.pool_dp_min(oracles.ref_bumps_mass(32), *pool)
+    expected = oracles.pool_dp_min(oracles.ref_bumps_mass(k), *pool)
     assert abs(rep.min_risk - expected) <= 1e-12
 
 
