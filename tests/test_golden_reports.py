@@ -45,9 +45,10 @@ CERTIFY_EPS = {
     "degenerate": 0.05,
     "deg_eta_0_1_counterexample": 0.1,
 }
-# k alternating bumps; k=10 and k=16 have more regular sets than the 4,096
-# the old capped enumeration listed, and all three solve completely (exit 0).
-MIXTURE_KS = (6, 10, 16)
+# k alternating bumps; k=10 and up have more regular sets than the old capped
+# enumeration listed, k=64 has more first-order candidates per kind than the
+# old per-kind cap kept, and all four solve completely (exit 0).
+MIXTURE_KS = (6, 10, 16, 64)
 
 
 def mixture_config(k: int) -> dict:
