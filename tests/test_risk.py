@@ -299,21 +299,18 @@ class TestBayesUnderflow:
 
 
 class TestBayesLiteralSign:
-    """The Bayes set against the literal sign of log p1 - log p0
-    (``oracles.literal_logpdf``)."""
-
-    @staticmethod
-    def log_gap(pair, x):
-        return oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+    """Fixed pairs against literal formulas."""
 
     def test_crossing_near_scan_end(self):
-        # p0 > p1 only on (-12.297, -1.776); the left crossing lies between
-        # the outermost sample and the end of the scanned range
+        # p0 > p1 only on (-12.297, -1.776); the left crossing lies in
+        # (lo_ext - 1, lo_ext) = (-12.3, -11.3), next to the left end of the
+        # scanned range
         pair = DistributionPair(
             class0=[Gaussian(weight=0.5, mu=-3.3, sigma=0.8)],
             class1=[Gaussian(weight=0.3, mu=2.7, sigma=0.85), Gaussian(weight=0.2, mu=-0.6, sigma=1.05)],
         )
-        expected = oracles.sign_change_roots(lambda x: self.log_gap(pair, x), -40.0, 40.0, 8001)
+        log_gap = lambda x: oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+        expected = oracles.sign_change_roots(log_gap, -40.0, 40.0, 8001)
         assert len(expected) == 2
         bayes = bayes_classifier(pair)
         assert bayes.n_components == 2
