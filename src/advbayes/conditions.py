@@ -296,11 +296,11 @@ def _positive_set(pair: DistributionPair, pts: list[float],
             if p0 > 0 and abs(p1 - p0) <= TAU_PLATEAU * p0:
                 raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
         v = d(probe)
-        if v == 0.0 and -INF < a and b < INF:
+        if v == 0.0 and -INF < a and b < INF and d(0.75 * a + 0.25 * b) > 0:
             # The sign is constant between critical points, so a zero at the
-            # midpoint is a touch point and a quarter point gives the sign.
-            v = d(0.75 * a + 0.25 * b)
-        if v > 0:
+            # midpoint is a touch point: the piece lies in the set but for it.
+            pieces += [Interval(a, probe), Interval(probe, b)]
+        elif v > 0:
             pieces.append(Interval(a, b))
     # Rejoin across critical points that still sit inside {d > 0}.
     joined: list[Interval] = []

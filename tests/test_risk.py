@@ -332,6 +332,15 @@ class TestBayesLiteralSign:
         records = bayes_boundary_proximity(pair, eps, scan.a_candidates + scan.b_candidates)
         assert records and all(r["nearest_boundary"] is None for r in records)
 
+    def test_touch_point_at_piece_midpoint(self):
+        # p1 - p0 = 48x^2 on (-0.25, 0.25) touches 0 at the piece's midpoint
+        # without a sign change; the set holds the piece but for that point
+        pair = DistributionPair(
+            class0=[PiecewisePoly(breakpoints=(0.25, 2.0), coeffs=((2.0 / 7.0,),))],
+            class1=[PiecewisePoly(breakpoints=(-0.25, 0.25), coeffs=((0.0, 0.0, 48.0),))],
+        )
+        assert bayes_classifier(pair) == IntervalSet.of_open((-0.25, 0.0), (0.0, 0.25))
+
 
 @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
                  piecewise_poly_pairs()))
@@ -339,11 +348,14 @@ class TestBayesLiteralSign:
 def test_bayes_matches_literal_sign(pair):
     """Off the boundary points, the Bayes set holds exactly the grid points of
     the scanned range where log p1 > log p0; a tie is raised only where both
-    densities agree to 1e-11 relative and are nonzero on an interval.  The
-    boundary points are the set's own and the density breakpoints, where the
-    literal set may hold an isolated point that no open set holds.  Points
-    where a density is negative within validation rounding (a subnormal
-    slope) carry no mass and have no log, so they are skipped too."""
+    densities agree to 1e-11 relative and are nonzero on an interval.
+
+    Skipped as boundary points: points within 1e-9 of the set's boundary or
+    of a density breakpoint, where the literal set may hold an isolated point
+    that no open set holds, and tied grid points between two positive ones,
+    touch points of p1 - p0 that no sign change reveals.  Points where a
+    density is negative within validation rounding (a subnormal slope) carry
+    no mass and have no log, so they are skipped too."""
     lo_ext, hi_ext = pair.finite_extent()
     xs = [float(x) for x in np.linspace(lo_ext - 1.0, hi_ext + 1.0, 997)]
     logs = [(oracles.literal_logpdf(pair, 0, x), oracles.literal_logpdf(pair, 1, x)) for x in xs]
@@ -353,10 +365,15 @@ def test_bayes_matches_literal_sign(pair):
         tied = [math.isfinite(l0) and abs(l1 - l0) <= 1e-11 for l0, l1 in logs]
         assert any(t and u for t, u in zip(tied, tied[1:]))
         return
+    gaps = [l1 - l0 for l0, l1 in logs]  # nan where both densities vanish
     edges = bayes.boundary_points() + pair.breakpoints(0) + pair.breakpoints(1)
-    for x, (l0, l1) in zip(xs, logs):
-        if all(abs(x - z) > 1e-9 for z in edges) and min(pair.pdf(0, x), pair.pdf(1, x)) >= 0:
-            assert bayes.contains_point(x) == (l1 - l0 > 0), x
+    for i, x in enumerate(xs):
+        if any(abs(x - z) <= 1e-9 for z in edges) or min(pair.pdf(0, x), pair.pdf(1, x)) < 0:
+            continue
+        tied = not (gaps[i] > 0 or gaps[i] < 0)
+        if tied and 0 < i < len(xs) - 1 and gaps[i - 1] > 0 and gaps[i + 1] > 0:
+            continue
+        assert bayes.contains_point(x) == (gaps[i] > 0), x
 
 
 class TestSturm:
