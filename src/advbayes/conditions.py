@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BreakpointDerivative, DistributionPair, _bisect, log_gap, signed_gap
+from .density import (BreakpointDerivative, DistributionPair, Gaussian, _bisect, log_gap,
+                      signed_gap)
 from .intervals import INF, Interval, IntervalSet
 
 PASS = "PASS"
@@ -150,6 +151,65 @@ def _scan_bounds(pair: DistributionPair, eps: float, window: Interval) -> tuple[
     return lo, hi
 
 
+def _samples(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
+             m: int) -> np.ndarray:
+    """Sample points of the scan segment [a, b].
+
+    ``m`` evenly spaced points just inside the segment, plus mu - sigma, mu
+    and mu + sigma (shifted by -+eps like the breakpoints) of every Gaussian
+    the defect reads that is narrower than their spacing, so no bump lies
+    between two samples unseen.
+    """
+    inset = (b - a) * 1e-9
+    xs = np.linspace(a + inset, b - inset, m)
+    step = (b - a - 2.0 * inset) / (m - 1)
+    plus, minus = _reads(kind)
+    classes = (pair.class0, pair.class1)
+    extra = [c.mu + k * c.sigma + shift
+             for which, shift in ((plus, -eps), (minus, eps))
+             for c in classes[which] if isinstance(c, Gaussian) and c.sigma < step
+             for k in (-1.0, 0.0, 1.0)]
+    extra = [x for x in extra if xs[0] < x < xs[-1]]
+    return np.unique(np.concatenate([xs, extra])) if extra else xs
+
+
+def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
+                   m: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Samples of [a, b], the defect's values there, and whether the segment is
+    a plateau: |defect| <= TAU_PLATEAU at every sample.
+
+    Off a plateau, where both shifted densities underflow to 0 the value is
+    the log-density gap, which carries the sign.  Only the sign of each
+    sample steers the scalar bisection in ``_sign_changes``, so roots equal a
+    scalar-sampled scan's unless a sample is within rounding of zero
+    (np.exp and math.exp may differ by one ulp).
+    """
+    plus, minus = _reads(kind)
+    xs = _samples(pair, eps, kind, a, b, m)
+    p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
+    vals = p_plus - p_minus
+    is_plateau = bool(np.max(np.abs(vals)) <= TAU_PLATEAU)
+    under = (p_plus == 0.0) & (p_minus == 0.0)
+    if not is_plateau and under.any():
+        vals[under] = log_gap(pair, plus, xs[under] + eps, minus, xs[under] - eps)
+    return xs, vals, is_plateau
+
+
+def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Zero samples, and a root bisected on ``sign`` between each pair of
+    neighbouring samples of opposite sign."""
+    roots: list[float] = []
+    pos = vals > 0
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (pos[:-1] != pos[1:])):
+        if vals[i] == 0.0:
+            roots.append(float(xs[i]))
+        else:
+            roots.append(_bisect(sign, float(xs[i]), float(xs[i + 1]), vals[i], _BISECT_TOL))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
 def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                window: Interval) -> list[CandidatePoint]:
     g = lambda x: defect(pair, eps, kind, x)
@@ -168,31 +228,12 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
     plateau_flags: list[bool] = []
     side_vals: list[tuple[float, float]] = []  # first/last sample of each segment
     for a, b in zip(edges, edges[1:]):
-        span = b - a
-        m = max(9, int(round(grid_n * span / total)) + 1)
-        inset = span * 1e-9
-        xs = np.linspace(a + inset, b - inset, m)
-        # Only the sign of each sample steers the scalar bisection below, so
-        # roots equal a scalar-sampled scan's unless a sample is within
-        # rounding of zero (np.exp and math.exp may differ by one ulp).
-        p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
-        vals = p_plus - p_minus
-        is_plateau = bool(np.max(np.abs(vals)) <= TAU_PLATEAU)
+        m = max(9, int(round(grid_n * (b - a) / total)) + 1)
+        xs, vals, is_plateau = _sample_defect(pair, eps, kind, a, b, m)
         plateau_flags.append(is_plateau)
-        under = (p_plus == 0.0) & (p_minus == 0.0)
-        if not is_plateau and under.any():
-            vals[under] = log_gap(pair, plus, xs[under] + eps, minus, xs[under] - eps)
         side_vals.append((float(vals[0]), float(vals[-1])))
-        if is_plateau:
-            continue
-        pos = vals > 0
-        for i in np.flatnonzero((vals[:-1] == 0.0) | (pos[:-1] != pos[1:])):
-            if vals[i] == 0.0:
-                roots.append(float(xs[i]))
-            else:
-                roots.append(_bisect(sign, float(xs[i]), float(xs[i + 1]), vals[i], _BISECT_TOL))
-        if vals[-1] == 0.0:
-            roots.append(float(xs[-1]))
+        if not is_plateau:
+            roots += _sign_changes(sign, xs, vals)
 
     # Maximal plateau runs, reported as closed hulls of their segments.
     plateaus: list[tuple[float, float]] = []
@@ -264,16 +305,32 @@ def solve_first_order(pair: DistributionPair, eps: float, grid_n: int = 2048) ->
 
 
 def bayes_classifier(pair: DistributionPair) -> IntervalSet:
-    """Canonical open set where class 1 is the more likely label.
+    """Open set where class 1 is the more likely label, read off one a-kind
+    scan at eps = 0, where the defect is p1 - p0.
 
-    Its boundary is where the a-kind defect p1 - p0 changes sign at eps = 0,
-    so one a-kind scan gives every crossing and plateau on the scanned
-    range; outside that range the set is constant.
+    The set is literal on the scanned range [lo_ext - 1, hi_ext + 1] of
+    ``finite_extent`` and constant on each side of it: a crossing beyond that
+    range is dropped even where the densities have not underflowed to 0.
     """
-    cands = _scan_kind(pair, 0.0, "a", 2048, scan_window(pair, 0.0)[0])
+    window = scan_window(pair, 0.0)[0]
+    cands = _scan_kind(pair, 0.0, "a", 2048, window)
     plateaus = [c.plateau for c in cands if c.plateau is not None]
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
     pts.update(x for c in cands for x in c.enumeration_points())
+    # The scan looks for no crossing inside a plateau, |p1 - p0| <= TAU_PLATEAU,
+    # but the sign can still change there where both densities are that small.
+    # Zero samples are ties or vanishing densities: a crossing at one still
+    # shows as a sign change between its neighbours.
+    lo, hi = _scan_bounds(pair, 0.0, window)
+    sign = lambda x: signed_gap(pair, 1, x, 0, x)
+    inner = sorted(pts)
+    for a, b in zip(inner, inner[1:]):
+        if any(p_lo <= a and b <= p_hi for p_lo, p_hi in plateaus):
+            m = max(9, int(round(2048 * (b - a) / (hi - lo))) + 1)
+            xs, vals, _ = _sample_defect(pair, 0.0, "a", a, b, m)
+            keep = vals != 0.0
+            if keep.any():
+                pts.update(_sign_changes(sign, xs[keep], vals[keep]))
     return _positive_set(pair, sorted(pts), plateaus)
 
 
@@ -281,9 +338,12 @@ def _positive_set(pair: DistributionPair, pts: list[float],
                   plateaus: list[tuple[float, float]]) -> IntervalSet:
     """Open set {p1 > p0} assembled from sign probes between critical points.
 
-    The half-infinite pieces are probed at the ends of the scanned range.  A
-    piece inside a plateau whose densities agree to TAU_PLATEAU relative is
-    a tie; where both densities vanish it simply lies outside the set.
+    The sign of p1 - p0 is constant between critical points, so each piece
+    takes the sign of its midpoint, or of its quarter point where the midpoint
+    is a touch point; the half-infinite pieces are probed at the ends of the
+    scanned range.  A piece inside a plateau whose densities agree there to
+    TAU_PLATEAU relative is a tie; where both densities vanish it simply lies
+    outside the set.
     """
     d = lambda x: signed_gap(pair, 1, x, 0, x)
     lo_ext, hi_ext = pair.finite_extent()
@@ -291,16 +351,15 @@ def _positive_set(pair: DistributionPair, pts: list[float],
     pieces = []
     for a, b in zip(edges, edges[1:]):
         probe = lo_ext - 1.0 if a == -INF else hi_ext + 1.0 if b == INF else 0.5 * (a + b)
+        v = d(probe)
+        if v == 0.0 and -INF < a and b < INF:
+            probe = 0.75 * a + 0.25 * b
+            v = d(probe)
         if any(p_lo <= probe <= p_hi for p_lo, p_hi in plateaus):
             p0, p1 = pair.pdf(0, probe), pair.pdf(1, probe)
             if p0 > 0 and abs(p1 - p0) <= TAU_PLATEAU * p0:
                 raise DegenerateTie(f"p1 == p0 on [{a}, {b}]")
-        v = d(probe)
-        if v == 0.0 and -INF < a and b < INF and d(0.75 * a + 0.25 * b) > 0:
-            # The sign is constant between critical points, so a zero at the
-            # midpoint is a touch point: the piece lies in the set but for it.
-            pieces += [Interval(a, probe), Interval(probe, b)]
-        elif v > 0:
+        if v > 0:
             pieces.append(Interval(a, b))
     # Rejoin across critical points that still sit inside {d > 0}.
     joined: list[Interval] = []

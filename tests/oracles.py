@@ -404,10 +404,8 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
     total = hi - lo
     roots, plateau_flags, side_vals = [], [], []
     for a, b in zip(edges, edges[1:]):
-        span = b - a
-        m = max(9, int(round(grid_n * span / total)) + 1)
-        inset = span * 1e-9
-        xs = np.linspace(a + inset, b - inset, m)
+        m = max(9, int(round(grid_n * (b - a) / total)) + 1)
+        xs = fo._samples(pair, eps, kind, a, b, m)
         vals = [g(float(x)) for x in xs]
         is_plateau = max(abs(v) for v in vals) <= fo.TAU_PLATEAU
         if not is_plateau:
@@ -416,7 +414,7 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
         side_vals.append((vals[0], vals[-1]))
         if is_plateau:
             continue
-        for i in range(m - 1):
+        for i in range(len(xs) - 1):
             v0, v1 = vals[i], vals[i + 1]
             if v0 == 0.0:
                 roots.append(float(xs[i]))

@@ -45,3 +45,34 @@ def piecewise_poly_pairs(draw):
         classes.append([PiecewisePoly(breakpoints=tuple(bp),
                                       coeffs=tuple(tuple(c * scale for c in row) for row in rows))])
     return DistributionPair(*classes)
+
+
+@st.composite
+def wide_sigma_pairs(draw):
+    """1-2 components per class, means in [-4, 4] and sigmas from 0.001 to 10
+    on a log scale, so bumps narrower than the first-order scan's sample
+    spacing are common."""
+    share0 = draw(st.floats(0.2, 0.8))
+    classes = []
+    for share in (share0, 1.0 - share0):
+        n = draw(st.integers(1, 2))
+        classes.append([Gaussian(weight=share / n, mu=draw(st.floats(-4.0, 4.0)),
+                                 sigma=10.0 ** draw(st.floats(-3.0, 1.0))) for _ in range(n)])
+    return DistributionPair(*classes)
+
+
+def _halved(c):
+    if isinstance(c, Gaussian):
+        return Gaussian(weight=0.5 * c.weight, mu=c.mu, sigma=c.sigma)
+    return PiecewisePoly(breakpoints=c.breakpoints,
+                         coeffs=tuple(tuple(0.5 * x for x in row) for row in c.coeffs))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Half of the mass from ``piecewise_poly_pairs``, half from
+    ``gaussian_mixture_pairs`` with means in [-1, 1] or [-4, 4]."""
+    cells = draw(piecewise_poly_pairs())
+    bumps = draw(gaussian_mixture_pairs(draw(st.sampled_from([1.0, 4.0]))))
+    return DistributionPair([_halved(c) for c in cells.class0 + bumps.class0],
+                            [_halved(c) for c in cells.class1 + bumps.class1])

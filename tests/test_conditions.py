@@ -246,6 +246,34 @@ class TestFirstOrderUnderflow:
         _scan_matches_oracle(self.pair(), self.EPS)
 
 
+class TestFirstOrderNarrowBump:
+    """A class-1 bump a thousand times narrower than class 0 lies between two
+    evenly spaced samples of the scan (spacing about 0.099 over [-101, 101]);
+    the scan also samples each such bump's mu and mu +- sigma."""
+
+    EPS = 0.01  # the a-kind set (0.003, 0.077) holds no evenly spaced sample
+
+    @staticmethod
+    def pair():
+        return DistributionPair(
+            class0=[Gaussian(weight=0.5, mu=0.0, sigma=10.0)],
+            class1=[Gaussian(weight=0.5, mu=0.05, sigma=0.01)],
+        )
+
+    def test_roots_match_brentq_on_log_difference(self):
+        pair, eps = self.pair(), self.EPS
+        a_cands = solve_first_order(pair, eps).a_candidates
+        log_gap = lambda x: (oracles.literal_logpdf(pair, 1, x + eps)
+                             - oracles.literal_logpdf(pair, 0, x - eps))
+        peak = 0.05 - eps
+        expected = [brentq(log_gap, peak - 1.0, peak, xtol=1e-15),
+                    brentq(log_gap, peak, peak + 1.0, xtol=1e-15)]
+        assert np.max(np.abs(np.array(locations(a_cands)) - expected)) <= 1e-10
+
+    def test_scan_matches_scalar_oracle(self):
+        _scan_matches_oracle(self.pair(), self.EPS)
+
+
 # -- array scan against the literal scalar scan ---------------------------------
 
 

@@ -23,7 +23,7 @@ from advbayes.risk import (
     risk_gap_bound,
     standard_risk,
 )
-from strategies import gaussian_mixture_pairs, piecewise_poly_pairs
+from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
 
 
 def rand_sets(rng, n, half_infinite=True):
@@ -334,30 +334,78 @@ class TestBayesLiteralSign:
 
     def test_touch_point_at_piece_midpoint(self):
         # p1 - p0 = 48x^2 on (-0.25, 0.25) touches 0 at the piece's midpoint
-        # without a sign change; the set holds the piece but for that point
+        # without a sign change; like a touch point anywhere else in a piece,
+        # it stays inside the set
         pair = DistributionPair(
             class0=[PiecewisePoly(breakpoints=(0.25, 2.0), coeffs=((2.0 / 7.0,),))],
             class1=[PiecewisePoly(breakpoints=(-0.25, 0.25), coeffs=((0.0, 0.0, 48.0),))],
         )
-        assert bayes_classifier(pair) == IntervalSet.of_open((-0.25, 0.0), (0.0, 0.25))
+        assert bayes_classifier(pair) == IntervalSet.of_open((-0.25, 0.25))
+
+    def test_bump_narrower_than_sample_step(self):
+        # sigma ratio 1000: the scan's even spacing over [-101, 101] is about
+        # 0.099, wider than the whole class-1 set (0.013, 0.087)
+        pair = DistributionPair(
+            class0=[Gaussian(weight=0.5, mu=0.0, sigma=10.0)],
+            class1=[Gaussian(weight=0.5, mu=0.05, sigma=0.01)],
+        )
+        log_gap = lambda x: oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+        expected = [brentq(log_gap, -1.0, 0.05, xtol=1e-15), brentq(log_gap, 0.05, 1.0, xtol=1e-15)]
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == 1
+        assert np.max(np.abs(np.array(bayes.boundary_points()) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("slope1, crossing", [(2e-12, 4.0 / 3.0), (1e-12, 1.5)])
+    def test_crossing_where_both_densities_are_tiny(self, slope1, crossing):
+        # on [1, 2] p0 = 1e-12 (2 - x) and p1 = slope1 (x - 1): |p1 - p0| stays
+        # below TAU_PLATEAU, yet p1 > p0 only right of the crossing; at 1.5
+        # the crossing sits on the piece's midpoint
+        pair = DistributionPair(
+            class0=[PiecewisePoly(breakpoints=(0.0, 1.0, 2.0), coeffs=((0.5,), (2e-12, -1e-12)))],
+            class1=[PiecewisePoly(breakpoints=(1.0, 2.0, 3.0),
+                                  coeffs=((-slope1, slope1), (0.5 - 0.5 * slope1,)))],
+        )
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == 1
+        assert np.max(np.abs(np.array(bayes.boundary_points()) - [crossing, 3.0])) <= 1e-12
 
 
 @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
                  piecewise_poly_pairs()))
 @settings(deadline=None, max_examples=150)
 def test_bayes_matches_literal_sign(pair):
-    """Off the boundary points, the Bayes set holds exactly the grid points of
-    the scanned range where log p1 > log p0; a tie is raised only where both
-    densities agree to 1e-11 relative and are nonzero on an interval.
+    _bayes_matches_literal_sign(pair)
 
-    Skipped as boundary points: points within 1e-9 of the set's boundary or
-    of a density breakpoint, where the literal set may hold an isolated point
-    that no open set holds, and tied grid points between two positive ones,
-    touch points of p1 - p0 that no sign change reveals.  Points where a
-    density is negative within validation rounding (a subnormal slope) carry
-    no mass and have no log, so they are skipped too."""
+
+@given(wide_sigma_pairs())
+@settings(deadline=None, max_examples=100)
+def test_bayes_matches_literal_sign_wide_sigmas(pair):
+    _bayes_matches_literal_sign(pair)
+
+
+@given(mixed_pairs())
+@settings(deadline=None, max_examples=60)
+def test_bayes_matches_literal_sign_mixed_pairs(pair):
+    _bayes_matches_literal_sign(pair)
+
+
+def _bayes_matches_literal_sign(pair):
+    """Off the boundary points, the Bayes set holds exactly the points where
+    log p1 > log p0 among a grid over the scanned range and the Gaussian
+    means, which a bump narrower than the grid spacing needs; a tie is raised
+    only where both densities agree to 1e-11 relative and are nonzero on an
+    interval.
+
+    Skipped: points within 1e-9 of the set's boundary or of a density
+    breakpoint, where the literal set may hold an isolated point that no open
+    set holds; points where log p1 and log p0 agree to 1e-12, touch points of
+    p1 - p0 that no sign change reveals or gaps below the rounding of the
+    densities' sum (a Gaussian tail on top of a piecewise cell); and points
+    where a density is negative within validation rounding (a subnormal
+    slope), which carry no mass and have no log."""
     lo_ext, hi_ext = pair.finite_extent()
-    xs = [float(x) for x in np.linspace(lo_ext - 1.0, hi_ext + 1.0, 997)]
+    means = {c.mu for c in pair.class0 + pair.class1 if isinstance(c, Gaussian)}
+    xs = sorted({float(x) for x in np.linspace(lo_ext - 1.0, hi_ext + 1.0, 997)} | means)
     logs = [(oracles.literal_logpdf(pair, 0, x), oracles.literal_logpdf(pair, 1, x)) for x in xs]
     try:
         bayes = bayes_classifier(pair)
@@ -365,15 +413,13 @@ def test_bayes_matches_literal_sign(pair):
         tied = [math.isfinite(l0) and abs(l1 - l0) <= 1e-11 for l0, l1 in logs]
         assert any(t and u for t, u in zip(tied, tied[1:]))
         return
-    gaps = [l1 - l0 for l0, l1 in logs]  # nan where both densities vanish
     edges = bayes.boundary_points() + pair.breakpoints(0) + pair.breakpoints(1)
-    for i, x in enumerate(xs):
-        if any(abs(x - z) <= 1e-9 for z in edges) or min(pair.pdf(0, x), pair.pdf(1, x)) < 0:
+    for x, (l0, l1) in zip(xs, logs):
+        gap = l1 - l0  # nan where both densities vanish
+        if (any(abs(x - z) <= 1e-9 for z in edges) or abs(gap) <= 1e-12
+                or min(pair.pdf(0, x), pair.pdf(1, x)) < 0):
             continue
-        tied = not (gaps[i] > 0 or gaps[i] < 0)
-        if tied and 0 < i < len(xs) - 1 and gaps[i - 1] > 0 and gaps[i + 1] > 0:
-            continue
-        assert bayes.contains_point(x) == (gaps[i] > 0), x
+        assert bayes.contains_point(x) == (gap > 0), x
 
 
 class TestSturm:
