@@ -6,9 +6,9 @@ shifted points, and a right endpoint ``b`` must satisfy
 ``p0(b+eps) - p1(b-eps) = 0``.  Local minimality further requires the
 corresponding derivative combination to be nonnegative.  This module finds
 every solution inside the admissible window: isolated roots by bracketing
-and bisection, whole plateaus where the defect vanishes identically, and
-the discontinuity-shifted points where the conditions are vacuous and any
-endpoint location is admissible.
+and the ITP root finder, whole plateaus where the defect vanishes
+identically, and the discontinuity-shifted points where the conditions are
+vacuous and any endpoint location is admissible.
 
 At eps = 0 the a-kind defect is ``p1 - p0``, so the same scan gives the
 boundary of the Bayes classifier {p1 > p0}; ``bayes_boundary_proximity``
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (BreakpointDerivative, DistributionPair, Gaussian, _bisect, log_gap,
+from .density import (BreakpointDerivative, DistributionPair, Gaussian, itp_root, log_gap,
                       signed_gap)
 from .intervals import INF, Interval, IntervalSet
 
@@ -180,7 +180,8 @@ def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: f
 
     Off a plateau, where both shifted densities underflow to 0 the value is
     the log-density gap, which carries the sign.  Only the sign of each
-    sample steers the scalar bisection in ``_sign_changes``, so roots equal a
+    sample picks the brackets of ``_sign_changes``; ``itp_root`` evaluates
+    their ends again with the scalar ``signed_gap``, so roots equal a
     scalar-sampled scan's unless a sample is within rounding of zero
     (np.exp and math.exp may differ by one ulp).
     """
@@ -196,15 +197,15 @@ def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: f
 
 
 def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Zero samples, and a root bisected on ``sign`` between each pair of
-    neighbouring samples of opposite sign."""
+    """Zero samples, and a root found by ``itp_root`` on ``sign`` between each
+    pair of neighbouring samples of opposite sign."""
     roots: list[float] = []
     pos = vals > 0
     for i in np.flatnonzero((vals[:-1] == 0.0) | (pos[:-1] != pos[1:])):
         if vals[i] == 0.0:
             roots.append(float(xs[i]))
         else:
-            roots.append(_bisect(sign, float(xs[i]), float(xs[i + 1]), vals[i], _BISECT_TOL))
+            roots.append(itp_root(sign, float(xs[i]), float(xs[i + 1]), _BISECT_TOL))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots

@@ -58,7 +58,7 @@ def _check_equal_variances(eps: float) -> list[Check]:
     out: list[Check] = []
     scan = conditions.solve_first_order(pair, eps)
     locs = [c.location for c in scan.a_candidates if c.location is not None]
-    ok = any(abs(x - 1.0) <= 1e-9 for x in locs)
+    ok = any(abs(x - 1.0) <= 1e-12 for x in locs)
     out.append(("stationary point at the midpoint 1.0", ok, f"a-candidates {locs}"))
     rep = solver.solve(pair, eps)
     expected = _phi(eps - 1.0)
@@ -98,7 +98,7 @@ def _check_equal_means(eps: float) -> list[Check]:
             for c in scan.b_candidates
             if c.location is not None and c.second_order == conditions.PASS
         ]
-        ok = any(abs(r - b_closed) <= 1e-8 for r in roots)
+        ok = any(abs(r - b_closed) <= 1e-12 for r in roots)
         out.append(
             (f"right endpoint matches closed form at eps={e}", ok, f"{roots} vs {b_closed}")
         )
@@ -117,13 +117,13 @@ def _check_non_uniqueness_single(eps: float) -> list[Check]:
     b_root = (1.0 + eps) / 3.0
     a_ok = any(
         c.location is not None
-        and abs(c.location - a_root) <= 1e-9
+        and abs(c.location - a_root) <= 1e-12
         and c.second_order == conditions.FAIL
         for c in scan.a_candidates
     )
     b_ok = any(
         c.location is not None
-        and abs(c.location - b_root) <= 1e-9
+        and abs(c.location - b_root) <= 1e-12
         and c.second_order == conditions.PASS
         for c in scan.b_candidates
     )

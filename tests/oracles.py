@@ -367,8 +367,10 @@ def literal_first_order(pair, eps: float, grid_n: int = 2048):
     A literal copy of the first-order scan in which every sample is two
     scalar ``pair.pdf`` calls and sign changes are found by a Python loop;
     where both densities are 0, ``literal_logpdf`` gives the sign.  It
-    reuses the package's scalar pieces (window, shifted points, bisection,
-    second-order check) and none of its array evaluators.  Returns
+    reuses the package's scalar pieces (window, shifted points, root finder,
+    second-order check) and none of its array evaluators.  The root finder
+    reads each bracket's ends through ``sign`` itself, so only the signs of
+    the samples matter.  Returns
     ``(a_dicts, b_dicts)``, or None when the window is empty.
     """
     from advbayes import conditions as fo
@@ -382,7 +384,7 @@ def literal_first_order(pair, eps: float, grid_n: int = 2048):
 
 def _literal_scan_kind(pair, eps, kind, grid_n, window):
     from advbayes import conditions as fo
-    from advbayes.density import _bisect
+    from advbayes.density import itp_root
 
     plus, minus = (1, 0) if kind == "a" else (0, 1)
     g = lambda x: pair.pdf(plus, x + eps) - pair.pdf(minus, x - eps)
@@ -419,7 +421,7 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
             if v0 == 0.0:
                 roots.append(float(xs[i]))
             elif (v0 > 0) != (v1 > 0):
-                roots.append(_bisect(sign, float(xs[i]), float(xs[i + 1]), v0, fo._BISECT_TOL))
+                roots.append(itp_root(sign, float(xs[i]), float(xs[i + 1]), fo._BISECT_TOL))
         if vals[-1] == 0.0:
             roots.append(float(xs[-1]))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
-from strategies import gaussian_mixture_pairs, piecewise_poly_pairs
+from strategies import gaussian_mixture_pairs, piecewise_poly_pairs, wide_sigma_pairs
 from advbayes import conditions, examples
 from advbayes.density import DistributionPair, Gaussian
 from advbayes.conditions import (
@@ -311,7 +313,7 @@ def test_scan_matches_scalar_oracle_piecewise_pairs(pair, eps):
     ("gaussians_equal_variances", 0.5), ("non_uniqueness_all", 0.2), ("degenerate", 0.05)])
 def test_scan_samples_without_scalar_pdf(monkeypatch, name, eps):
     """Samples go through ``pdf_array``; scalar ``pdf`` serves only the
-    bisection, residuals and jump points.  Sampling with scalar ``pdf``
+    root finder, residuals and jump points.  Sampling with scalar ``pdf``
     takes about 8,200 calls on each of these."""
     calls = []
     pdf = DistributionPair.pdf
@@ -323,3 +325,92 @@ def test_scan_samples_without_scalar_pdf(monkeypatch, name, eps):
     monkeypatch.setattr(DistributionPair, "pdf", counted)
     solve_first_order(getattr(examples, name)(), eps)
     assert len(calls) < 512
+
+
+# -- root refinement ------------------------------------------------------------
+
+
+def _roots_straddle_literal_sign_change(pair, eps):
+    """The literal defect (log-densities of ``oracles.literal_logpdf``) changes
+    sign or vanishes across [r - _BISECT_TOL, r + _BISECT_TOL] for every
+    isolated root r of the scan; jump points need no sign change there.
+
+    Skipped: roots where, at r -+ _BISECT_TOL, one density is below 1e-12
+    and the other is not 0.  There the sign of the difference can be rounding
+    noise: a polynomial cell near a double zero is off by about 1e-16 of its
+    coefficients, and a subnormal density by its spacing of 5e-324.  Where
+    both vanish the scan compares log-densities, which is checked.  Returns
+    how many roots were checked."""
+    try:
+        scan = solve_first_order(pair, eps)
+    except WindowEmpty:
+        return 0
+    tol, checked = conditions._BISECT_TOL, 0
+    for plus, minus, cands in ((1, 0, scan.a_candidates), (0, 1, scan.b_candidates)):
+        def gap(x):
+            g = (oracles.literal_logpdf(pair, plus, x + eps)
+                 - oracles.literal_logpdf(pair, minus, x - eps))
+            return 0.0 if math.isnan(g) else g  # both densities vanish
+
+        def noisy(x):
+            low, high = sorted((pair.pdf(plus, x + eps), pair.pdf(minus, x - eps)))
+            return low < 1e-12 and high > 0.0
+
+        for c in cands:
+            if c.location is None or c.at_jump:
+                continue
+            ends = (c.location - tol, c.location + tol)
+            if any(noisy(x) for x in ends):
+                continue
+            left, at, right = gap(ends[0]), gap(c.location), gap(ends[1])
+            assert 0.0 in (left, at, right) or (left > 0) != (right > 0), (c, left, right)
+            checked += 1
+    return checked
+
+
+@given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs(), wide_sigma_pairs()),
+       st.floats(0.02, 1.0))
+@settings(deadline=None, max_examples=120)
+def test_roots_straddle_literal_sign_change(pair, eps):
+    _roots_straddle_literal_sign_change(pair, eps)
+
+
+def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
+    """The 16-bump pair at eps 0.3 has 61 brackets; bisecting each from one
+    sample spacing down to _BISECT_TOL took 36 defect evaluations, two scalar
+    ``pdf`` calls each."""
+    brackets, calls, inside = [0], [0], [False]
+    find, pdf = conditions.itp_root, DistributionPair.pdf
+
+    def counted_find(*args):
+        brackets[0] += 1
+        inside[0] = True
+        try:
+            return find(*args)
+        finally:
+            inside[0] = False
+
+    def counted_pdf(self, which, x):
+        calls[0] += inside[0]
+        return pdf(self, which, x)
+
+    monkeypatch.setattr(conditions, "itp_root", counted_find)
+    monkeypatch.setattr(DistributionPair, "pdf", counted_pdf)
+    solve_first_order(bump_pair(16), 0.3)
+    assert brackets[0] > 0
+    assert calls[0] / 2 <= 16 * brackets[0]
+
+
+def test_bracket_ends_read_with_scalar_sign():
+    """The array samples pick the bracket; its ends are read again with the
+    scalar sign.  Where that reading gives both ends one sign (a sample
+    within an ulp of zero), the end nearer zero is the root."""
+    xs, vals = np.array([0.0, 0.5, 1.0]), np.array([-1e-300, 1.0, 2.0])
+    read = []
+
+    def sign(x):
+        read.append(x)
+        return 1e-300 + x
+
+    assert conditions._sign_changes(sign, xs, vals) == [0.0]
+    assert read == [0.0, 0.5]

@@ -11,6 +11,7 @@ from advbayes.density import (
     Gaussian,
     OutsideSupport,
     PiecewisePoly,
+    itp_root,
     pair_from_dict,
     pair_to_dict,
 )
@@ -36,6 +37,15 @@ class TestValidation:
         # dips negative in the middle even though endpoints are positive
         with pytest.raises(ValueError):
             PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=((0.1, 0.0, -1.0, 0.0, 1.0),))
+
+    def test_rounding_dip_accepted_and_read_as_zero(self):
+        # the guard admits a row down to -1e-12; pdf and pdf_array clamp it at 0
+        poly = PiecewisePoly(breakpoints=(0.0, 1.0), coeffs=((-1e-12,),))
+        assert poly.pdf(0.5) == 0.0
+        assert poly.pdf_array(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 0.0, 0.0]
+        assert poly.logpdf_array(np.array([0.5]))[0] == -INF
+        with pytest.raises(ValueError):
+            PiecewisePoly(breakpoints=(0.0, 1.0), coeffs=((-2e-12,),))
 
     def test_non_finite_coefficients(self):
         for c in (math.nan, math.inf):
@@ -187,6 +197,54 @@ class TestPdfArray:
                 assert np.all(np.abs(arr - scl) <= 1e-15 * scl)
                 if not pair.has_gaussian(which):
                     assert arr.tolist() == scl.tolist()
+
+
+class TestItpRoot:
+    """Bracketed root finder: the final bracket is no wider than ``tol`` (up
+    to the rounding of its ends)."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return g, calls
+
+    @pytest.mark.parametrize("f, lo, hi, root", [
+        (math.cos, 1.0, 2.0, 0.5 * math.pi),
+        (lambda x: x**9 - 1e-9, -1.0, 2.0, 1e-1),
+        (lambda x: math.exp(x) - 2.0, -30.0, 30.0, math.log(2.0)),
+        # lopsided step: interpolation lands next to the wrong end every time
+        (lambda x: -1e9 if x < 0.3 else 1e-9, 0.0, 1.0, 0.3),
+        # infinite ends (a log-density gap against a zero density)
+        (lambda x: -math.inf if x < 0.3 else math.inf, 0.0, 1.0, 0.3),
+    ])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_at_most_one_step_more_than_bisection(self, f, lo, hi, root, tol):
+        g, calls = self.counted(f)
+        x = itp_root(g, lo, hi, tol)
+        assert abs(x - root) <= 0.5 * tol + 4 * math.ulp(root)
+        # two end values, then at most n0 = 1 step more than bisection
+        assert len(calls) <= 2 + math.ceil(math.log2((hi - lo) / tol)) + 1
+
+    def test_smooth_root_in_few_steps(self):
+        g, calls = self.counted(math.cos)
+        itp_root(g, 1.0, 2.0, 1e-12)
+        assert len(calls) <= 12  # bisection: 2 + 40
+
+    def test_end_values_without_sign_change(self):
+        # a zero end is returned as is; ends of one sign (a sample within an
+        # ulp of zero that the array evaluator signed the other way) give the
+        # end with the smaller |f|, without a further evaluation
+        for f, expected in ((lambda x: x, 0.0), (lambda x: x - 1.0, 1.0),
+                            (lambda x: 0.0, 0.0), (lambda x: 1.0 + x, 0.0),
+                            (lambda x: 2.0 - x, 1.0), (lambda x: -1.0, 0.0)):
+            g, calls = self.counted(f)
+            assert itp_root(g, 0.0, 1.0, 1e-12) == expected
+            assert calls == [0.0, 1.0]
 
 
 class TestEta:

@@ -355,6 +355,15 @@ class TestBayesLiteralSign:
         assert bayes.n_components == 1
         assert np.max(np.abs(np.array(bayes.boundary_points()) - expected)) <= 1e-12
 
+    def test_rounding_dip_outside_set(self):
+        # class 0 is 5e-324 x on [-1, 0], below 0 by a subnormal; read as 0,
+        # it leaves p1 - p0 = 0 there, not 5e-324 > 0
+        pair = DistributionPair(
+            class0=[PiecewisePoly(breakpoints=(-1.0, 0.0, 1.0), coeffs=((0.0, 5e-324), (0.5,)))],
+            class1=[PiecewisePoly(breakpoints=(1.0, 2.0), coeffs=((0.5,),))],
+        )
+        assert bayes_classifier(pair) == IntervalSet.of_open((1.0, 2.0))
+
     @pytest.mark.parametrize("slope1, crossing", [(2e-12, 4.0 / 3.0), (1e-12, 1.5)])
     def test_crossing_where_both_densities_are_tiny(self, slope1, crossing):
         # on [1, 2] p0 = 1e-12 (2 - x) and p1 = slope1 (x - 1): |p1 - p0| stays
@@ -398,11 +407,9 @@ def _bayes_matches_literal_sign(pair):
 
     Skipped: points within 1e-9 of the set's boundary or of a density
     breakpoint, where the literal set may hold an isolated point that no open
-    set holds; points where log p1 and log p0 agree to 1e-12, touch points of
-    p1 - p0 that no sign change reveals or gaps below the rounding of the
-    densities' sum (a Gaussian tail on top of a piecewise cell); and points
-    where a density is negative within validation rounding (a subnormal
-    slope), which carry no mass and have no log."""
+    set holds; and points where log p1 and log p0 agree to 1e-12, touch points
+    of p1 - p0 that no sign change reveals or gaps below the rounding of the
+    densities' sum (a Gaussian tail on top of a piecewise cell)."""
     lo_ext, hi_ext = pair.finite_extent()
     means = {c.mu for c in pair.class0 + pair.class1 if isinstance(c, Gaussian)}
     xs = sorted({float(x) for x in np.linspace(lo_ext - 1.0, hi_ext + 1.0, 997)} | means)
@@ -416,8 +423,7 @@ def _bayes_matches_literal_sign(pair):
     edges = bayes.boundary_points() + pair.breakpoints(0) + pair.breakpoints(1)
     for x, (l0, l1) in zip(xs, logs):
         gap = l1 - l0  # nan where both densities vanish
-        if (any(abs(x - z) <= 1e-9 for z in edges) or abs(gap) <= 1e-12
-                or min(pair.pdf(0, x), pair.pdf(1, x)) < 0):
+        if any(abs(x - z) <= 1e-9 for z in edges) or abs(gap) <= 1e-12:
             continue
         assert bayes.contains_point(x) == (gap > 0), x
 
