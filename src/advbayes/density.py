@@ -119,11 +119,10 @@ def itp_root(f, lo: float, hi: float, tol: float) -> float:
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         return lo if abs(flo) <= abs(fhi) else hi
     kappa1 = 0.2 / (hi - lo)  # kappa2 = 2
-    n_half = max(0, math.ceil(math.log2((hi - lo) / tol)))  # bisection's steps
-    # (tol / 2) * 2^(n_max - j) at step j, with n_max = n_half + n0: no
-    # bracket after step j is wider than this.
-    radius = tol * 2.0**n_half
-    for _ in range(n_half + 1):
+    n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1  # bisection's steps + n0
+    # (tol / 2) * 2^(n_max - j) at step j: no bracket after step j is wider.
+    radius = 0.5 * tol * 2.0**n_max
+    for _ in range(n_max):
         width, mid = hi - lo, 0.5 * (lo + hi)
         if width <= tol or mid == lo or mid == hi:
             break
