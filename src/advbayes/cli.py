@@ -150,8 +150,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError("grid_n must be at least 64")
     if not (math.isfinite(cfg.grid_h) and cfg.grid_h > 0):
         raise ValidationError("grid_h must be finite and positive")
-    if not 1 <= cfg.max_k <= 3:
-        raise ValidationError("max_k must be between 1 and 3")
+    if cfg.max_k < 1 or certify.dp_slots(1, cfg.max_k) > certify.WORK_BUDGET:
+        raise ValidationError("max_k must be at least 1 and fit the certify budget")
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         raise ValidationError("tolerance must be finite and positive")
 

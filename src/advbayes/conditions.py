@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (BreakpointDerivative, DistributionPair, Gaussian, itp_root, log_gap,
-                      signed_gap)
+from .density import (TINY, BreakpointDerivative, DistributionPair, Gaussian, itp_root,
+                      log_gap, signed_gap)
 from .intervals import INF, Interval, IntervalSet
 
 PASS = "PASS"
@@ -178,8 +178,8 @@ def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: f
     """Samples of [a, b], the defect's values there, and whether the segment is
     a plateau: |defect| <= TAU_PLATEAU at every sample.
 
-    Off a plateau, where both shifted densities underflow to 0 the value is
-    the log-density gap, which carries the sign.  Only the sign of each
+    Off a plateau, where both shifted densities are subnormal or 0 the value
+    is the log-density gap, which carries the sign.  Only the sign of each
     sample picks the brackets of ``_sign_changes``; ``itp_root`` evaluates
     their ends again with the scalar ``signed_gap``, so roots equal a
     scalar-sampled scan's unless a sample is within rounding of zero
@@ -190,7 +190,7 @@ def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: f
     p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
     vals = p_plus - p_minus
     is_plateau = bool(np.max(np.abs(vals)) <= TAU_PLATEAU)
-    under = (p_plus == 0.0) & (p_minus == 0.0)
+    under = (p_plus < TINY) & (p_minus < TINY)
     if not is_plateau and under.any():
         vals[under] = log_gap(pair, plus, xs[under] + eps, minus, xs[under] - eps)
     return xs, vals, is_plateau
@@ -215,7 +215,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
                window: Interval) -> list[CandidatePoint]:
     g = lambda x: defect(pair, eps, kind, x)
     plus, minus = _reads(kind)
-    # Where both shifted densities underflow to 0, log-densities give the sign.
+    # Where both shifted densities are subnormal or 0, log-densities give the sign.
     sign = lambda x: signed_gap(pair, plus, x + eps, minus, x - eps)
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:

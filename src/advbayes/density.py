@@ -23,6 +23,7 @@ MASS_TOL = 1e-9
 MAX_POLY_DEGREE = 5
 _BREAKPOINT_SNAP = 1e-12
 _ROOT_REFINE_TOL = 1e-13
+TINY = np.finfo(float).tiny  # smallest normal float; below it a density is subnormal or 0
 
 
 class BreakpointDerivative(ValueError):
@@ -538,9 +539,10 @@ def log_gap(pair: DistributionPair, plus: int, xp: np.ndarray, minus: int,
 
 
 def signed_gap(pair: DistributionPair, plus: int, xp: float, minus: int, xm: float) -> float:
-    """p_plus(xp) - p_minus(xm), signed by ``log_gap`` where both densities underflow to 0."""
+    """p_plus(xp) - p_minus(xm), or ``log_gap`` where both densities are below the
+    normal range: there the difference of subnormals loses the sign."""
     hi, lo = pair.pdf(plus, xp), pair.pdf(minus, xm)
-    if hi == 0.0 and lo == 0.0:
+    if hi < TINY and lo < TINY:
         return float(log_gap(pair, plus, np.array([xp]), minus, np.array([xm]))[0])
     return hi - lo
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
@@ -390,9 +391,10 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
     g = lambda x: pair.pdf(plus, x + eps) - pair.pdf(minus, x - eps)
 
     def sign(x):
-        """g, or the literal log-density difference where both densities are 0."""
+        """g, or the literal log-density difference where both densities are
+        subnormal or 0."""
         p, m = pair.pdf(plus, x + eps), pair.pdf(minus, x - eps)
-        if p == 0.0 and m == 0.0:
+        if p < sys.float_info.min and m < sys.float_info.min:
             gap = literal_logpdf(pair, plus, x + eps) - literal_logpdf(pair, minus, x - eps)
             return 0.0 if math.isnan(gap) else gap
         return p - m
@@ -411,7 +413,8 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
         vals = [g(float(x)) for x in xs]
         is_plateau = max(abs(v) for v in vals) <= fo.TAU_PLATEAU
         if not is_plateau:
-            vals = [sign(float(x)) if v == 0.0 else v for x, v in zip(xs, vals)]
+            vals = [sign(float(x)) if abs(v) < sys.float_info.min else v
+                    for x, v in zip(xs, vals)]
         plateau_flags.append(is_plateau)
         side_vals.append((vals[0], vals[-1]))
         if is_plateau:

@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from advbayes import examples
 from advbayes.certify import (
+    WORK_BUDGET,
     AtomList,
     BudgetExceeded,
+    _window_min,
     discretize,
     dual_value,
     duality_gap,
     primal_bruteforce,
 )
+from advbayes.solver import solve
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import IntervalSet
 from advbayes.risk import adversarial_risk
@@ -121,6 +128,56 @@ class TestDualValue:
         assert np.all(used1 <= a1.masses + 1e-12)
 
 
+# Dyadic positions and radii keep every distance exact, so ties at the
+# pairing radius are decided alike here and in the LP oracle.
+_MASSES = st.one_of(st.just(0.0), st.floats(1e-30, 1e-18), st.floats(0.01, 1.0))
+
+
+@st.composite
+def atom_lists(draw, klass):
+    ticks = sorted(draw(st.lists(st.integers(-40, 40), max_size=12, unique=True)))
+    masses = draw(st.lists(_MASSES, min_size=len(ticks), max_size=len(ticks)))
+    return AtomList(np.array(ticks, dtype=float) / 8.0, np.array(masses), klass)
+
+
+@given(atom_lists(0), atom_lists(1), st.integers(0, 48), st.sampled_from([0.0, 0.125]))
+@settings(deadline=None, max_examples=150)
+def test_dual_matches_lp_and_matching(a0, a1, eps16, grid_h):
+    eps = eps16 / 16.0
+    cert = dual_value(a0, a1, eps, grid_h)
+    radius = 2 * eps + grid_h
+    expected = oracles.lp_matching_value(a0.positions, a0.masses, a1.positions, a1.masses,
+                                         radius)
+    assert abs(cert.dual_value - expected) <= 1e-9
+    matching = cert.matching
+    assert len(matching) == cert.matching_stats()["n_pairs"]
+    used0, used1 = np.zeros(len(a0)), np.zeros(len(a1))
+    for i, j, m in matching:
+        assert abs(a0.positions[i] - a1.positions[j]) <= cert.pairing_radius
+        assert m > 0
+        used0[i] += m
+        used1[j] += m
+    assert np.all(used0 <= a0.masses + 1e-12)
+    assert np.all(used1 <= a1.masses + 1e-12)
+    assert abs(math.fsum(m for _, _, m in matching) - cert.dual_value) <= 1e-12
+
+
+def _literal_window_min(v, width):
+    return [min(v[max(0, k - width):k], default=math.inf) for k in range(len(v))]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_window_min_matches_literal(data):
+    # x + 0.0 turns -0.0 into 0.0, so the minimum's bytes do not depend on
+    # which of two equal zeros comes first.
+    entries = st.one_of(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), st.just(math.inf))
+    v = data.draw(st.lists(entries, max_size=40))
+    width = data.draw(st.integers(0, len(v) + 5))
+    got = _window_min(np.array(v, dtype=float), width)
+    assert got.tobytes() == np.array(_literal_window_min(v, width), dtype=float).tobytes()
+
+
 class TestPrimal:
     def test_threshold_family(self, nua_pair):
         eps = 0.2
@@ -180,8 +237,22 @@ class TestPrimal:
             primal_bruteforce(eqvar_pair, 1.0, 1e-6, 2)
 
     def test_max_k_guard(self, eqvar_pair):
-        with pytest.raises(ValueError):
-            primal_bruteforce(eqvar_pair, 0.5, 1e-2, 4)
+        # max_k has no fixed cap: it is limited by the values the DP holds.
+        for max_k in (0, -1):
+            with pytest.raises(ValueError):
+                primal_bruteforce(eqvar_pair, 0.5, 1e-2, max_k)
+        with pytest.raises(BudgetExceeded):
+            primal_bruteforce(eqvar_pair, 0.5, 1e-2, WORK_BUDGET)
+
+
+    def test_bump_pair_matches_solver_at_seventeen_pieces(self, bump_pair):
+        # 16 bumps need 16 intervals, past the old cap of 3; max_k = 17 leaves
+        # the grid minimizer unconstrained.
+        pair = bump_pair(16)
+        for eps in (0.1, 0.3):
+            val, argmin = primal_bruteforce(pair, eps, 1e-3, max_k=17)
+            assert abs(solve(pair, eps).min_risk - val) <= 1e-7
+            assert argmin.n_components == 16
 
 
 class TestDualityGap:
@@ -213,3 +284,9 @@ class TestDualityGap:
                 pts = np.sort(rng.uniform(-1.2, 1.2, size=4))
                 s = IntervalSet.of_open((pts[0], pts[1]), (pts[2], pts[3]))
                 assert dual <= adversarial_risk(pair, s, eps).total + c * h + 1e-12
+
+    def test_gap_shrinks_with_grid_h(self, deg_pair):
+        # The +h pairing slack dominates the gap, so it shrinks with each
+        # decade of grid_h.
+        gaps = [abs(duality_gap(deg_pair, 0.05, h, 2).gap) for h in (1e-3, 1e-4, 1e-5)]
+        assert gaps[0] > gaps[1] > gaps[2]

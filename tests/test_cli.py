@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from advbayes import cli
+from advbayes import certify, cli
 from advbayes.cli import ParseError, ValidationError, main, parse_config
 
 GAUSS_CFG = """
@@ -69,6 +69,14 @@ class TestExitCodes:
             ["certify", "--example", "degenerate", "--eps", "0.05", "--max-k", "0"]
         )
         assert code == 1
+
+    def test_max_k_past_budget(self, capsys):
+        # Layers that exceed the budget on any grid fail validation; layers
+        # that exceed it on this grid (n = 2,101) exit 3.
+        argv = ["certify", "--example", "degenerate", "--eps", "0.05", "--max-k"]
+        assert main(argv + [str(certify.WORK_BUDGET)]) == 1
+        assert main(argv + ["100000"]) == 3
+        assert "(n = 2101, max_k = 100000)" in capsys.readouterr().err
 
     def test_unknown_example(self, capsys):
         assert main(["examples", "not_a_thing"]) == 1

@@ -248,6 +248,49 @@ class TestFirstOrderUnderflow:
         _scan_matches_oracle(self.pair(), self.EPS)
 
 
+class TestFirstOrderSubnormal:
+    """Near x = 14.2 both shifted densities are subnormal (5e-324 apart), so
+    their raw difference has no sign to give; the scan reads log-densities
+    there, whose difference crosses 0 once, at 14.20195."""
+
+    EPS = 0.25
+    SPURIOUS = 14.2026  # the root a raw-difference scan reports
+
+    @staticmethod
+    def pair():
+        return DistributionPair(
+            class0=[Gaussian(weight=0.25, mu=26.0, sigma=0.3125),
+                    Gaussian(weight=0.25, mu=0.0, sigma=0.25)],
+            class1=[Gaussian(weight=1 / 6, mu=0.0, sigma=0.375),
+                    Gaussian(weight=1 / 6, mu=0.0, sigma=0.25),
+                    Gaussian(weight=1 / 6, mu=0.0, sigma=0.25)],
+        )
+
+    def log_gap(self, x):
+        pair, eps = self.pair(), self.EPS
+        return oracles.literal_logpdf(pair, 1, x + eps) - oracles.literal_logpdf(pair, 0, x - eps)
+
+    def test_no_root_from_subnormal_difference(self):
+        pair, eps = self.pair(), self.EPS
+        assert 0.0 < pair.pdf(1, self.SPURIOUS + eps) < 1e-320
+        assert 0.0 < pair.pdf(0, self.SPURIOUS - eps) < 1e-320
+        expected = brentq(self.log_gap, 14.0, 14.5, xtol=1e-15)
+        got = [x for x in locations(solve_first_order(pair, eps).a_candidates)
+               if 14.0 < x < 14.5]
+        assert len(got) == 1 and abs(got[0] - expected) <= 1e-10
+        assert abs(got[0] - self.SPURIOUS) > 1e-4
+
+    def test_samples_signed_by_log_densities(self):
+        pair, eps = self.pair(), self.EPS
+        xs, vals, is_plateau = conditions._sample_defect(pair, eps, "a", 0.0, 20.0, 8001)
+        assert not is_plateau
+        near = (xs > 14.1) & (xs < 14.3)
+        assert np.array_equal(np.sign(vals[near]), np.sign([self.log_gap(x) for x in xs[near]]))
+
+    def test_scan_matches_scalar_oracle(self):
+        _scan_matches_oracle(self.pair(), self.EPS)
+
+
 class TestFirstOrderNarrowBump:
     """A class-1 bump a thousand times narrower than class 0 lies between two
     evenly spaced samples of the scan (spacing about 0.099 over [-101, 101]);
