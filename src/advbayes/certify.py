@@ -24,6 +24,7 @@ dual makes one pass over the atoms.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .intervals import INF, Interval, IntervalSet
 # 8.4 to 13 of them, the most when the dilation window spans the grid.
 WORK_BUDGET = 50_000_000
 _DP_SCRATCH = 14
+_SWEEP_CHUNK = 8192  # class-0 atoms per pass of the dual loop
 _COVERAGE = 1.0 - 1e-6
 
 
@@ -236,32 +238,37 @@ def dual_value(
     c1 = np.concatenate([[0.0], np.cumsum(class1.masses)])
     lo = np.searchsorted(pos1, pos0 - radius, "left")
     hi = np.searchsorted(pos1, pos0 + radius, "right")
-    rows: list[int] = []
-    start: list[float] = []
-    end: list[float] = []
+    # Python floats run the loop fastest; chunks keep their lists short, and
+    # array buffers keep the result compact.
+    rows, ends = array("q"), array("d")
     u = 0.0
-    for i, (m, floor, ceil) in enumerate(zip(class0.masses.tolist(), c1[lo].tolist(),
-                                             c1[hi].tolist())):
-        if u < floor:
-            u = floor
-        take = ceil - u
-        if m < take:
-            take = m
-        if take > 0.0 and u + take > u:  # a take below the rounding of u moves nothing
-            rows.append(i)
-            start.append(u)
-            u += take
-            end.append(u)
-    idx = np.array(rows, dtype=np.intp)
-    begin, stop = np.array(start), np.array(end)
+    for s in range(0, len(pos0), _SWEEP_CHUNK):
+        part = slice(s, s + _SWEEP_CHUNK)
+        for i, (m, floor, ceil) in enumerate(zip(class0.masses[part].tolist(),
+                                                 c1[lo[part]].tolist(),
+                                                 c1[hi[part]].tolist()), s):
+            if u < floor:
+                u = floor
+            take = ceil - u
+            if m < take:
+                take = m
+            if take > 0.0 and u + take > u:  # a take below the rounding of u moves nothing
+                rows.append(i)
+                u += take
+                ends.append(u)
+    idx = np.frombuffer(rows, dtype=np.int64)
+    end = np.frombuffer(ends, dtype=float)
+    # C1[L_i] never decreases, so u before a stretch is the larger of the
+    # previous stretch's end and the atom's own floor.
+    start = np.maximum(np.concatenate([[0.0], end[:-1]]), c1[lo[idx]])
     return DualCertificate(
-        dual_value=float(math.fsum((stop - begin).tolist())),
+        dual_value=float(math.fsum((end - start).tolist())),
         grid_h=grid_h,
         pairing_radius=radius,
         c1=c1,
         rows=idx,
-        start=begin,
-        end=stop,
+        start=start,
+        end=end,
         lo=lo[idx],
         hi=hi[idx],
     )
