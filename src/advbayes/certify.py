@@ -84,8 +84,9 @@ class DualCertificate:
     """The dual value and the class-1 mass each class-0 atom consumed.
 
     Class-0 atom ``rows[t]`` consumed the stretch ``(start[t], end[t])`` of
-    cumulative class-1 mass ``c1``, inside ``[c1[lo[t]], c1[hi[t]]]``.  A
-    pair is a class-1 atom whose cell ``(c1[j], c1[j + 1])`` overlaps that
+    cumulative class-1 mass ``c1``; the class-1 atoms within its reach are
+    those below ``hi[t]``, and their cells start at or below ``start[t]``.
+    A pair is a class-1 atom whose cell ``(c1[j], c1[j + 1])`` overlaps that
     stretch by a positive length, and the overlap is its mass.
     ``matching`` expands the pairs each time it is read.
     """
@@ -97,12 +98,14 @@ class DualCertificate:
     rows: np.ndarray = field(repr=False)
     start: np.ndarray = field(repr=False)
     end: np.ndarray = field(repr=False)
-    lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
 
     def _cell_ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per stretch, the class-1 atoms ``first <= j < stop`` it can overlap."""
-        first = np.maximum(np.searchsorted(self.c1[1:], self.start, "right"), self.lo)
+        """Per stretch, the class-1 atoms ``first <= j < stop`` it can overlap.
+
+        ``hi`` bounds ``stop`` because rounding can put ``end`` an ulp past
+        ``c1[hi]``."""
+        first = np.searchsorted(self.c1[1:], self.start, "right")
         stop = np.minimum(np.searchsorted(self.c1[:-1], self.end, "left"), self.hi)
         return first, np.maximum(first, stop)
 
@@ -269,7 +272,6 @@ def dual_value(
         rows=idx,
         start=start,
         end=end,
-        lo=lo[idx],
         hi=hi[idx],
     )
 
