@@ -84,11 +84,11 @@ class DualCertificate:
     """The dual value and the class-1 mass each class-0 atom consumed.
 
     Class-0 atom ``rows[t]`` consumed the stretch ``(start[t], end[t])`` of
-    cumulative class-1 mass ``c1``; the class-1 atoms within its reach are
-    those below ``hi[t]``, and their cells start at or below ``start[t]``.
-    A pair is a class-1 atom whose cell ``(c1[j], c1[j + 1])`` overlaps that
-    stretch by a positive length, and the overlap is its mass.
-    ``matching`` expands the pairs each time it is read.
+    cumulative class-1 mass ``c1``; class-1 atoms from ``hi[t]`` on are out
+    of its reach.  A pair is a class-1 atom whose cell
+    ``(c1[j], c1[j + 1])`` overlaps that stretch by a positive length, and
+    the overlap is its mass.  ``matching`` expands the pairs each time it
+    is read.
     """
 
     dual_value: float
@@ -103,8 +103,10 @@ class DualCertificate:
     def _cell_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """Per stretch, the class-1 atoms ``first <= j < stop`` it can overlap.
 
-        ``hi`` bounds ``stop`` because rounding can put ``end`` an ulp past
-        ``c1[hi]``."""
+        A stretch starts at or above the cells left of its reach, so only
+        ``stop`` needs a bound: rounding can put ``end`` an ulp past
+        ``c1[hi]``.
+        """
         first = np.searchsorted(self.c1[1:], self.start, "right")
         stop = np.minimum(np.searchsorted(self.c1[:-1], self.end, "left"), self.hi)
         return first, np.maximum(first, stop)
