@@ -1,5 +1,15 @@
 """Command-line front end: solve, sweep, certify, examples.
 
+``solve``, ``sweep`` and ``certify`` read a source and a ``run`` block.  The
+source is ``--example NAME`` or a ``--config`` JSON file that holds
+``example``, ``atoms``, or ``class0`` and ``class1``, plus an optional
+``run`` object.  The run keys are ``epsilon`` (a number or {min, max,
+steps}), ``grid_h``, ``max_k``, ``tolerance``, ``full_matching``, ``out``
+and ``csv``; any other key is an error.  The flags (``--eps`` or
+``--eps-min``/``--eps-max``/``--steps``, ``--grid-h``, ``--max-k``,
+``--tol``, ``--full-matching``, ``--out``, ``--csv``) are written over the
+run block, and the merged config is validated once.
+
 Exit codes: 0 success, 1 usage or validation error, 2 completed with
 warnings (e.g. a widened endpoint window), 3 grid-search budget exceeded.
 """
@@ -13,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from . import certify, examples, reportio, risk, solver
+from . import certify, examples, reportio, solver
 from .certify import BudgetExceeded
 from .density import DistributionPair, pair_from_dict
 from .intervals import IntervalSet
@@ -37,41 +47,80 @@ class RunConfig:
     distribution: DistributionPair | None
     atoms: tuple | None = None
     eps_values: list[float] = field(default_factory=list)
-    grid_n: int = 2048
     grid_h: float = 1e-3
     max_k: int = 2
-    keep_all: bool = False
     full_matching: bool = False
     tolerance: float = 5e-3
     out: str | None = None
     csv: str | None = None
-    example: str | None = None
+
+
+RUN_KEYS = ("epsilon", "grid_h", "max_k", "tolerance", "full_matching", "out", "csv")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the JSON distribution-plus-run schema into a RunConfig."""
+    return config_from_dict(_json_object(text))
+
+
+def _json_object(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
         raise ParseError("top-level config must be an object")
+    return data
 
+
+def config_from_dict(data: dict) -> RunConfig:
+    """Validate a config object (a source plus a ``run`` block) into a RunConfig.
+
+    The source is ``example`` (a built-in name, or ``non_equiv`` for the
+    atomic pair), ``atoms``, or ``class0`` and ``class1``.  A built-in that
+    depends on the radius is built at ``run.epsilon`` when that is a single
+    number, and at its default radius otherwise.
+    """
     run = data.get("run", {})
     if not isinstance(run, dict):
         raise ParseError("'run' must be an object")
-    cfg = RunConfig(distribution=None)
+    unknown = sorted(set(run) - set(RUN_KEYS))
+    if unknown:
+        raise ParseError(f"unknown 'run' key {', '.join(map(repr, unknown))}; "
+                         f"the keys are {', '.join(RUN_KEYS)}")
 
+    eps_spec = run.get("epsilon")
+    eps0 = None
+    if isinstance(eps_spec, (int, float)):
+        eps0 = float(eps_spec)
+        eps_values = [eps0]
+    elif isinstance(eps_spec, dict):
+        try:
+            lo, hi = float(eps_spec["min"]), float(eps_spec["max"])
+            steps = int(eps_spec["steps"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"'run.epsilon' needs numeric min, max and steps: {exc!r}")
+        eps_values = _eps_range(lo, hi, steps)
+    elif eps_spec is None:
+        eps_values = []
+    else:
+        raise ParseError("'run.epsilon' must be a number or {min, max, steps}")
+    for eps in eps_values:
+        _check_eps(eps)
+
+    cfg = RunConfig(distribution=None, eps_values=eps_values)
     example = data.get("example")
-    if example is not None:
-        eps0 = run.get("epsilon") if isinstance(run.get("epsilon"), (int, float)) else None
+    if example == "non_equiv":
+        if eps0 is None:
+            raise ValidationError("the atomic example needs a single epsilon")
+        cfg.atoms = examples.atomic_pair(eps0)
+    elif example is not None:
         try:
             cfg.distribution = examples.example_pair(str(example), eps=eps0)
         except examples.UnknownExample:
             raise ValidationError(f"unknown built-in example {example!r}")
         except ValueError as exc:
             raise ValidationError(str(exc))
-        cfg.example = str(example)
     elif "atoms" in data:
         atoms = data["atoms"]
         try:
@@ -99,32 +148,22 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValidationError(str(exc))
 
-    eps_spec = run.get("epsilon")
-    if isinstance(eps_spec, (int, float)):
-        cfg.eps_values = [float(eps_spec)]
-    elif isinstance(eps_spec, dict):
-        try:
-            lo, hi = float(eps_spec["min"]), float(eps_spec["max"])
-            steps = int(eps_spec["steps"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"'run.epsilon' needs numeric min, max and steps: {exc!r}")
-        cfg.eps_values = _eps_range(lo, hi, steps)
-    elif eps_spec is not None:
-        raise ParseError("'run.epsilon' must be a number or {min, max, steps}")
-
     try:
-        cfg.grid_n = int(run.get("grid_n", cfg.grid_n))
         cfg.grid_h = float(run.get("grid_h", cfg.grid_h))
         cfg.max_k = int(run.get("max_k", cfg.max_k))
         cfg.tolerance = float(run.get("tolerance", cfg.tolerance))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed 'run' value: {exc}")
-    cfg.keep_all = bool(run.get("keep_all", cfg.keep_all))
     cfg.full_matching = bool(run.get("full_matching", cfg.full_matching))
     cfg.out, cfg.csv = run.get("out"), run.get("csv")
     if not all(p is None or isinstance(p, str) for p in (cfg.out, cfg.csv)):
         raise ParseError("'run.out' and 'run.csv' must be path strings")
-    _validate(cfg)
+    if not (math.isfinite(cfg.grid_h) and cfg.grid_h > 0):
+        raise ValidationError("grid_h must be finite and positive")
+    if cfg.max_k < 1 or certify.dp_slots(1, cfg.max_k) > certify.WORK_BUDGET:
+        raise ValidationError("max_k must be at least 1 and fit the certify budget")
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise ValidationError("tolerance must be finite and positive")
     return cfg
 
 
@@ -141,19 +180,6 @@ def _eps_range(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-
-
-def _validate(cfg: RunConfig) -> None:
-    for eps in cfg.eps_values:
-        _check_eps(eps)
-    if cfg.grid_n < 64:
-        raise ValidationError("grid_n must be at least 64")
-    if not (math.isfinite(cfg.grid_h) and cfg.grid_h > 0):
-        raise ValidationError("grid_h must be finite and positive")
-    if cfg.max_k < 1 or certify.dp_slots(1, cfg.max_k) > certify.WORK_BUDGET:
-        raise ValidationError("max_k must be at least 1 and fit the certify budget")
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-        raise ValidationError("tolerance must be finite and positive")
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -177,11 +203,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--eps-min", type=float, default=None)
         sp.add_argument("--eps-max", type=float, default=None)
         sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--grid-n", type=int, default=None)
         sp.add_argument("--grid-h", type=float, default=None)
         sp.add_argument("--max-k", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--keep-all", action="store_true")
         sp.add_argument("--full-matching", action="store_true")
         sp.add_argument("--out", default=None)
         sp.add_argument("--csv", default=None)
@@ -192,51 +216,37 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.eps is not None:
-        _check_eps(args.eps)
+    """The config file's object, or ``{"example": NAME}``, with the flags
+    written over its ``run`` block."""
     if args.config:
         with open(args.config) as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"config is not UTF-8 text: {exc}")
-        cfg = parse_config(text)
-    elif args.example and args.example != "non_equiv":
-        try:
-            cfg = RunConfig(distribution=examples.example_pair(args.example, eps=args.eps))
-        except ValueError as exc:
-            raise ValidationError(str(exc))
-        cfg.example = args.example
-    elif args.example == "non_equiv":
-        if args.eps is None:
-            raise ValidationError("the atomic example needs --eps")
-        cfg = RunConfig(distribution=None, atoms=examples.atomic_pair(args.eps))
-        cfg.example = "non_equiv"
+        data = _json_object(text)
+    elif args.example:
+        data = {"example": args.example}
     else:
         raise CliUsageError("one of --config or --example is required")
 
+    flags: dict = {}
     if args.eps is not None:
-        cfg.eps_values = [args.eps]
+        flags["epsilon"] = args.eps
     if args.eps_min is not None or args.eps_max is not None or args.steps is not None:
         if args.eps_min is None or args.eps_max is None or args.steps is None:
             raise CliUsageError("--eps-min, --eps-max and --steps go together")
-        cfg.eps_values = _eps_range(args.eps_min, args.eps_max, args.steps)
-    if args.grid_n is not None:
-        cfg.grid_n = args.grid_n
-    if args.grid_h is not None:
-        cfg.grid_h = args.grid_h
-    if args.max_k is not None:
-        cfg.max_k = args.max_k
-    if args.tol is not None:
-        cfg.tolerance = args.tol
-    cfg.keep_all = cfg.keep_all or args.keep_all
-    cfg.full_matching = cfg.full_matching or args.full_matching
-    if args.out is not None:
-        cfg.out = args.out
-    if args.csv is not None:
-        cfg.csv = args.csv
-    _validate(cfg)
-    return cfg
+        flags["epsilon"] = {"min": args.eps_min, "max": args.eps_max, "steps": args.steps}
+    for key, value in (("grid_h", args.grid_h), ("max_k", args.max_k),
+                       ("tolerance", args.tol), ("out", args.out), ("csv", args.csv)):
+        if value is not None:
+            flags[key] = value
+    if args.full_matching:
+        flags["full_matching"] = True
+    run = data.get("run", {})
+    if isinstance(run, dict):  # config_from_dict rejects any other 'run'
+        data["run"] = {**run, **flags}
+    return config_from_dict(data)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -250,16 +260,12 @@ def _emit(text: str, path: str | None) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def _solve(cfg: RunConfig, eps: float) -> SolveReport:
-    return solver.solve(cfg.distribution, eps, grid_n=cfg.grid_n, keep_all=cfg.keep_all)
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     if cfg.distribution is None:
         raise ValidationError("solve needs a density-based distribution")
     if len(cfg.eps_values) != 1:
         raise ValidationError("solve needs exactly one epsilon (use sweep for ranges)")
-    report = _solve(cfg, cfg.eps_values[0])
+    report = solver.solve(cfg.distribution, cfg.eps_values[0])
     _emit(reportio.dumps(reportio.solve_report_to_dict(report)), cfg.out)
     if cfg.csv:
         reportio.write_csv(cfg.csv, reportio.SOLVE_COLUMNS, [reportio.solve_csv_row(report)])
@@ -267,7 +273,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _sweep_reports(cfg: RunConfig) -> list[SolveReport]:
-    return [_solve(cfg, e) for e in sorted(cfg.eps_values)]
+    return [solver.solve(cfg.distribution, e) for e in sorted(cfg.eps_values)]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -325,7 +331,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         _emit(reportio.dumps(payload), cfg.out)
         return 0
     assert cfg.distribution is not None
-    report = _solve(cfg, eps)
+    report = solver.solve(cfg.distribution, eps)
     gap = certify.duality_gap(cfg.distribution, eps, cfg.grid_h, cfg.max_k)
     payload = {
         "solver_min_risk": report.min_risk,

@@ -34,6 +34,7 @@ TAU_ROOT = 1e-10
 TAU_PLATEAU = 1e-11
 TAU_DERIV = 1e-10
 _BISECT_TOL = 1e-12
+GRID_N = 2048  # defect samples per scan, spread over the scanned range
 
 
 class WindowEmpty(Exception):
@@ -211,7 +212,7 @@ def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[float]:
     return roots
 
 
-def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
+def _scan_kind(pair: DistributionPair, eps: float, kind: str,
                window: Interval) -> list[CandidatePoint]:
     g = lambda x: defect(pair, eps, kind, x)
     plus, minus = _reads(kind)
@@ -229,7 +230,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
     plateau_flags: list[bool] = []
     side_vals: list[tuple[float, float]] = []  # first/last sample of each segment
     for a, b in zip(edges, edges[1:]):
-        m = max(9, int(round(grid_n * (b - a) / total)) + 1)
+        m = max(9, int(round(GRID_N * (b - a) / total)) + 1)
         xs, vals, is_plateau = _sample_defect(pair, eps, kind, a, b, m)
         plateau_flags.append(is_plateau)
         side_vals.append((float(vals[0]), float(vals[-1])))
@@ -293,15 +294,13 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str, grid_n: int,
     return out
 
 
-def solve_first_order(pair: DistributionPair, eps: float, grid_n: int = 2048) -> FirstOrderScan:
+def solve_first_order(pair: DistributionPair, eps: float) -> FirstOrderScan:
     """All admissible endpoint candidates of both kinds inside the window."""
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
     window, widened = scan_window(pair, eps)
     if window is None:
         raise WindowEmpty(f"endpoint window has empty interior at eps={eps}")
-    return FirstOrderScan(a_candidates=_scan_kind(pair, eps, "a", grid_n, window),
-                          b_candidates=_scan_kind(pair, eps, "b", grid_n, window),
+    return FirstOrderScan(a_candidates=_scan_kind(pair, eps, "a", window),
+                          b_candidates=_scan_kind(pair, eps, "b", window),
                           window=window, window_widened=widened)
 
 
@@ -314,7 +313,7 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     range is dropped even where the densities have not underflowed to 0.
     """
     window = scan_window(pair, 0.0)[0]
-    cands = _scan_kind(pair, 0.0, "a", 2048, window)
+    cands = _scan_kind(pair, 0.0, "a", window)
     plateaus = [c.plateau for c in cands if c.plateau is not None]
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
     pts.update(x for c in cands for x in c.enumeration_points())
@@ -327,7 +326,7 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     inner = sorted(pts)
     for a, b in zip(inner, inner[1:]):
         if any(p_lo <= a and b <= p_hi for p_lo, p_hi in plateaus):
-            m = max(9, int(round(2048 * (b - a) / (hi - lo))) + 1)
+            m = max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1)
             xs, vals, _ = _sample_defect(pair, 0.0, "a", a, b, m)
             keep = vals != 0.0
             if keep.any():

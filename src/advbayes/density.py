@@ -9,6 +9,7 @@ resolved at 1e-9.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -261,19 +262,11 @@ class PiecewisePoly:
                 raise ValueError(f"density is negative on cell [{lo}, {hi}]")
 
     def _cell_index(self, x: float) -> int | None:
+        """Cell holding x, the last one for the last breakpoint; None outside."""
         bp = self.breakpoints
         if x < bp[0] or x > bp[-1]:
             return None
-        if x == bp[-1]:
-            return len(bp) - 2
-        lo, hi = 0, len(bp) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x < bp[mid]:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        return min(bisect.bisect_right(bp, x) - 1, len(bp) - 2)
 
     def _cell_indices(self, xs: np.ndarray) -> np.ndarray:
         """``_cell_index`` elementwise, clipped to the first and last cell."""
@@ -346,9 +339,8 @@ class PiecewisePoly:
             mask = j == cell
             if not mask.any():
                 continue
-            anti = np.asarray(_poly_antiderivative(row))
-            vals = np.polynomial.polynomial.polyval(xs[mask], anti)
-            out[mask] += vals - np.polynomial.polynomial.polyval(bp[cell], anti)
+            anti = _poly_antiderivative(row)
+            out[mask] += _poly_eval(anti, xs[mask]) - _poly_eval(anti, bp[cell])
         out[xs <= bp[0]] = 0.0
         out[xs >= bp[-1]] = self.total_mass
         return out

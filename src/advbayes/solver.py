@@ -244,13 +244,7 @@ def degenerate_report(
     )
 
 
-def solve(
-    pair: DistributionPair,
-    eps: float,
-    *,
-    grid_n: int = 2048,
-    keep_all: bool = False,
-) -> SolveReport:
+def solve(pair: DistributionPair, eps: float) -> SolveReport:
     """Find every minimizer at one radius and group them into equivalence classes."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -259,7 +253,7 @@ def solve(
     a_pts: list[float] = []
     b_pts: list[float] = []
     try:
-        scan = conditions.solve_first_order(pair, eps, grid_n)
+        scan = conditions.solve_first_order(pair, eps)
     except WindowEmpty:
         warnings.append("endpoint window is empty; only ∅ and ℝ were considered")
     if scan is not None:
@@ -267,8 +261,7 @@ def solve(
             warnings.append("support is not an interval; endpoint window was widened")
 
         def usable(cands: list[CandidatePoint]) -> list[float]:
-            return [p for c in cands if keep_all or c.second_order != FAIL
-                    for p in c.enumeration_points()]
+            return [p for c in cands if c.second_order != FAIL for p in c.enumeration_points()]
 
         a_pts, b_pts = usable(scan.a_candidates), usable(scan.b_candidates)
 

@@ -32,7 +32,7 @@ def uniform_half_pair():
 class TestDiscretize:
     def test_uniform_atoms(self):
         pair = uniform_half_pair()
-        a0, a1 = discretize(pair, 0.5, window=(-1.0, 1.0))
+        a0, a1 = discretize(pair, 0.5)
         assert len(a0) == 4
         assert np.allclose(a0.masses, 0.125)
         assert np.allclose(a0.positions, [-0.75, -0.25, 0.25, 0.75])
@@ -41,10 +41,6 @@ class TestDiscretize:
         a0, a1 = discretize(eqvar_pair, 1e-3)
         assert a0.total() == pytest.approx(0.5, abs=1e-9)
         assert a1.total() == pytest.approx(0.5, abs=1e-9)
-
-    def test_narrow_window_is_widened(self, eqvar_pair):
-        a0, a1 = discretize(eqvar_pair, 1e-2, window=(-0.5, 0.5))
-        assert a0.total() == pytest.approx(0.5, abs=1e-6)
 
     def test_positions_increasing(self, deg_pair):
         a0, a1 = discretize(deg_pair, 1e-3)

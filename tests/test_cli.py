@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from advbayes import certify, cli
+from advbayes import certify, cli, examples
 from advbayes.cli import ParseError, ValidationError, main, parse_config
 
 GAUSS_CFG = """
@@ -17,7 +17,6 @@ GAUSS_CFG = """
 class TestParseConfig:
     def test_minimal_gaussian_defaults(self):
         cfg = parse_config(GAUSS_CFG)
-        assert cfg.grid_n == 2048
         assert cfg.grid_h == 1e-3
         assert cfg.max_k == 2
         assert cfg.eps_values == [0.5]
@@ -100,12 +99,20 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid_n", ['"fine"', "1e400"])
-    def test_non_numeric_grid_n(self, tmp_path, capsys, grid_n):
+    @pytest.mark.parametrize("max_k", ['"fine"', "1e400"])
+    def test_non_numeric_max_k(self, tmp_path, capsys, max_k):
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"example": "degenerate", "run": {"epsilon": 0.05, "grid_n": %s}}' % grid_n)
+        cfg.write_text('{"example": "degenerate", "run": {"epsilon": 0.05, "max_k": %s}}' % max_k)
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["grid_n", "keep_all", "tolerence"])
+    def test_unknown_run_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"example": "degenerate", "run": {"epsilon": 0.05, key: 1}}))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err and captured.out == ""
 
     def test_examples_negative_eps(self, capsys):
         assert main(["examples", "degenerate", "--eps", "-1"]) == 1
@@ -288,15 +295,31 @@ class TestCertifyCommand:
         assert code == 3
 
 
+@pytest.mark.parametrize("name", examples.EXAMPLE_NAMES + ("non_equiv",))
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_config_example_matches_flag(tmp_path, capsys, name, command):
+    """A config naming a built-in gives what ``--example`` gives: a built-in
+    tuned to the radius is built at the radius solved in both."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"example": name}))
+
+    def run(source):
+        code = main([command] + source + ["--eps", "0.05", "--grid-h", "2e-3"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    assert run(["--config", str(cfg)]) == run(["--example", name])
+
+
 class TestParserCache:
     ARGVS = [
         ["solve", "--example", "non_uniqueness_all", "--eps", "0.2"],
-        ["solve", "--example", "non_uniqueness_all", "--eps", "0.1", "--keep-all"],
+        ["solve", "--example", "non_uniqueness_all", "--eps", "0.1", "--tol", "1e-3"],
         ["sweep", "--example", "degenerate", "--eps-min", "0.05", "--eps-max", "0.1",
          "--steps", "2"],
         ["examples", "non_uniqueness_single"],
         ["certify", "--example", "non_equiv", "--eps", "0.3", "--full-matching"],
-        ["solve", "--example", "degenerate", "--eps", "0.05", "--grid-n", "512"],
+        ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "2e-3"],
         ["solve", "--bogus"],
         ["solve", "--example", "non_uniqueness_all", "--eps", "0.2"],
     ]

@@ -70,14 +70,16 @@ def pinned_runs() -> list[dict]:
                               "--csv", "{dir}/sweep.csv"]})
         mid = lo + (hi - lo) * ((steps - 1) // 2) / (steps - 1)
         for eps in (lo, mid, hi):
-            for extra in ([], ["--keep-all"]):
-                runs.append({"argv": ["solve", "--example", name, "--eps", repr(eps)] + extra})
+            runs.append({"argv": ["solve", "--example", name, "--eps", repr(eps)]})
     for name, eps in CERTIFY_EPS.items():
         runs.append({"argv": ["certify", "--example", name, "--eps", repr(eps),
                               "--grid-h", "1e-3"]})
     for eps in (0.05, 0.1):
         runs.append({"argv": ["solve", "--example", "deg_eta_0_1_counterexample",
                               "--eps", repr(eps)]})
+    # The same built-in named by a config: it must be built at the radius solved.
+    runs.append({"argv": ["solve", "--config", "{dir}/deg_eta.json", "--eps", "0.05"],
+                 "inputs": {"deg_eta.json": {"example": "deg_eta_0_1_counterexample"}}})
     runs.append({"argv": ["certify", "--example", "non_equiv", "--eps", "0.3",
                           "--full-matching"]})
     for name in CERTIFY_EPS:
@@ -121,6 +123,8 @@ def versions() -> dict:
 def test_reports_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert golden["runs"], "the golden file pins no runs"
+    assert [_run_id(run) for run in golden["runs"]] == [_run_id(run) for run in pinned_runs()], (
+        "the golden file's runs differ from pinned_runs(); re-pin it")
     differing = []
     for run in golden["runs"]:
         expected = {k: run[k] for k in run if k not in ("argv", "inputs")}

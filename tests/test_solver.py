@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from advbayes import cli, examples, solver
-from advbayes.density import DistributionPair, PiecewisePoly
+from advbayes.conditions import FAIL
+from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
 from advbayes.risk import TAU_RISK, adversarial_risk
 from advbayes.solver import (
@@ -18,7 +19,7 @@ from advbayes.solver import (
     degenerate_report,
     solve,
 )
-from strategies import gaussian_mixture_pairs, piecewise_poly_pairs
+from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs
 
 
 def record_enumeration(monkeypatch) -> list[tuple]:
@@ -170,27 +171,25 @@ class TestSolvePiecewise:
         assert rep.classes[0].representative == IntervalSet.reals()
         assert rep.min_risk == pytest.approx(0.1, abs=1e-12)
 
-    def test_keep_all_retains_failing_candidates(self, eqvar_pair, monkeypatch):
+    def test_failing_candidates_leave_the_pool(self, eqvar_pair, monkeypatch):
+        """No candidate that fails the curvature check reaches its kind's pool."""
         calls = record_enumeration(monkeypatch)
-        solve(eqvar_pair, 0.5)
-        solve(eqvar_pair, 0.5, keep_all=True)
-        (slim, _), (full, _) = calls
-        assert len(full[0]) + len(full[1]) > len(slim[0]) + len(slim[1])
+        scan = solve(eqvar_pair, 0.5).first_order
+        [(pool, _)] = calls
+        for cands, kind_pool in ((scan.a_candidates, pool[0]), (scan.b_candidates, pool[1])):
+            failing = {p for c in cands if c.second_order == FAIL for p in c.enumeration_points()}
+            assert not failing & set(kind_pool)
+        assert any(c.second_order == FAIL and c.location == pytest.approx(1.0, abs=1e-9)
+                   for c in scan.b_candidates)
 
-        # a one-sided set built from the curvature-rejected right endpoint
-        def left_half_lines(pool):
-            return [
-                s
-                for s in oracles.enumerate_regular_sets(*pool)[0]
-                if s.n_components == 1
-                and s.intervals[0].lo == -INF
-                and math.isfinite(s.intervals[0].hi)
-            ]
-
-        assert any(
-            s.intervals[0].hi == pytest.approx(1.0, abs=1e-9) for s in left_half_lines(full)
-        )
-        assert not left_half_lines(slim)
+        # so no one-sided set ends at the curvature-rejected right endpoint
+        assert not [
+            s
+            for s in oracles.enumerate_regular_sets(*pool)[0]
+            if s.n_components == 1
+            and s.intervals[0].lo == -INF
+            and math.isfinite(s.intervals[0].hi)
+        ]
 
     def test_window_empty_fallback(self, nus_pair, monkeypatch):
         calls = record_enumeration(monkeypatch)
@@ -308,15 +307,14 @@ def test_bump_pools_without_caps(bump_pair, monkeypatch, k):
     assert abs(rep.min_risk - expected) <= 1e-12
 
 
-@given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs()),
-       st.floats(0.02, 1.0), st.booleans())
+@given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs()), st.floats(0.02, 1.0))
 @settings(deadline=None, max_examples=200)
-def test_minimizers_match_exhaustive_oracle(pair, eps, keep_all):
+def test_minimizers_match_exhaustive_oracle(pair, eps):
     """On pools under the DFS oracle's cap, ``solve`` keeps exactly the
     oracle's minimizers, in order and with the bits of per-set risks."""
     with pytest.MonkeyPatch.context() as mp:
         calls = record_enumeration(mp)
-        rep = solve(pair, eps, keep_all=keep_all)
+        rep = solve(pair, eps)
     [(pool, _)] = calls
     sets, truncated = oracles.enumerate_regular_sets(*pool)
     assume(not truncated)
@@ -404,6 +402,40 @@ class TestMinimizerClosure:
                     for s in (x.union(y), x.intersect(y)):
                         r = adversarial_risk(pair, s, eps).total
                         assert r <= rep.min_risk + 1e-9
+
+
+# eps is near TAU_RISK: the listed minimizers lie 0 to 9.3e-10 above min_risk,
+# and one union lies 1.6e-9 above it, over TAU_RISK but under 2 * TAU_RISK.
+_NEAR_TAU_PAIR = DistributionPair(
+    [PiecewisePoly((-1.25, 0.25, 1.0, 2.0),
+                   ((0.18086989232080386, 0.042557621722542086), (0.0,),
+                    (0.08036986947409046, -0.13596922030364644, 0.05751314519660569))),
+     Gaussian(0.3037452491565482, -0.2162342279723506, 0.9458543652328864)],
+    [PiecewisePoly((-1.25, 0.25, 1.0, 2.0),
+                   ((0.10422192206384746, -0.032068283711953055),
+                    (0.0678105973768059, -0.08827605316497199, 0.06798730451334276),
+                    (0.09084114227327797, -0.15903636167393492, 0.07951818083696745))),
+     Gaussian(0.1962547508434518, -0.5315887047740014, 0.265910973103223)],
+)
+
+
+@given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs(), mixed_pairs()),
+       st.floats(0.0, 1.0))
+@example(_NEAR_TAU_PAIR, 1e-9)
+@settings(deadline=None, max_examples=200)
+def test_minimizers_form_a_lattice(pair, eps):
+    """The risk is submodular on the listed minimizers, and their unions and
+    intersections are minimizers up to 2 * TAU_RISK: each listed member may
+    sit TAU_RISK above min_risk."""
+    rep = solve(pair, eps)
+    mins = rep.minimizers[:12]
+    for i, a in enumerate(mins):
+        for b in mins[i + 1:]:
+            r_cup = adversarial_risk(pair, a.set.union(b.set), eps).total
+            r_cap = adversarial_risk(pair, a.set.intersect(b.set), eps).total
+            assert r_cup + r_cap <= a.risk.total + b.risk.total + 1e-15
+            for r in (r_cup, r_cap):
+                assert rep.min_risk - 1e-12 <= r <= rep.min_risk + 2 * TAU_RISK
 
 
 class TestWeakDualityFloor:
