@@ -5,13 +5,15 @@ class-1 data outside it plus the mass of class-0 data inside it.  Under an
 attacker that may move points by up to ``eps``, both sets are dilated before
 the masses are taken.  All masses are exact quadrature, so two risks that
 agree to ~1e-15 are genuinely tied; ties are detected at TAU_RISK = 1e-9.
+Each mass is a difference of ``DistributionPair.cdf`` values, which the pair
+memoizes, so risks of many sets that share dilated endpoints cost one CDF
+evaluation per distinct endpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .density import DistributionPair
 from .intervals import IntervalSet
@@ -39,40 +41,13 @@ class RiskBreakdown:
         }
 
 
-def adversarial_risks(
-    pair: DistributionPair, sets: Iterable[IntervalSet], eps: float
-) -> list[RiskBreakdown]:
-    """``adversarial_risk`` of each set, sharing one table of endpoint CDFs.
-
-    Sets are dilated one at a time as the iterable yields them.  Each
-    distinct (class, endpoint) pair costs one scalar ``pair.cdf`` call, and
-    the masses are summed exactly as ``DistributionPair.mass_set`` sums
-    them, so every risk has the bits of a one-set evaluation.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    tables: tuple[dict[float, float], dict[float, float]] = ({}, {})
-
-    def cdf(which: int, x: float) -> float:
-        v = tables[which].get(x)
-        if v is None:
-            v = tables[which][x] = pair.cdf(which, x)
-        return v
-
-    def mass_set(which: int, s: IntervalSet) -> float:
-        return sum(cdf(which, iv.hi) - cdf(which, iv.lo) if iv.lo < iv.hi else 0.0 for iv in s)
-
-    out = []
-    for a in sets:
-        fn = mass_set(1, a.complement().expand(eps))
-        fp = mass_set(0, a.expand(eps))
-        out.append(RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp, epsilon=eps))
-    return out
-
-
 def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> RiskBreakdown:
     """Risk when every point within ``eps`` of the decision boundary is lost."""
-    return adversarial_risks(pair, (a,), eps)[0]
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    fn = pair.mass_set(1, a.complement().expand(eps))
+    fp = pair.mass_set(0, a.expand(eps))
+    return RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp, epsilon=eps)
 
 
 def standard_risk(pair: DistributionPair, a: IntervalSet) -> RiskBreakdown:

@@ -22,7 +22,7 @@ from . import conditions
 from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty
 from .density import DistributionPair
 from .intervals import INF, Interval, IntervalSet
-from .risk import TAU_RISK, RiskBreakdown, adversarial_risk, adversarial_risks
+from .risk import TAU_RISK, RiskBreakdown, adversarial_risk
 
 
 class AssumptionUnmet(ValueError):
@@ -130,19 +130,15 @@ def enumerate_candidates(
     pieces.  A backward pass over the sorted pool nodes gives each node's
     cheapest completion; a walk pruned on it lists every sequence whose
     edge sum is within 2*TAU_RISK of the minimum.  The listed sets, sorted
-    by ``_set_key``, get their exact risks from ``adversarial_risks``.
+    by ``_set_key``, get their exact risks from ``adversarial_risk``; every
+    edge mass and risk reads the pair's memoized class CDFs.
     """
     nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
     if window is not None:
         nodes = [(x, k) for x, k in nodes if window.lo <= x <= window.hi]
-    table: tuple[dict[float, float], dict[float, float]] = ({}, {})
 
     def mass(which: int, lo: float, hi: float) -> float:
-        t = table[which]
-        for x in (lo, hi):
-            if x not in t:
-                t[x] = pair.cdf(which, x)
-        return t[hi] - t[lo]
+        return pair.cdf(which, hi) - pair.cdf(which, lo)
 
     # The piece that starts at a node is a component (class 0 pays) after an
     # "a" and a gap (class 1 pays) after a "b".
@@ -172,7 +168,7 @@ def enumerate_candidates(
             if step + best[j] <= bound:
                 stack.append((j, step, path + (j,)))
     sets.sort(key=_set_key)
-    return sets, adversarial_risks(pair, sets, eps)
+    return sets, [adversarial_risk(pair, s, eps) for s in sets]
 
 
 def are_equivalent(pair: DistributionPair, eps: float, a1: IntervalSet, a2: IntervalSet) -> bool:

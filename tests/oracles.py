@@ -180,14 +180,23 @@ def oracle_adv_risk(ref, pairs: list[tuple[float, float]], eps: float) -> float:
     return fn + fp
 
 
+def class_cdf(pair, which: int, x: float) -> float:
+    """Class CDF summed from the component CDFs, without the pair's memo."""
+    return sum(c.cdf(x) for c in (pair.class0, pair.class1)[which])
+
+
 def mass_set_risk(pair, s, eps: float):
-    """(total, fn, fp) of one set from two per-set ``mass_set`` calls.
+    """(total, fn, fp) of one set, summed as ``DistributionPair.mass_set`` sums.
 
     The literal definition of the adversarial risk on the package's interval
-    algebra and masses, without the risk module's shared CDF table.
+    algebra, with class CDFs from ``class_cdf`` rather than the pair's memo.
     """
-    fn = pair.mass_set(1, s.complement().expand(eps))
-    fp = pair.mass_set(0, s.expand(eps))
+    def mass_set(which, t):
+        return sum(class_cdf(pair, which, iv.hi) - class_cdf(pair, which, iv.lo)
+                   if iv.lo < iv.hi else 0.0 for iv in t)
+
+    fn = mass_set(1, s.complement().expand(eps))
+    fp = mass_set(0, s.expand(eps))
     return fn + fp, fn, fp
 
 
@@ -225,7 +234,7 @@ def literal_bruteforce(pair, eps: float, xs, max_k: int):
     it checks the layered-DP minimization independently.
     """
     from advbayes.intervals import Interval, IntervalSet
-    from advbayes.risk import adversarial_risks
+    from advbayes.risk import adversarial_risk
 
     def sets():
         yield IntervalSet.empty()
@@ -238,7 +247,7 @@ def literal_bruteforce(pair, eps: float, xs, max_k: int):
                     continue
                 yield IntervalSet([Interval(p[i], p[i + 1]) for i in range(0, 2 * k, 2)])
 
-    return min(r.total for r in adversarial_risks(pair, sets(), eps))
+    return min(adversarial_risk(pair, s, eps).total for s in sets())
 
 
 # -- regular sets from an endpoint pool ---------------------------------------------

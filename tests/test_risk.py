@@ -19,7 +19,6 @@ from advbayes.intervals import INF, Interval, IntervalSet
 from advbayes.risk import (
     EndpointMismatch,
     adversarial_risk,
-    adversarial_risks,
     risk_gap_bound,
     standard_risk,
 )
@@ -110,7 +109,7 @@ class TestAdversarialRisk:
             )
 
 
-# Gaussian-mixture, piecewise and mixed pairs for the batched-risk property.
+# Gaussian-mixture, piecewise and mixed pairs for the memo and risk properties.
 BATCH_PAIRS = [
     examples.gaussians_equal_variances(),
     examples.gaussians_equal_means(),
@@ -128,7 +127,7 @@ BATCH_PAIRS = [
     ),
 ]
 
-# Dyadic endpoints repeat across sets, so the batch reuses table entries.
+# Dyadic endpoints repeat across sets, so risks reuse memo entries.
 batch_points = st.one_of(
     st.integers(min_value=-48, max_value=48).map(lambda k: k / 16.0),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -155,26 +154,45 @@ def batch_sets(draw):
 
 @given(
     st.sampled_from(range(len(BATCH_PAIRS))),
+    st.lists(st.one_of(batch_points, st.sampled_from([-INF, INF, 0.0, -0.0])),
+             min_size=1, max_size=24),
+)
+@settings(max_examples=150, deadline=None)
+def test_memoized_cdf_matches_component_sum(index, points):
+    """First and repeated reads of the pair's CDF memo have the bits of a
+    fresh component sum; 0.0 and -0.0 share an entry and give equal bits."""
+    pair = DistributionPair(BATCH_PAIRS[index].class0, BATCH_PAIRS[index].class1)
+    for x in points + points[::-1]:
+        for which in (0, 1):
+            assert repr(pair.cdf(which, x)) == repr(oracles.class_cdf(pair, which, x)), x
+
+
+@given(
+    st.sampled_from(range(len(BATCH_PAIRS))),
     st.lists(st.one_of(st.just(IntervalSet.empty()), st.just(IntervalSet.reals()), batch_sets()),
              min_size=1, max_size=12),
     st.one_of(st.just(0.0), st.integers(1, 16).map(lambda k: k / 32.0),
               st.floats(min_value=0.0, max_value=1.5, allow_nan=False)),
 )
 @settings(max_examples=150, deadline=None)
-def test_batched_risks_match_per_set_masses(index, sets, eps):
-    """One streamed batch gives every set the bits of per-set ``mass_set`` calls."""
+def test_adversarial_risk_matches_oracle(index, sets, eps):
+    """Risks read from the memo have the bits of memo-free per-set masses."""
     pair = BATCH_PAIRS[index]
-    got = adversarial_risks(pair, (s for s in sets), eps)
-    assert len(got) == len(sets)
-    for s, r in zip(sets, got):
-        expected = oracles.mass_set_risk(pair, s, eps)
-        assert repr((r.total, r.fn_mass, r.fp_mass)) == repr(expected), s
+    for s in sets:
+        r = adversarial_risk(pair, s, eps)
+        assert repr((r.total, r.fn_mass, r.fp_mass)) == repr(oracles.mass_set_risk(pair, s, eps)), s
         assert r.epsilon == eps
 
 
-def test_batched_risks_reject_negative_eps(nua_pair):
+def test_adversarial_risk_rejects_negative_eps(nua_pair):
     with pytest.raises(ValueError):
-        adversarial_risks(nua_pair, [IntervalSet.reals()], -0.1)
+        adversarial_risk(nua_pair, IntervalSet.reals(), -0.1)
+
+
+@pytest.mark.parametrize("which", [-1, 2])
+def test_cdf_rejects_bad_class_index(nua_pair, which):
+    with pytest.raises(ValueError, match="class index"):
+        nua_pair.cdf(which, 0.0)
 
 
 class TestRiskProperties:

@@ -262,46 +262,46 @@ def test_near_sorted_matches_linear_scan(points, p, tol, nudge):
     assert solver._near_sorted(sorted(points), p, tol) == expected
 
 
-def test_candidate_risks_share_endpoint_cdfs(bump_pair, monkeypatch):
-    """Candidate risks read one CDF table: the 2,584 regular sets of the 8-bump
-    pool have a few dozen distinct dilated endpoints.  Evaluating each set on
-    its own takes 39,348 scalar ``cdf`` calls."""
+def count_gaussian_cdfs(monkeypatch) -> list[float]:
+    """Record the point of every ``Gaussian.cdf`` evaluation from now on."""
     calls = []
-    cdf = DistributionPair.cdf
+    cdf = Gaussian.cdf
 
-    def counted(self, which, x):
+    def counted(self, x):
         calls.append(x)
-        return cdf(self, which, x)
+        return cdf(self, x)
 
+    monkeypatch.setattr(Gaussian, "cdf", counted)
+    return calls
+
+
+def test_candidate_risks_share_endpoint_cdfs(bump_pair, monkeypatch):
+    """Candidate risks read the pair's CDF memo: the 2,584 regular sets of the
+    8-bump pool have a few dozen distinct dilated endpoints.  Evaluating each
+    set without the memo takes 39,348 class CDFs of 8 components each."""
+    k = 8
     enumerations = record_enumeration(monkeypatch)
-    monkeypatch.setattr(DistributionPair, "cdf", counted)
-    solve(bump_pair(8), 0.3)
-    monkeypatch.setattr(DistributionPair, "cdf", cdf)
+    calls = count_gaussian_cdfs(monkeypatch)
+    solve(bump_pair(k), 0.3)
+    monkeypatch.undo()
     [(pool, _)] = enumerations
     assert len(oracles.enumerate_regular_sets(*pool)[0]) == 2584
-    assert len(calls) < 512
+    assert len(calls) < 512 * k
 
 
 @pytest.mark.parametrize("k", [32, 64])
 def test_bump_pools_without_caps(bump_pair, monkeypatch, k):
     """k bumps have 2k-1 crossings per kind, past the old 64-candidate cap at
     k=64, and far more regular sets than the old 4,096-set enumeration cap;
-    the DP over the whole pool finds the minimum with fewer than 16k scalar
-    ``cdf`` calls and no warning."""
-    calls = []
-    cdf = DistributionPair.cdf
-
-    def counted(self, which, x):
-        calls.append(x)
-        return cdf(self, which, x)
-
+    the DP over the whole pool finds the minimum with fewer than 16k class
+    CDFs (16k * k component CDFs) and no warning."""
     enumerations = record_enumeration(monkeypatch)
-    monkeypatch.setattr(DistributionPair, "cdf", counted)
+    calls = count_gaussian_cdfs(monkeypatch)
     rep = solve(bump_pair(k), 0.3)
-    monkeypatch.setattr(DistributionPair, "cdf", cdf)
+    monkeypatch.undo()
     assert not rep.warnings
     assert len(rep.first_order.a_candidates) == len(rep.first_order.b_candidates) == 2 * k - 1
-    assert len(calls) < 16 * k
+    assert len(calls) < 16 * k * k
     [(pool, _)] = enumerations
     expected = oracles.pool_dp_min(oracles.ref_bumps_mass(k), *pool)
     assert abs(rep.min_risk - expected) <= 1e-12
