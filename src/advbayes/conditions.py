@@ -17,6 +17,7 @@ measures how far the endpoint candidates at a radius lie from it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,18 @@ TAU_PLATEAU = 1e-11
 TAU_DERIV = 1e-10
 _BISECT_TOL = 1e-12
 GRID_N = 2048  # defect samples per scan, spread over the scanned range
+
+
+def near_sorted(points: list[float], p: float, tol: float, relative: bool = False) -> bool:
+    """Some entry ``y`` of the sorted ``points`` lies within ``tol`` of ``p``,
+    or within ``tol * max(1, |y|)`` when ``relative``.
+
+    Only the two neighbours of ``p`` in sorted order need checking: an entry
+    farther out is farther from ``p`` by more than its tolerance grows.
+    """
+    i = bisect.bisect_left(points, p)
+    return any(abs(p - y) <= (tol * max(1.0, abs(y)) if relative else tol)
+               for y in points[max(0, i - 1):i + 1])
 
 
 class WindowEmpty(Exception):
@@ -261,34 +274,35 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
         if gl != 0.0 and gr != 0.0 and (gl > 0) != (gr > 0):
             jumps.append(s)
 
-    def near_existing(x: float, locs: list[float]) -> bool:
-        return any(abs(x - y) <= 1e-11 * max(1.0, abs(y)) for y in locs)
+    def near_existing(x: float) -> bool:
+        return near_sorted(taken, x, 1e-11, relative=True)
 
     out: list[CandidatePoint] = []
-    taken: list[float] = []
+    taken: list[float] = []  # kept sorted
     for p_lo, p_hi in plateaus:
         verdicts = [check_second_order(pair, eps, x, kind) for x in (p_lo, p_hi)]
         verdict = PASS if PASS in verdicts else (
             INCONCLUSIVE if INCONCLUSIVE in verdicts else FAIL)
         out.append(CandidatePoint(kind=kind, plateau=(p_lo, p_hi),
                                   second_order=verdict, residual=0.0))
-        taken.extend([p_lo, p_hi])
+        bisect.insort(taken, p_lo)
+        bisect.insort(taken, p_hi)
     for r in sorted(set(roots)):
-        if near_existing(r, taken):
+        if near_existing(r):
             continue
         out.append(CandidatePoint(kind=kind, location=r,
                                   second_order=check_second_order(pair, eps, r, kind),
                                   residual=g(r)))
-        taken.append(r)
+        bisect.insort(taken, r)
     # Jump points, then discontinuity-shifted points: the latter are
     # admissible endpoints regardless of any sign change, since the
     # stationarity argument needs continuity there.
     for s in jumps + _shifted(pair.discontinuities, eps, kind):
-        if not lo < s < hi or near_existing(s, taken):
+        if not lo < s < hi or near_existing(s):
             continue
         out.append(CandidatePoint(kind=kind, location=s, second_order=INCONCLUSIVE,
                                   residual=g(s), at_jump=True))
-        taken.append(s)
+        bisect.insort(taken, s)
 
     out.sort(key=lambda c: c.enumeration_points()[0])
     return out

@@ -14,12 +14,11 @@ mass-invisible "degenerate" regions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
 from . import conditions
-from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty
+from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty, near_sorted
 from .density import DistributionPair
 from .intervals import INF, Interval, IntervalSet
 from .risk import TAU_RISK, RiskBreakdown, adversarial_risk
@@ -32,15 +31,6 @@ class AssumptionUnmet(ValueError):
 def _set_key(s: IntervalSet) -> tuple:
     """Sort and deduplication key of a set: its (lo, hi) endpoint pairs."""
     return tuple((iv.lo, iv.hi) for iv in s.intervals)
-
-
-def _near_sorted(points: list[float], p: float, tol: float) -> bool:
-    """Some entry of the sorted ``points`` lies within ``tol`` of ``p``.
-
-    Only the two neighbours of ``p`` in sorted order need checking.
-    """
-    i = bisect.bisect_left(points, p)
-    return (i < len(points) and points[i] - p <= tol) or (i > 0 and p - points[i - 1] <= tol)
 
 
 @dataclass
@@ -279,7 +269,7 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
             set=s,
             risk=r,
             regular=s.is_regular(eps),
-            second_order_clean=all(_near_sorted(passed, p, 1e-9) for p in s.boundary_points()),
+            second_order_clean=all(near_sorted(passed, p, 1e-9) for p in s.boundary_points()),
         )
         for s, r in zip(sets, risks)
         if r.total <= min_risk + TAU_RISK

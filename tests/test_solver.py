@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from advbayes import cli, examples, solver
+from advbayes import cli, conditions, examples, solver
 from advbayes.conditions import FAIL
 from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
@@ -248,18 +248,29 @@ class TestEquivalence:
             assert max(masses) - min(masses) <= 1e-9
 
 
+near_points = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                        st.floats(min_value=-1e6, max_value=1e6))
+
+
 @given(
-    st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=12),
-    st.floats(min_value=-2.0, max_value=2.0),
-    st.sampled_from([0.0, 1e-9, 0.1]),
+    st.lists(near_points, max_size=12),
+    near_points,
+    st.sampled_from([0.0, 1e-11, 1e-9, 0.1]),
+    st.booleans(),
     st.integers(min_value=-3, max_value=3),
 )
 @settings(deadline=None)
-def test_near_sorted_matches_linear_scan(points, p, tol, nudge):
+def test_near_sorted_matches_linear_scan(points, p, tol, relative, nudge):
+    """The two sorted neighbours decide nearness, with an absolute tolerance
+    or one that scales with each entry (``tol * max(1, |y|)``)."""
+    def tol_at(q):
+        return tol * max(1.0, abs(q)) if relative else tol
+
     if points and nudge:  # land p within a few ulps or a tolerance of an entry
-        p = points[abs(nudge) % len(points)] + nudge * (tol or 1e-15) * 0.75
-    expected = any(abs(p - q) <= tol for q in points)
-    assert solver._near_sorted(sorted(points), p, tol) == expected
+        q = points[abs(nudge) % len(points)]
+        p = q + nudge * (tol_at(q) or 1e-15 * max(1.0, abs(q))) * 0.75
+    expected = any(abs(p - q) <= tol_at(q) for q in points)
+    assert conditions.near_sorted(sorted(points), p, tol, relative) == expected
 
 
 def count_gaussian_cdfs(monkeypatch) -> list[float]:
