@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DistributionPair
+from .density import DistributionPair, itp_root
 from .intervals import INF, Interval, IntervalSet
 
 # Float64 values the grid primal may hold at once (400 MB).  The DP keeps
@@ -145,18 +145,10 @@ class GapReport:
 
 
 def _quantile(pair: DistributionPair, which: int, q: float) -> float:
-    """x with cdf(x) = q * total, by bisection over the finite extent."""
+    """x with cdf(x) = q * total to 1e-12, by ``itp_root`` over the finite extent."""
     lo, hi = pair.finite_extent()
     target = q * pair.total_mass(which)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
-            break
-        if pair.cdf(which, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return itp_root(lambda x: pair.cdf(which, x) - target, lo, hi, 1e-12)
 
 
 def _tight_window(pair: DistributionPair, tail: float = 1e-7) -> tuple[float, float]:

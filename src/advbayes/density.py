@@ -339,8 +339,8 @@ class PiecewisePoly:
             mask = j == cell
             if not mask.any():
                 continue
-            anti = _poly_antiderivative(row)
-            out[mask] += _poly_eval(anti, xs[mask]) - _poly_eval(anti, bp[cell])
+            anti = _poly_antiderivative(row)  # summed in the scalar cdf's order
+            out[mask] = out[mask] + _poly_eval(anti, xs[mask]) - _poly_eval(anti, bp[cell])
         out[xs <= bp[0]] = 0.0
         out[xs >= bp[-1]] = self.total_mass
         return out

@@ -142,13 +142,18 @@ class TestMass:
                         expected, abs=1e-9
                     )
 
-    def test_cdf_array_matches_scalar(self, nua_pair, eqmeans_pair):
-        xs = np.linspace(-3, 3, 101)
-        for pair in (nua_pair, eqmeans_pair):
+    def test_cdf_array_matches_scalar(self, nua_pair, eqmeans_pair, deg_pair):
+        """The array CDF has the scalar CDF's bits, on multi-cell pairs too:
+        ``degenerate`` class 1 and both classes of the deg_eta counterexample."""
+        rng = np.random.default_rng(11)
+        for pair in (nua_pair, eqmeans_pair, deg_pair, examples.deg_eta_0_1_counterexample(0.1)):
+            lo, hi = pair.finite_extent()
+            xs = np.concatenate([np.linspace(-3, 3, 101), rng.uniform(lo, hi, 4000),
+                                 pair.breakpoints(0), pair.breakpoints(1)])
             for which in (0, 1):
                 arr = pair.cdf_array(which, xs)
                 scl = np.array([pair.cdf(which, float(x)) for x in xs])
-                assert np.max(np.abs(arr - scl)) <= 1e-14
+                assert arr.tobytes() == scl.tobytes()
 
 
 class TestPdfArray:
