@@ -274,9 +274,6 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
         if gl != 0.0 and gr != 0.0 and (gl > 0) != (gr > 0):
             jumps.append(s)
 
-    def near_existing(x: float) -> bool:
-        return near_sorted(taken, x, 1e-11, relative=True)
-
     out: list[CandidatePoint] = []
     taken: list[float] = []  # kept sorted
     for p_lo, p_hi in plateaus:
@@ -288,7 +285,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
         bisect.insort(taken, p_lo)
         bisect.insort(taken, p_hi)
     for r in sorted(set(roots)):
-        if near_existing(r):
+        if near_sorted(taken, r, 1e-11, relative=True):
             continue
         out.append(CandidatePoint(kind=kind, location=r,
                                   second_order=check_second_order(pair, eps, r, kind),
@@ -298,7 +295,7 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
     # admissible endpoints regardless of any sign change, since the
     # stationarity argument needs continuity there.
     for s in jumps + _shifted(pair.discontinuities, eps, kind):
-        if not lo < s < hi or near_existing(s):
+        if not lo < s < hi or near_sorted(taken, s, 1e-11, relative=True):
             continue
         out.append(CandidatePoint(kind=kind, location=s, second_order=INCONCLUSIVE,
                                   residual=g(s), at_jump=True))
