@@ -60,6 +60,22 @@ def mixture_config(k: int) -> dict:
     return {"class0": bumps(0.0), "class1": bumps(2.0)}
 
 
+def shuffled_mixture_config(k: int) -> dict:
+    """``mixture_config(k)`` with each class's components listed in a fixed
+    stride order, so the means are not sorted."""
+    return {name: [comps[(5 * i + 3) % k] for i in range(k)]
+            for name, comps in mixture_config(k).items()}
+
+
+def mixed_class_config() -> dict:
+    """Four bumps per class, the last class-0 bump replaced by a uniform cell
+    of the same mass: class 0 mixes Gaussians with a piecewise polynomial."""
+    config = mixture_config(4)
+    config["class0"][3] = {"type": "piecewise_poly", "breakpoints": [11.0, 13.0],
+                           "coeffs": [[0.0625]]}
+    return config
+
+
 def pinned_runs() -> list[dict]:
     """Every pinned run; ``{dir}`` stands for a scratch directory that holds
     the run's ``inputs`` files and receives its CSV."""
@@ -88,6 +104,14 @@ def pinned_runs() -> list[dict]:
         config = f"mixture_k{k}.json"
         runs.append({"argv": ["solve", "--config", "{dir}/" + config, "--eps", "0.1"],
                      "inputs": {config: mixture_config(k)}})
+    # 256 bumps at eps 0.3: most components lie beyond a point's density
+    # window and the endpoint pool has 511 nodes.
+    extra = (("mixture_k256.json", mixture_config(256), "0.3"),
+             ("mixture_k16_shuffled.json", shuffled_mixture_config(16), "0.1"),
+             ("mixed_class.json", mixed_class_config(), "0.1"))
+    for config, content, eps in extra:
+        runs.append({"argv": ["solve", "--config", "{dir}/" + config, "--eps", eps],
+                     "inputs": {config: content}})
     return runs
 
 
