@@ -25,6 +25,7 @@ MAX_POLY_DEGREE = 5
 _BREAKPOINT_SNAP = 1e-12
 _ROOT_REFINE_TOL = 1e-13
 TINY = np.finfo(float).tiny  # smallest normal float; below it a density is subnormal or 0
+ARRAY_CDF_POINTS = 24  # shortest list that DistributionPair.cdf_points sends to cdf_array
 
 
 class BreakpointDerivative(ValueError):
@@ -379,6 +380,80 @@ class PiecewisePoly:
 DensityComponent = Union[Gaussian, PiecewisePoly]
 
 
+class _ComponentSums:
+    """Density and slope of one class at a point: the sum over its components."""
+
+    def __init__(self, components: tuple[DensityComponent, ...]):
+        self.components = components
+
+    def pdf(self, x: float) -> float:
+        return sum(c.pdf(x) for c in self.components)
+
+    def derivative(self, x: float) -> float:
+        return sum(c.dpdf(x) for c in self.components)
+
+
+class _GaussianSums(_ComponentSums):
+    """``_ComponentSums`` of an all-Gaussian class, bit for bit, over a window.
+
+    Each term is ``Gaussian.pdf``'s (or ``dpdf``'s) expression in the same
+    operation order, from one precomputed ``(mu, sigma, weight,
+    sigma*sqrt(2*pi), sigma**2)`` row.  A component more than 40·sigma_max
+    from x has ``exp(-0.5*z*z) == 0.0`` (it underflows past z = 38.6), so
+    its term is exactly ±0.0, and a sum that starts at +0.0 is never -0.0,
+    so leaving such a term out changes no bit.  The rest are summed in
+    component order.
+    """
+
+    def __init__(self, components: tuple[Gaussian, ...]):
+        super().__init__(components)
+        self._rows = [(g.mu, g.sigma, g.weight, g.sigma * math.sqrt(2.0 * math.pi), g.sigma**2)
+                      for g in components]
+        self._order = sorted(range(len(components)), key=lambda i: components[i].mu)
+        self._in_order = self._order == list(range(len(components)))
+        self._mus = [components[i].mu for i in self._order]
+        sigma = max(g.sigma for g in components)
+        top = max(abs(mu) for mu in self._mus)
+        # With every mean within 2^40·sigma of 0, x ± reach rounds by far less
+        # than the 40 versus 38.6 sigma margin wherever a mean is that close.
+        self._reach = 40.0 * sigma if top <= 2.0**40 * sigma else INF
+        # The window is taken where |x| < limit.  Where |x| + top stays under
+        # 2^1000·sigma_min^2, the slope factor -(x - mu)/sigma**2 is finite,
+        # so a skipped dpdf term is ±0.0 and not nan; beyond (and at ±inf or
+        # nan) every component is summed.  Means that all lie within the
+        # reach of one another leave nothing out near them: no window then.
+        self._limit = (2.0**1000 * min(row[4] for row in self._rows) - top
+                       if self._mus[-1] - self._mus[0] > self._reach else 0.0)
+
+    def _window(self, x: float) -> list[tuple[float, float, float, float, float]]:
+        if not -self._limit < x < self._limit:
+            return self._rows
+        lo = bisect.bisect_left(self._mus, x - self._reach)
+        hi = bisect.bisect_right(self._mus, x + self._reach)
+        if self._in_order:
+            return self._rows[lo:hi]
+        rows = self._rows
+        return [rows[i] for i in sorted(self._order[lo:hi])]
+
+    def pdf(self, x: float) -> float:
+        acc, exp = 0.0, math.exp
+        for mu, sigma, weight, norm, _ in self._window(x):
+            z = (x - mu) / sigma
+            acc += weight * exp(-0.5 * z * z) / norm
+        return acc
+
+    def derivative(self, x: float) -> float:
+        acc, exp = 0.0, math.exp
+        for mu, sigma, weight, norm, var in self._window(x):
+            z = (x - mu) / sigma
+            acc += -(x - mu) / var * (weight * exp(-0.5 * z * z) / norm)
+        return acc
+
+
+def _class_index_error(which: int) -> ValueError:
+    return ValueError(f"class index must be 0 or 1, got {which}")
+
+
 @dataclass(frozen=True)
 class DistributionPair:
     """The two class-conditional densities of a binary distribution."""
@@ -399,17 +474,25 @@ class DistributionPair:
         if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"class masses must sum to 1, got {total!r}")
 
+    @functools.cached_property
+    def _class_sums(self) -> tuple[_ComponentSums, _ComponentSums]:
+        """Each class's pointwise evaluator, the windowed one for an all-Gaussian class."""
+        return tuple((_GaussianSums if all(isinstance(c, Gaussian) for c in comps)
+                      else _ComponentSums)(comps) for comps in (self.class0, self.class1))
+
     def _components(self, which: int) -> tuple[DensityComponent, ...]:
         if which == 0:
             return self.class0
         if which == 1:
             return self.class1
-        raise ValueError(f"class index must be 0 or 1, got {which}")
+        raise _class_index_error(which)
 
     # -- pointwise evaluation ------------------------------------------------
 
     def pdf(self, which: int, x: float) -> float:
-        return sum(c.pdf(x) for c in self._components(which))
+        if which == 0 or which == 1:
+            return self._class_sums[which].pdf(x)
+        raise _class_index_error(which)
 
     def pdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(xs, dtype=float)
@@ -422,7 +505,9 @@ class DistributionPair:
         return logsumexp([c.logpdf_array(xs) for c in self._components(which)], axis=0)
 
     def derivative(self, which: int, x: float) -> float:
-        return sum(c.dpdf(x) for c in self._components(which))
+        if which == 0 or which == 1:
+            return self._class_sums[which].derivative(x)
+        raise _class_index_error(which)
 
     def eta(self, x: float) -> float:
         p0, p1 = self.pdf(0, x), self.pdf(1, x)
@@ -441,10 +526,12 @@ class DistributionPair:
 
         The solver reads the same CDFs at the same dilated endpoints in
         every stage, so each distinct (class, point) costs one sum of
-        component CDFs per pair.  The memo keeps every point asked for, so
-        it grows with the endpoint pools of all radii solved on the pair: at
-        most 316 points per class over a built-in's 40-radius sweep, 129 for
-        a 64-bump solve.
+        component CDFs per pair; ``cdf_points`` reads a whole endpoint pool,
+        with one array call when it is long.  The memo keeps every point
+        asked for, so it grows with the endpoint pools of all radii solved
+        on the pair: at most 302 points per class over a built-in's
+        40-radius sweep (``degenerate``), 129 for a 64-bump solve and 513
+        for a 256-bump one.
         """
         components = self._components(which)
         memo = self._cdf_memo[which]
@@ -458,6 +545,21 @@ class DistributionPair:
         for c in self._components(which):
             out += c.cdf_array(xs)
         return out
+
+    def cdf_points(self, which: int, xs: list[float]) -> list[float]:
+        """``[self.cdf(which, x) for x in xs]``, and every point joins the memo.
+
+        From ``ARRAY_CDF_POINTS`` points on, one ``cdf_array`` call, which
+        gives the same bits, computes them all.  Its numpy calls cost about
+        as much as 16 to 28 scalar class CDFs, whatever the number of
+        components (1 to 16 Gaussians or a piecewise built-in), so shorter
+        lists take the scalar path.
+        """
+        if len(xs) < ARRAY_CDF_POINTS:
+            return [self.cdf(which, x) for x in xs]
+        values = self.cdf_array(which, np.array(xs, dtype=float)).tolist()
+        self._cdf_memo[which].update(zip(xs, values))
+        return values
 
     def mass(self, which: int, interval: Interval) -> float:
         """Probability mass on an interval; endpoint flags are irrelevant."""

@@ -14,6 +14,7 @@ mass-invisible "degenerate" regions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -102,6 +103,53 @@ def _set_from_sequence(points: list[float], kinds: list[str]) -> IntervalSet:
     return IntervalSet(pieces)
 
 
+class _ArgminTable:
+    """Sparse table over a list of values: the position of a smallest value
+    in any range after O(n log n) set-up, and every position whose value is
+    at most a threshold in O(1) per position found."""
+
+    def __init__(self, values: list[float]):
+        self.values = values
+        self.levels = [list(range(len(values)))]
+        width = 1
+        while 2 * width <= len(values):
+            prev = self.levels[-1]
+            self.levels.append([a if values[a] <= values[b] else b
+                                for a, b in zip(prev, prev[width:])])
+            width *= 2
+
+    def argmin(self, lo: int, hi: int) -> int:
+        """A position of the smallest value in ``values[lo:hi]`` (nonempty)."""
+        k = (hi - lo).bit_length() - 1
+        a, b = self.levels[k][lo], self.levels[k][hi - (1 << k)]
+        return a if self.values[a] <= self.values[b] else b
+
+    def at_most(self, lo: int, hi: int, bound: float) -> list[int]:
+        """Every position in ``range(lo, hi)`` whose value is <= ``bound``, ascending."""
+        found: list[int] = []
+        stack = [(lo, hi)]
+        while stack:
+            lo, hi = stack.pop()
+            if lo >= hi:
+                continue
+            m = self.argmin(lo, hi)
+            if self.values[m] > bound:
+                continue
+            found.append(m)
+            stack += ((m + 1, hi), (lo, m))
+        found.sort()
+        return found
+
+
+# The walk's prefilter compares onward[j] = up[j] + best[j] with
+# bound - cost + down[i] instead of the exact test
+# (cost + (up[j] - down[i])) + best[j] <= bound.
+# Every term is a class mass or a sum of disjoint ones, at most ~2 in size,
+# so the two sides differ by a few roundings of 2^-52 each; this slack keeps
+# the prefilter looser than the exact test.
+_WALK_SLACK = 1e-12
+
+
 def enumerate_candidates(
     pair: DistributionPair,
     a_points: list[float],
@@ -117,34 +165,58 @@ def enumerate_candidates(
     its risk is a sum over the edges of its sequence: a component (a, b)
     adds the class-0 mass of (a-eps, b+eps), a gap (b, a') the class-1 mass
     of (b-eps, a'+eps), and the first and last edges the half-infinite
-    pieces.  A backward pass over the sorted pool nodes gives each node's
-    cheapest completion; a walk pruned on it lists every sequence whose
-    edge sum is within 2*TAU_RISK of the minimum.  The listed sets, sorted
-    by ``_set_key``, get their exact risks from ``adversarial_risk``; every
-    edge mass and risk reads the pair's memoized class CDFs.
+    pieces.  An edge i -> j costs F_c(x_j + eps) - F_c(x_i - eps) for the
+    class c that node i pays, so one ``cdf_points`` list per class (an array
+    CDF on a large pool) reads every node at the end that class pays for.
+    A backward pass over the sorted nodes gives each node's cheapest
+    completion from a running minimum of F_c(x_j + eps) + best[j] per kind
+    over the nodes j more than 2*eps ahead: O(P) for P nodes.  A walk
+    pruned on those completions lists every sequence whose edge sum is
+    within 2*TAU_RISK of the minimum; it finds the successors that can stay
+    under the bound with a range-minimum table per kind, then applies the
+    exact test.  The listed sets, sorted by ``_set_key``, get their exact
+    risks from ``adversarial_risk``, which reads the CDF memo that the fill
+    left.
     """
     nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
     if window is not None:
         nodes = [(x, k) for x, k in nodes if window.lo <= x <= window.hi]
 
-    def mass(which: int, lo: float, hi: float) -> float:
-        return pair.cdf(which, hi) - pair.cdf(which, lo)
-
     # The piece that starts at a node is a component (class 0 pays) after an
-    # "a" and a gap (class 1 pays) after a "b".
+    # "a" and a gap (class 1 pays) after a "b".  Class c reads each node at
+    # one end: x - eps where the node pays c, x + eps where it pays 1 - c.
     xs = [x for x, _ in nodes]
     pays = [0 if k == "a" else 1 for _, k in nodes]
     n = len(nodes)
-    succ = [[j for j in range(i + 1, n) if pays[j] != pays[i] and xs[j] - xs[i] > 2 * eps]
-            for i in range(n)]
-    start = [mass(1 - c, -INF, x + eps) for x, c in zip(xs, pays)]
-    end = [mass(c, x - eps, INF) for x, c in zip(xs, pays)]
-    best = [0.0] * n
-    for i in reversed(range(n)):
-        c, lo = pays[i], xs[i] - eps
-        best[i] = min([end[i]] + [mass(c, lo, xs[j] + eps) + best[j] for j in succ[i]])
+    at = [pair.cdf_points(c, [x - eps if p == c else x + eps for x, p in zip(xs, pays)])
+          for c in (0, 1)]
+    down = [at[c][i] for i, c in enumerate(pays)]  # F_c(x_i - eps) of the class paid
+    up = [at[1 - c][i] for i, c in enumerate(pays)]  # F_c(x_j + eps) of the class paid before
+    low = [pair.cdf(c, -INF) for c in (0, 1)]
+    total = [pair.cdf(c, INF) for c in (0, 1)]
+    start = [u - low[1 - c] for u, c in zip(up, pays)]
+    end = [total[c] - d for d, c in zip(down, pays)]
 
-    trivial = [(IntervalSet.empty(), mass(1, -INF, INF)), (IntervalSet.reals(), mass(0, -INF, INF))]
+    # Backward pass: the successors of node i are the nodes of the other kind
+    # from first[i] on, and first[] only falls as i falls.
+    best, onward = [0.0] * n, [0.0] * n  # onward[j] = up[j] + best[j]
+    first = [n] * n
+    run = [INF, INF]  # per kind: the least onward[j] over the nodes j past the pointer
+    p = n
+    for i in reversed(range(n)):
+        while p > i + 1 and xs[p - 1] - xs[i] > 2 * eps:
+            p -= 1
+            run[pays[p]] = min(run[pays[p]], onward[p])
+        first[i] = p
+        c = pays[i]
+        best[i] = min(end[i], run[1 - c] - down[i])
+        onward[i] = up[i] + best[i]
+
+    # Per kind, its node indices in order and a range-minimum table of their onward[].
+    members = [[i for i in range(n) if pays[i] == c] for c in (0, 1)]
+    tables = [_ArgminTable([onward[i] for i in m]) for m in members]
+
+    trivial = [(IntervalSet.empty(), total[1] - low[1]), (IntervalSet.reals(), total[0] - low[0])]
     bound = min([r for _, r in trivial] + [s + b for s, b in zip(start, best)]) + 2 * TAU_RISK
     sets = [s for s, r in trivial if r <= bound]
     stack = [(i, start[i], (i,)) for i in range(n) if start[i] + best[i] <= bound]
@@ -152,9 +224,11 @@ def enumerate_candidates(
         i, cost, path = stack.pop()
         if cost + end[i] <= bound:
             sets.append(_set_from_sequence([xs[j] for j in path], [nodes[j][1] for j in path]))
-        c, lo = pays[i], xs[i] - eps
-        for j in succ[i]:
-            step = cost + mass(c, lo, xs[j] + eps)
+        k, lo = 1 - pays[i], down[i]
+        for pos in tables[k].at_most(bisect.bisect_left(members[k], first[i]), len(members[k]),
+                                     bound - cost + lo + _WALK_SLACK):
+            j = members[k][pos]
+            step = cost + (up[j] - lo)
             if step + best[j] <= bound:
                 stack.append((j, step, path + (j,)))
     sets.sort(key=_set_key)

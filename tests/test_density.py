@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from advbayes import examples
 from advbayes.density import (
+    ARRAY_CDF_POINTS,
     BreakpointDerivative,
     DistributionPair,
     Gaussian,
@@ -202,6 +205,75 @@ class TestPdfArray:
                 assert np.all(np.abs(arr - scl) <= 1e-15 * scl)
                 if not pair.has_gaussian(which):
                     assert arr.tolist() == scl.tolist()
+
+
+@st.composite
+def wide_classes(draw):
+    """A pair whose classes hold 1-6 Gaussians each, means within ±1e3 in
+    any order and sigmas from 1e-3 to 10 on a log scale; a class may also
+    hold a piecewise cell, so that it is summed component by component."""
+    share0 = draw(st.floats(0.2, 0.8))
+    classes = []
+    for share in (share0, 1.0 - share0):
+        spread = draw(st.sampled_from([3.0, 1e3]))
+        n = draw(st.integers(1, 6))
+        cell = draw(st.booleans())
+        weight = share / (n + cell)
+        comps = [Gaussian(weight=weight, mu=draw(st.floats(-spread, spread)),
+                          sigma=10.0 ** draw(st.floats(-3.0, 1.0))) for _ in range(n)]
+        if cell:
+            lo = draw(st.floats(-spread, spread))
+            comps.insert(draw(st.integers(0, n)),
+                         PiecewisePoly(breakpoints=(lo, lo + 2.0), coeffs=((0.5 * weight,),)))
+        classes.append(comps)
+    return DistributionPair(*classes)
+
+
+def probe_points(draw, pair: DistributionPair) -> list[float]:
+    """The means, points up to 60 sigmas from them (across the 38.6-sigma
+    underflow of each term) and far tails, out to where dpdf's slope factor
+    overflows and a far term is nan."""
+    gaussians = [c for c in pair.class0 + pair.class1 if isinstance(c, Gaussian)]
+    pts = [g.mu for g in gaussians] + [1.7e308, -1.7e308, 1e300, -1e300, 1e4, -1e4]
+    for g in gaussians:
+        for m in draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=4)):
+            pts.append(g.mu + m * g.sigma)
+        pts += [g.mu + 38.6 * g.sigma, g.mu - 40.0 * g.sigma]
+    return pts
+
+
+class TestScalarSums:
+    """``pdf``, ``derivative`` and the pool's CDF fill against the plain
+    component sums, bit for bit."""
+
+    @given(wide_classes(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_pdf_and_derivative_bits(self, pair, data):
+        for x in probe_points(data.draw, pair) + [INF, -INF]:
+            for which, comps in ((0, pair.class0), (1, pair.class1)):
+                assert pair.pdf(which, x).hex() == sum(c.pdf(x) for c in comps).hex(), x
+                try:
+                    expected = sum(c.dpdf(x) for c in comps).hex()
+                except BreakpointDerivative:
+                    with pytest.raises(BreakpointDerivative):
+                        pair.derivative(which, x)
+                    continue
+                assert pair.derivative(which, x).hex() == expected, x
+
+    @given(wide_classes(), st.data(), st.floats(0.0, 2.0))
+    @settings(deadline=None, max_examples=50)
+    def test_pool_fill_gives_scalar_cdfs(self, pair, data, eps):
+        """The fill ``enumerate_candidates`` makes, one ``cdf_points`` list
+        per class, long enough for ``cdf_array``: the values and the memo
+        that ``cdf`` then reads have the component sums' bits."""
+        lo, hi = pair.finite_extent()
+        pts = [p for p in probe_points(data.draw, pair) if abs(p) <= 1e300]  # no overflow
+        pts += np.linspace(lo, hi, ARRAY_CDF_POINTS).tolist()
+        for which, comps in ((0, pair.class0), (1, pair.class1)):
+            xs = [p + data.draw(st.sampled_from([-eps, eps])) for p in pts]
+            expected = [sum(c.cdf(x) for c in comps).hex() for x in xs]
+            assert [v.hex() for v in pair.cdf_points(which, xs)] == expected
+            assert [pair.cdf(which, x).hex() for x in xs] == expected
 
 
 class TestItpRoot:

@@ -190,9 +190,11 @@ def test_adversarial_risk_rejects_negative_eps(nua_pair):
 
 
 @pytest.mark.parametrize("which", [-1, 2])
-def test_cdf_rejects_bad_class_index(nua_pair, which):
-    with pytest.raises(ValueError, match="class index"):
-        nua_pair.cdf(which, 0.0)
+def test_cdf_rejects_bad_class_index(nua_pair, eqvar_pair, which):
+    for pair in (nua_pair, eqvar_pair):
+        for evaluate in (pair.cdf, pair.pdf, pair.derivative):
+            with pytest.raises(ValueError, match="class index"):
+                evaluate(which, 0.5)
 
 
 class TestRiskProperties:

@@ -274,15 +274,21 @@ def test_near_sorted_matches_linear_scan(points, p, tol, relative, nudge):
 
 
 def count_gaussian_cdfs(monkeypatch) -> list[float]:
-    """Record the point of every ``Gaussian.cdf`` evaluation from now on."""
+    """Record the point of every ``Gaussian.cdf`` evaluation from now on,
+    and every point of each ``Gaussian.cdf_array`` call."""
     calls = []
-    cdf = Gaussian.cdf
+    cdf, cdf_array = Gaussian.cdf, Gaussian.cdf_array
 
     def counted(self, x):
         calls.append(x)
         return cdf(self, x)
 
+    def counted_array(self, xs):
+        calls.extend(np.ravel(xs).tolist())
+        return cdf_array(self, xs)
+
     monkeypatch.setattr(Gaussian, "cdf", counted)
+    monkeypatch.setattr(Gaussian, "cdf_array", counted_array)
     return calls
 
 
@@ -336,6 +342,47 @@ def test_minimizers_match_exhaustive_oracle(pair, eps):
     assert [repr((m.risk.total, m.risk.fn_mass, m.risk.fp_mass)) for m in rep.minimizers] == [
         repr(r) for _, r in expected]
     assert rep.min_risk == low
+
+
+def gap_cells_pair(k: int) -> DistributionPair:
+    """Class 1 uniform on [4i, 4i+1] and class 0 uniform on [4i+2, 4i+3],
+    i < k: every class boundary sits in a zero-density gap."""
+    def cells(offset: float) -> PiecewisePoly:
+        bp = [4.0 * i + offset + d for i in range(k) for d in (0.0, 1.0)]
+        rows = [(0.5 / k,) if j % 2 == 0 else (0.0,) for j in range(len(bp) - 1)]
+        return PiecewisePoly(breakpoints=tuple(bp), coeffs=tuple(rows))
+
+    return DistributionPair([cells(2.0)], [cells(0.0)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_walk_lists_every_exact_tie(k):
+    """With boundaries in zero-density gaps, 2^(2k-1) regular sets tie at
+    the minimum to the bit; the pruned walk must list all of them, in the
+    exhaustive oracle's order and with its risk bits.  The oracle lists
+    1,072 and 17,152 regular sets at k = 2 and 3; at k = 4 its 274,432 sets
+    take about 40 s, so there every listed set's oracle risk is checked and
+    the count of 128 closes the list."""
+    pair, eps = gap_cells_pair(k), 0.1
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_enumeration(mp)
+        rep = solve(pair, eps)
+    [(pool, _)] = calls
+    got = [(m.set, repr((m.risk.total, m.risk.fn_mass, m.risk.fp_mass))) for m in rep.minimizers]
+    assert len(got) == 2 ** (2 * k - 1)
+    if k == 4:
+        low = oracles.pool_dp_min(lambda c, lo, hi: (oracles.class_cdf(pair, c, hi)
+                                                     - oracles.class_cdf(pair, c, lo)), *pool)
+        assert rep.min_risk == low
+        assert [s for s, _ in got] == sorted({s for s, _ in got}, key=solver._set_key)
+        assert all(r == repr(oracles.mass_set_risk(pair, s, eps)) for s, r in got)
+        assert all(s.is_regular(eps) for s, _ in got)
+        return
+    sets, truncated = oracles.enumerate_regular_sets(*pool, cap=10**5)
+    assert not truncated
+    risks = [oracles.mass_set_risk(pair, s, eps) for s in sets]
+    low = min(r[0] for r in risks)
+    assert got == [(s, repr(r)) for s, r in zip(sets, risks) if r[0] <= low + TAU_RISK]
 
 
 class TestDegenerateReport:
