@@ -190,8 +190,8 @@ def enumerate_candidates(
     n = len(nodes)
     at = [pair.cdf_points(c, [x - eps if p == c else x + eps for x, p in zip(xs, pays)])
           for c in (0, 1)]
-    down = [at[c][i] for i, c in enumerate(pays)]  # F_c(x_i - eps) of the class paid
-    up = [at[1 - c][i] for i, c in enumerate(pays)]  # F_c(x_j + eps) of the class paid before
+    down = [at[c][i] for i, c in enumerate(pays)]  # the class node i pays, at x_i - eps
+    up = [at[1 - c][i] for i, c in enumerate(pays)]  # the class paid into node i, at x_i + eps
     low = [pair.cdf(c, -INF) for c in (0, 1)]
     total = [pair.cdf(c, INF) for c in (0, 1)]
     start = [u - low[1 - c] for u, c in zip(up, pays)]
