@@ -7,14 +7,17 @@ that is value-equivalent to literally enumerating all such unions: risk
 contributions are local to consecutive endpoints, including the exact
 mass corrections when nearby pieces' dilations overlap.
 
-The dual side perturbs each class's atoms by at most eps toward common
-meeting points; mass from opposite classes that meets contributes its
-minimum to the dual value.  On a line this is a transportation matching
-with pairing radius 2*eps (plus one grid step of slack for midpoint
-placement), solved exactly by the leftmost-first greedy, written as one
-recurrence over the class-0 atoms in cumulative class-1 mass.  Weak
-duality makes the dual value a floor under every classifier's risk, so a
-small primal-dual gap certifies both computations.
+The dual side places one atom per grid cell at the cell midpoint and
+matches class-0 against class-1 atom mass at midpoint distance at most
+2*eps + h (h the grid step); matched mass counts toward the dual value.
+On a line this is a transportation matching, solved exactly by the
+leftmost-first greedy, written as one recurrence over the class-0 atoms in
+cumulative class-1 mass.  Points of two matched cells can lie 2*eps + 2*h
+apart, so the dual value is no floor under the continuous risk: on
+``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a solver
+minimum of 0.04000.  The gap therefore says how closely the two
+discretizations agree, not that either is optimal; a dual that is a true
+lower bound (midpoints within 2*eps - h) is ROADMAP item 2.
 
 Both halves are linear in the grid size: the primal's sliding window
 minimum is the van Herk / Gil-Werman block prefix/suffix minimum, and the

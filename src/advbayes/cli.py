@@ -5,10 +5,12 @@ source is ``--example NAME`` or a ``--config`` JSON file that holds
 ``example``, ``atoms``, or ``class0`` and ``class1``, plus an optional
 ``run`` object.  The run keys are ``epsilon`` (a number or {min, max,
 steps}), ``grid_h``, ``max_k``, ``tolerance``, ``full_matching``, ``out``
-and ``csv``; any other key is an error.  The flags (``--eps`` or
-``--eps-min``/``--eps-max``/``--steps``, ``--grid-h``, ``--max-k``,
-``--tol``, ``--full-matching``, ``--out``, ``--csv``) are written over the
-run block, and the merged config is validated once.
+and ``csv``; any other key is an error, and so is a ``max_k`` or
+``steps`` that is not an integer or a ``full_matching`` that is not a
+boolean.  The flags (``--eps`` or ``--eps-min``/``--eps-max``/``--steps``,
+``--grid-h``, ``--max-k``, ``--tol``, ``--full-matching``, ``--out``,
+``--csv``) are written over the run block, and the merged config is
+validated once.
 
 Exit codes: 0 success, 1 usage or validation error, 2 completed with
 warnings (e.g. a widened endpoint window), 3 grid-search budget exceeded.
@@ -96,11 +98,10 @@ def config_from_dict(data: dict) -> RunConfig:
         eps_values = [eps0]
     elif isinstance(eps_spec, dict):
         try:
-            lo, hi = float(eps_spec["min"]), float(eps_spec["max"])
-            steps = int(eps_spec["steps"])
+            lo, hi, steps = float(eps_spec["min"]), float(eps_spec["max"]), eps_spec["steps"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"'run.epsilon' needs numeric min, max and steps: {exc!r}")
-        eps_values = _eps_range(lo, hi, steps)
+        eps_values = _eps_range(lo, hi, _integer(steps, "run.epsilon.steps"))
     elif eps_spec is None:
         eps_values = []
     else:
@@ -150,11 +151,13 @@ def config_from_dict(data: dict) -> RunConfig:
 
     try:
         cfg.grid_h = float(run.get("grid_h", cfg.grid_h))
-        cfg.max_k = int(run.get("max_k", cfg.max_k))
         cfg.tolerance = float(run.get("tolerance", cfg.tolerance))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed 'run' value: {exc}")
-    cfg.full_matching = bool(run.get("full_matching", cfg.full_matching))
+    cfg.max_k = _integer(run.get("max_k", cfg.max_k), "run.max_k")
+    cfg.full_matching = run.get("full_matching", cfg.full_matching)
+    if not isinstance(cfg.full_matching, bool):
+        raise ParseError(f"'run.full_matching' must be true or false, got {cfg.full_matching!r}")
     cfg.out, cfg.csv = run.get("out"), run.get("csv")
     if not all(p is None or isinstance(p, str) for p in (cfg.out, cfg.csv)):
         raise ParseError("'run.out' and 'run.csv' must be path strings")
@@ -165,6 +168,13 @@ def config_from_dict(data: dict) -> RunConfig:
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         raise ValidationError("tolerance must be finite and positive")
     return cfg
+
+
+def _integer(value, key: str) -> int:
+    """``value`` when it is an integer and not a bool; no float or string is rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"'{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _check_eps(eps: float) -> None:

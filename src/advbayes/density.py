@@ -13,7 +13,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
@@ -68,15 +68,10 @@ class Gaussian:
         return -(x - self.mu) / (self.sigma**2) * self.pdf(x)
 
     def cdf(self, x: float) -> float:
-        if x == INF:
-            return self.weight
-        if x == -INF:
-            return 0.0
         return self.weight * float(ndtr((x - self.mu) / self.sigma))
 
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
-        out = self.weight * ndtr((xs - self.mu) / self.sigma)
-        return np.where(xs == INF, self.weight, np.where(xs == -INF, 0.0, out))
+        return self.weight * ndtr((xs - self.mu) / self.sigma)
 
     @property
     def total_mass(self) -> float:
@@ -149,75 +144,25 @@ def itp_root(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _poly_trim(c: Sequence[float]) -> list[float]:
-    out = list(c)
-    while out and abs(out[-1]) == 0.0:
-        out.pop()
-    return out
+def _cell_extrema(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
+    """Points of (lo, hi) where the polynomial's derivative changes sign, in order.
 
-
-def _poly_div(num: list[float], den: list[float]) -> list[float]:
-    """Remainder of polynomial division (ascending coefficients)."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    while dn >= dd and any(num):
-        factor = num[dn] / den[dd]
-        for i in range(dd + 1):
-            num[dn - dd + i] -= factor * den[i]
-        num[dn] = 0.0
-        num = _poly_trim(num)
-        dn = len(num) - 1
-    return num
-
-
-def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
-    p0 = _poly_trim(coeffs)
-    p1 = _poly_trim([i * c for i, c in enumerate(p0)][1:])
-    chain = [p0, p1]
-    while chain[-1]:
-        rem = _poly_div(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain: list[list[float]], x: float) -> int:
-    signs = []
-    for c in chain:
-        v = _poly_eval(c, x)
-        if v != 0.0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def poly_roots_in_cell(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Isolated real roots in (lo, hi) via Sturm bracketing plus ``itp_root``."""
-    chain = _sturm_chain(coeffs)
-    if len(chain) < 2:
+    Between the cell ends and the derivative's own such points the derivative
+    is monotone, so a strict sign change there brackets exactly one extremum,
+    which ``itp_root`` finds.  Each level lowers the degree by one, so rows
+    of degree at most ``MAX_POLY_DEGREE`` recurse at most 4 deep.
+    """
+    slope = _poly_derivative(coeffs)
+    if len(slope) < 2:
         return []
-    f = lambda x: _poly_eval(coeffs, x)
-
-    def count(a: float, b: float) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    roots: list[float] = []
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        n = count(a, b)
-        if n == 0:
-            continue
-        if n == 1 or b - a <= _ROOT_REFINE_TOL:
-            fa, fb = f(a), f(b)
-            if fa != 0.0 and fb != 0.0 and (fa > 0) == (fb > 0):
-                roots.append(0.5 * (a + b))  # even-multiplicity touch
-            else:
-                roots.append(itp_root(f, a, b, _ROOT_REFINE_TOL))  # a zero end as is
-            continue
-        mid = 0.5 * (a + b)
-        stack.extend([(a, mid), (mid, b)])
-    return sorted(roots)
+    f = lambda x: _poly_eval(slope, x)
+    knots = [lo] + _cell_extrema(slope, lo, hi) + [hi]
+    out = []
+    for a, b in zip(knots, knots[1:]):
+        fa, fb = f(a), f(b)
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            out.append(itp_root(f, a, b, _ROOT_REFINE_TOL))
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,16 +195,14 @@ class PiecewisePoly:
                 raise ValueError("coefficients must be finite")
         self._check_nonnegative()
 
+    def _cells(self) -> Iterator[tuple[float, float, tuple[float, ...]]]:
+        """(lo, hi, row) of each cell."""
+        return zip(self.breakpoints, self.breakpoints[1:], self.coeffs)
+
     def _check_nonnegative(self) -> None:
-        # 64 samples per cell plus sign probes around interior roots.
-        for (lo, hi), row in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coeffs):
-            probes = np.array(sorted([lo, hi] + poly_roots_in_cell(row, lo, hi)))
-            xs = np.concatenate([np.linspace(lo, hi, 64), (probes[:-1] + probes[1:]) / 2.0])
-            # Unvalidated rows may overflow: silently, as in float arithmetic;
-            # the mass check of DistributionPair rejects them.
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = _poly_eval(row, xs)
-            if vals.min() < -1e-12:
+        # The row's least value on the cell is at an end or an extremum.
+        for lo, hi, row in self._cells():
+            if any(_poly_eval(row, x) < -1e-12 for x in [lo, hi] + _cell_extrema(row, lo, hi)):
                 raise ValueError(f"density is negative on cell [{lo}, {hi}]")
 
     def _cell_index(self, x: float) -> int | None:
@@ -305,20 +248,15 @@ class PiecewisePoly:
         return _poly_eval(_poly_derivative(self.coeffs[j]), x)
 
     @functools.cached_property
-    def _cell_masses(self) -> tuple[float, ...]:
-        masses = []
-        for (lo, hi), row in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coeffs):
-            anti = _poly_antiderivative(row)
-            masses.append(_poly_eval(anti, hi) - _poly_eval(anti, lo))
-        return tuple(masses)
-
-    @functools.cached_property
-    def _cum_masses(self) -> tuple[float, ...]:
-        acc, out = 0.0, [0.0]
-        for m in self._cell_masses:
-            acc += m
-            out.append(acc)
-        return tuple(out)
+    def _primitives(self) -> tuple[list[tuple[float, ...]], list[float], list[float]]:
+        """Per cell the antiderivative row and its value at the cell's left end,
+        and the mass below each breakpoint."""
+        antis = [_poly_antiderivative(row) for row in self.coeffs]
+        starts = [_poly_eval(anti, lo) for anti, lo in zip(antis, self.breakpoints)]
+        cum = [0.0]
+        for anti, start, hi in zip(antis, starts, self.breakpoints[1:]):
+            cum.append(cum[-1] + (_poly_eval(anti, hi) - start))
+        return antis, starts, cum
 
     def cdf(self, x: float) -> float:
         bp = self.breakpoints
@@ -328,35 +266,31 @@ class PiecewisePoly:
             return self.total_mass
         j = self._cell_index(x)
         assert j is not None
-        anti = _poly_antiderivative(self.coeffs[j])
-        return self._cum_masses[j] + _poly_eval(anti, x) - _poly_eval(anti, bp[j])
+        antis, starts, cum = self._primitives
+        return cum[j] + _poly_eval(antis[j], x) - starts[j]
 
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        bp = np.asarray(self.breakpoints)
+        bp = self.breakpoints
+        antis, starts, cum = self._primitives
         j = self._cell_indices(xs)
-        out = np.asarray(self._cum_masses, dtype=float)[j]
-        for cell, row in enumerate(self.coeffs):
+        out = np.asarray(cum)[j]
+        for cell, anti in enumerate(antis):
             mask = j == cell
-            if not mask.any():
-                continue
-            anti = _poly_antiderivative(row)  # summed in the scalar cdf's order
-            out[mask] = out[mask] + _poly_eval(anti, xs[mask]) - _poly_eval(anti, bp[cell])
+            if mask.any():  # summed in the scalar cdf's order
+                out[mask] = out[mask] + _poly_eval(anti, xs[mask]) - starts[cell]
         out[xs <= bp[0]] = 0.0
         out[xs >= bp[-1]] = self.total_mass
         return out
 
     @property
     def total_mass(self) -> float:
-        return self._cum_masses[-1]
+        return self._primitives[2][-1]
 
     @property
     def sup_density(self) -> float:
-        best = 0.0
-        for (lo, hi), row in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coeffs):
-            pts = [lo, hi] + poly_roots_in_cell(_poly_derivative(row), lo, hi)
-            best = max(best, max(_poly_eval(row, p) for p in pts))
-        return best
+        return max(0.0, *(_poly_eval(row, x) for lo, hi, row in self._cells()
+                          for x in [lo, hi] + _cell_extrema(row, lo, hi)))
 
     def discontinuities(self) -> list[float]:
         """Breakpoints where the density value jumps."""
@@ -371,7 +305,7 @@ class PiecewisePoly:
 
     def support(self) -> IntervalSet:
         cells = []
-        for (lo, hi), row in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coeffs):
+        for lo, hi, row in self._cells():
             if any(c != 0.0 for c in row):
                 cells.append(Interval(lo, hi, True, True))
         return IntervalSet(cells)

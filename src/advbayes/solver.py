@@ -155,7 +155,6 @@ def enumerate_candidates(
     a_points: list[float],
     b_points: list[float],
     eps: float,
-    window: Interval | None = None,
 ) -> tuple[list[IntervalSet], list[RiskBreakdown]]:
     """Every near-minimal open regular set built from the pools, with its risk.
 
@@ -179,8 +178,6 @@ def enumerate_candidates(
     left.
     """
     nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
-    if window is not None:
-        nodes = [(x, k) for x, k in nodes if window.lo <= x <= window.hi]
 
     # The piece that starts at a node is a component (class 0 pays) after an
     # "a" and a gap (class 1 pays) after a "b".  Class c reads each node at
@@ -325,8 +322,7 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
 
         a_pts, b_pts = usable(scan.a_candidates), usable(scan.b_candidates)
 
-    window = scan.window if scan is not None else None
-    sets, risks = enumerate_candidates(pair, a_pts, b_pts, eps, window)
+    sets, risks = enumerate_candidates(pair, a_pts, b_pts, eps)
 
     pass_points = set()
     if scan is not None:

@@ -255,15 +255,13 @@ def literal_bruteforce(pair, eps: float, xs, max_k: int):
 ENUMERATION_CAP = 4096
 
 
-def enumerate_regular_sets(a_points, b_points, eps: float, window=None,
-                           cap: int = ENUMERATION_CAP):
+def enumerate_regular_sets(a_points, b_points, eps: float, cap: int = ENUMERATION_CAP):
     """Every open regular set with left/right endpoints drawn from the pools.
 
     The exhaustive DFS the solver once ran: alternating endpoint sequences
     whose consecutive gaps all exceed 2*eps strictly; half-infinite leading
     and trailing pieces are allowed, and ∅ and ℝ are always included.
-    ``window`` is an (lo, hi) pair that the endpoints must lie in.  Returns
-    ``(sets, truncated)``: the sets sorted by their (lo, hi) pairs, at most
+    Returns ``(sets, truncated)``: the sets sorted by their (lo, hi) pairs, at most
     ``cap`` of them.
     """
     from advbayes.intervals import Interval, IntervalSet
@@ -289,9 +287,6 @@ def enumerate_regular_sets(a_points, b_points, eps: float, window=None,
         pool.setdefault(x, set()).add("a")
     for x in b_points:
         pool.setdefault(x, set()).add("b")
-    if window is not None:
-        lo, hi = window
-        pool = {x: k for x, k in pool.items() if lo <= x <= hi}
     xs = sorted(pool)
 
     results = {(): IntervalSet.empty(), ((-INF, INF),): IntervalSet.reals()}
@@ -318,7 +313,7 @@ def enumerate_regular_sets(a_points, b_points, eps: float, window=None,
     return sorted(results.values(), key=key), truncated
 
 
-def pool_dp_min(mass, a_points, b_points, eps: float, window=None) -> float:
+def pool_dp_min(mass, a_points, b_points, eps: float) -> float:
     """Minimum adversarial risk over the regular sets of the pools, by a forward DP.
 
     ``mass(which, lo, hi)`` is a class mass on (lo, hi), infinite ends
@@ -329,9 +324,6 @@ def pool_dp_min(mass, a_points, b_points, eps: float, window=None) -> float:
     class-1 and class-0 masses.
     """
     nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
-    if window is not None:
-        lo, hi = window
-        nodes = [(x, k) for x, k in nodes if lo <= x <= hi]
     answer = min(mass(1, -INF, INF), mass(0, -INF, INF))
     best = []
     for j, (y, kind) in enumerate(nodes):

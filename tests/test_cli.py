@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -105,6 +106,26 @@ class TestExitCodes:
         cfg.write_text('{"example": "degenerate", "run": {"epsilon": 0.05, "max_k": %s}}' % max_k)
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"example": "non_equiv", "run": {"epsilon": 0.3, "full_matching": "false"}},
+         "run.full_matching"),
+        ({"example": "degenerate", "run": {"epsilon": 0.05, "max_k": 2.7}}, "run.max_k"),
+        ({"example": "degenerate", "run": {"epsilon": 0.05, "max_k": True}}, "run.max_k"),
+        ({"example": "degenerate", "run": {"epsilon": {"min": 0.1, "max": 0.3, "steps": 2.5}}},
+         "run.epsilon.steps"),
+    ], ids=["full_matching_string", "max_k_float", "max_k_bool", "steps_float"])
+    def test_wrongly_typed_run_value(self, tmp_path, capsys, config, key):
+        """A run value of the wrong JSON type is an error naming its key,
+        never coerced: "false" is not false and 2.7 is not 2."""
+        text = json.dumps(config)
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            parse_config(text)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["certify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("key", ["grid_n", "keep_all", "tolerence"])
     def test_unknown_run_key_rejected(self, tmp_path, capsys, key):
@@ -270,18 +291,37 @@ class TestCertifyCommand:
         assert data["certificate"]["dual_value"] == 0.5
 
     @pytest.mark.parametrize("name, tol, failing", [
-        ("non_uniqueness_all", "1e-20", ["solver_vs_primal"]),  # gap is exactly 0
+        ("non_uniqueness_all", "1e-20", []),  # both within rounding of 0
         ("non_uniqueness_single", "1e-6", ["gap"]),  # solver - primal is about 2e-15
         ("gaussians_equal_means", "1e-12", ["solver_vs_primal", "gap"]),
     ])
     def test_failed_check_named(self, name, tol, failing, capsys):
+        """Each check whose |value| exceeds --tol is named, in report order,
+        with the report's own value; ``failing`` are those far past --tol,
+        named whatever the rounding of the grid primal and the dual."""
         code = main(["certify", "--example", name, "--eps", "0.2", "--tol", tol])
         out, err = capsys.readouterr()
-        assert code == 1
         data = json.loads(out)
         values = {"solver_vs_primal": data["solver_vs_primal"], "gap": data["gap_report"]["gap"]}
-        named = ", ".join(f"{k} = {values[k]!r}" for k in failing)
-        assert err.splitlines() == [f"error: certificate exceeds --tol {float(tol)!r}: {named}"]
+        named = [k for k, v in values.items() if abs(v) > float(tol)]
+        assert set(failing) <= set(named)
+        assert code == (1 if named else 0)
+        message = ", ".join(f"{k} = {values[k]!r}" for k in named)
+        assert err.splitlines() == (
+            [f"error: certificate exceeds --tol {float(tol)!r}: {message}"] if named else [])
+
+    def test_failed_solver_check_alone(self, capsys, monkeypatch):
+        """A primal far from the solver's risk with a zero gap names only
+        ``solver_vs_primal``."""
+        real = certify.duality_gap
+        monkeypatch.setattr(certify, "duality_gap", lambda *args: dataclasses.replace(
+            real(*args), primal=0.3, dual=0.3, gap=0.0))
+        assert main(["certify", "--example", "non_uniqueness_all", "--eps", "0.2"]) == 1
+        out, err = capsys.readouterr()
+        value = json.loads(out)["solver_vs_primal"]
+        assert abs(value) > 0.05
+        assert err.splitlines() == [
+            f"error: certificate exceeds --tol 0.005: solver_vs_primal = {value!r}"]
 
     def test_pass_writes_no_stderr(self, capsys):
         assert main(["certify", "--example", "non_uniqueness_all", "--eps", "0.2"]) == 0

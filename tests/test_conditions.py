@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
-from strategies import gaussian_mixture_pairs, piecewise_poly_pairs, wide_sigma_pairs
+from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
 from advbayes import conditions, examples
 from advbayes.density import DistributionPair, Gaussian
 from advbayes.conditions import (
@@ -64,6 +64,19 @@ class TestScanWindow:
     def test_window_empty(self, nus_pair):
         with pytest.raises(WindowEmpty):
             solve_first_order(nus_pair, 1.5)
+
+    @given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs(), mixed_pairs(),
+                     wide_sigma_pairs()), st.floats(0.0, 1.5))
+    @settings(deadline=None, max_examples=150)
+    def test_candidates_lie_in_window(self, pair, eps):
+        """The solver enumerates the scan's points unfiltered: every one
+        already lies in the endpoint window."""
+        try:
+            scan = solve_first_order(pair, eps)
+        except WindowEmpty:
+            return
+        for c in scan.a_candidates + scan.b_candidates:
+            assert all(scan.window.lo <= x <= scan.window.hi for x in c.enumeration_points()), c
 
 
 class TestFirstOrder:

@@ -14,6 +14,8 @@ from advbayes.density import (
     Gaussian,
     OutsideSupport,
     PiecewisePoly,
+    _cell_extrema,
+    _poly_eval,
     itp_root,
     pair_from_dict,
     pair_to_dict,
@@ -40,6 +42,15 @@ class TestValidation:
         # dips negative in the middle even though endpoints are positive
         with pytest.raises(ValueError):
             PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=((0.1, 0.0, -1.0, 0.0, 1.0),))
+
+    def test_dip_between_samples_rejected(self):
+        # Least value -1.05e-12 at x ~ 0.2934 (exact rational arithmetic),
+        # while 64 evenly spaced samples of [-1, 1] all read above +2.4e-17.
+        row = (5.445786818007798e-08, -7.873500412435802e-07, 4.265586338183105e-06,
+               -1.0262679963375369e-05, 9.251399233796585e-06)
+        assert _poly_eval(row, np.linspace(-1.0, 1.0, 64)).min() > 2e-17
+        with pytest.raises(ValueError):
+            PiecewisePoly(breakpoints=(-1.0, 1.0), coeffs=(row,))
 
     def test_rounding_dip_accepted_and_read_as_zero(self):
         # the guard admits a row down to -1e-12; pdf and pdf_array clamp it at 0
@@ -322,6 +333,82 @@ class TestItpRoot:
             g, calls = self.counted(f)
             assert itp_root(g, 0.0, 1.0, 1e-12) == expected
             assert calls == [0.0, 1.0]
+
+
+def _row_from_slope_roots(roots, lead=1.0):
+    """Ascending coefficients of a polynomial whose derivative is
+    ``lead * prod(x - r)``."""
+    slope = np.polynomial.polynomial.polyfromroots(roots) * lead
+    return tuple(np.polynomial.polynomial.polyint(slope).tolist())
+
+
+@st.composite
+def cell_rows(draw):
+    """A cell [lo, hi] and a row of degree 0-5 on it: normal coefficients,
+    or a product of linear factors with roots in or near the cell, some
+    near-double, shifted by a constant; scaled by 10^-50 to 10^50."""
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(1e-3, 3.0))
+    degree = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        row = [draw(st.floats(-1.0, 1.0)) for _ in range(degree + 1)]
+    else:
+        roots = []
+        while len(roots) < degree:
+            r = draw(st.floats(lo - 0.5, hi + 0.5))
+            roots.append(r)
+            if len(roots) < degree and draw(st.booleans()):
+                roots.append(r + 10.0 ** draw(st.floats(-12.0, -3.0)))
+        row = np.polynomial.polynomial.polyfromroots(roots).tolist() if roots else [1.0]
+        row[0] += draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6]))
+    scale = 10.0 ** draw(st.integers(-50, 50))
+    return lo, hi, tuple(c * scale for c in row)
+
+
+class TestCellExtrema:
+    """Extremes of a cell row: at the cell ends or at ``_cell_extrema``."""
+
+    def test_cubic_slope(self):
+        roots = [-0.4, 0.2, 0.9]
+        got = _cell_extrema(_row_from_slope_roots(roots), -1.0, 1.0)
+        assert len(got) == 3
+        assert max(abs(g - r) for g, r in zip(got, roots)) <= 1e-12
+
+    def test_monotone_rows_have_none(self):
+        assert _cell_extrema((1.0, 1.0, 0.0, 1.0), -2.0, 2.0) == []  # x^3 + x + 1
+        assert _cell_extrema((1.0, 0.0, 1.0), 0.5, 2.0) == []  # its minimum is at 0
+        assert _cell_extrema((1.0, 0.0, 0.0, 1.0), -1.0, 1.0) == []  # flat at 0, no extremum
+        assert _cell_extrema((3.0,), -1.0, 1.0) == _cell_extrema((3.0, 2.0), -1.0, 1.0) == []
+
+    def test_quintic(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            roots = np.sort(rng.uniform(-0.9, 0.9, size=3))
+            got = _cell_extrema(_row_from_slope_roots(list(roots) + [2.0]), -1.0, 1.0)
+            assert len(got) == 3
+            assert np.max(np.abs(np.array(got) - roots)) <= 1e-9
+
+    @given(cell_rows())
+    @settings(deadline=None, max_examples=400)
+    def test_bounds_every_sample(self, cell):
+        """The least and greatest row values over the ends and the extrema
+        bound those of 4,097 evenly spaced samples, up to rounding at the
+        row's scale; the guard and ``sup_density`` read the same points."""
+        lo, hi, row = cell
+        points = [lo, hi] + _cell_extrema(row, lo, hi)
+        assert points[2:] == sorted(points[2:]) and all(lo < x < hi for x in points[2:])
+        values = [_poly_eval(row, x) for x in points]
+        samples = _poly_eval(row, np.linspace(lo, hi, 4097))
+        reach = max(abs(lo), abs(hi))
+        slack = 64 * np.finfo(float).eps * sum(abs(c) * reach**i for i, c in enumerate(row))
+        assert min(values) <= samples.min() + slack
+        assert max(values) >= samples.max() - slack
+        if min(values) < -1e-12:
+            with pytest.raises(ValueError):
+                PiecewisePoly(breakpoints=(lo, hi), coeffs=(row,))
+        else:
+            poly = PiecewisePoly(breakpoints=(lo, hi), coeffs=(row,))
+            assert poly.sup_density >= samples.max() - slack
 
 
 class TestEta:

@@ -14,7 +14,7 @@ from advbayes.conditions import (
     bayes_classifier,
     solve_first_order,
 )
-from advbayes.density import DistributionPair, Gaussian, PiecewisePoly, poly_roots_in_cell
+from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
 from advbayes.risk import (
     EndpointMismatch,
@@ -446,27 +446,6 @@ def _bayes_matches_literal_sign(pair):
         if any(abs(x - z) <= 1e-9 for z in edges) or abs(gap) <= 1e-12:
             continue
         assert bayes.contains_point(x) == (gap > 0), x
-
-
-class TestSturm:
-    def test_cubic_roots(self):
-        c = np.polynomial.polynomial.polyfromroots([0.2, -0.4, 0.9])
-        roots = poly_roots_in_cell(list(c), -1.0, 1.0)
-        assert len(roots) == 3
-        for r, e in zip(roots, [-0.4, 0.2, 0.9]):
-            assert abs(r - e) <= 1e-12
-
-    def test_no_roots(self):
-        assert poly_roots_in_cell([1.0, 0.0, 1.0], -2.0, 2.0) == []
-
-    def test_quintic(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            roots = np.sort(rng.uniform(-0.9, 0.9, size=3))
-            c = np.polynomial.polynomial.polyfromroots(list(roots) + [2.0, -2.0])
-            got = poly_roots_in_cell(list(c), -1.0, 1.0)
-            assert len(got) == 3
-            assert np.max(np.abs(np.array(got) - roots)) <= 1e-9
 
 
 class TestRiskGapBound:

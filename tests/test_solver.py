@@ -24,14 +24,13 @@ from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs
 
 def record_enumeration(monkeypatch) -> list[tuple]:
     """Record (pool, result) of every ``solver.enumerate_candidates`` call;
-    the pool is (a_points, b_points, eps, window as an (lo, hi) pair or None)."""
+    the pool is (a_points, b_points, eps)."""
     calls = []
     enumerate_ = solver.enumerate_candidates
 
-    def recorded(pair, a_pts, b_pts, eps, window=None):
-        result = enumerate_(pair, a_pts, b_pts, eps, window)
-        calls.append(((a_pts, b_pts, eps, None if window is None else (window.lo, window.hi)),
-                      result))
+    def recorded(pair, a_pts, b_pts, eps):
+        result = enumerate_(pair, a_pts, b_pts, eps)
+        calls.append(((a_pts, b_pts, eps), result))
         return result
 
     monkeypatch.setattr(solver, "enumerate_candidates", recorded)
@@ -196,7 +195,7 @@ class TestSolvePiecewise:
         rep = solve(nus_pair, 1.5)
         assert rep.warnings
         [(pool, (sets, _))] = calls
-        assert pool == ([], [], 1.5, None)
+        assert pool == ([], [], 1.5)
         assert {str(s) for s in sets} <= {str(IntervalSet.empty()), str(IntervalSet.reals())}
         assert rep.classes[0].representative == IntervalSet.reals()
 
