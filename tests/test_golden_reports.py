@@ -76,6 +76,18 @@ def mixed_class_config() -> dict:
     return config
 
 
+def gap_cells_config(k: int) -> dict:
+    """Class 1 uniform on [4i, 4i+1] and class 0 uniform on [4i+2, 4i+3],
+    i < k: every class boundary sits in a zero-density gap, so 2^(2k-1)
+    regular sets tie at the minimum to the bit."""
+    def cells(offset: float) -> list[dict]:
+        bp = [4.0 * i + offset + d for i in range(k) for d in (0.0, 1.0)]
+        rows = [[0.5 / k] if j % 2 == 0 else [0.0] for j in range(len(bp) - 1)]
+        return [{"type": "piecewise_poly", "breakpoints": bp, "coeffs": rows}]
+
+    return {"class0": cells(2.0), "class1": cells(0.0)}
+
+
 def pinned_runs() -> list[dict]:
     """Every pinned run; ``{dir}`` stands for a scratch directory that holds
     the run's ``inputs`` files and receives its CSV."""
@@ -109,6 +121,8 @@ def pinned_runs() -> list[dict]:
     extra = (("mixture_k256.json", mixture_config(256), "0.3"),
              ("mixture_k16_shuffled.json", shuffled_mixture_config(16), "0.1"),
              ("mixed_class.json", mixed_class_config(), "0.1"))
+    # Tie-heavy pools: 32 and 128 minimizers in one class, listed by the walk.
+    extra += tuple((f"gap_cells_k{k}.json", gap_cells_config(k), "0.1") for k in (3, 4))
     for config, content, eps in extra:
         runs.append({"argv": ["solve", "--config", "{dir}/" + config, "--eps", eps],
                      "inputs": {config: content}})
