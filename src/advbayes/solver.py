@@ -90,55 +90,8 @@ class SolveReport:
 
 def _set_from_sequence(points: list[float], kinds: list[str]) -> IntervalSet:
     """Open set encoded by an alternating endpoint sequence."""
-    pieces: list[Interval] = []
-    i = 0
-    if kinds and kinds[0] == "b":
-        pieces.append(Interval(-INF, points[0]))
-        i = 1
-    while i + 1 < len(kinds) and kinds[i] == "a" and kinds[i + 1] == "b":
-        pieces.append(Interval(points[i], points[i + 1]))
-        i += 2
-    if i < len(kinds) and kinds[i] == "a":
-        pieces.append(Interval(points[i], INF))
-    return IntervalSet(pieces)
-
-
-class _ArgminTable:
-    """Sparse table over a list of values: the position of a smallest value
-    in any range after O(n log n) set-up, and every position whose value is
-    at most a threshold in O(1) per position found."""
-
-    def __init__(self, values: list[float]):
-        self.values = values
-        self.levels = [list(range(len(values)))]
-        width = 1
-        while 2 * width <= len(values):
-            prev = self.levels[-1]
-            self.levels.append([a if values[a] <= values[b] else b
-                                for a, b in zip(prev, prev[width:])])
-            width *= 2
-
-    def argmin(self, lo: int, hi: int) -> int:
-        """A position of the smallest value in ``values[lo:hi]`` (nonempty)."""
-        k = (hi - lo).bit_length() - 1
-        a, b = self.levels[k][lo], self.levels[k][hi - (1 << k)]
-        return a if self.values[a] <= self.values[b] else b
-
-    def at_most(self, lo: int, hi: int, bound: float) -> list[int]:
-        """Every position in ``range(lo, hi)`` whose value is <= ``bound``, ascending."""
-        found: list[int] = []
-        stack = [(lo, hi)]
-        while stack:
-            lo, hi = stack.pop()
-            if lo >= hi:
-                continue
-            m = self.argmin(lo, hi)
-            if self.values[m] > bound:
-                continue
-            found.append(m)
-            stack += ((m + 1, hi), (lo, m))
-        found.sort()
-        return found
+    ends = [-INF] * (kinds[0] == "b") + points + [INF] * (kinds[-1] == "a")
+    return IntervalSet(Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]))
 
 
 # The walk's prefilter compares onward[j] = up[j] + best[j] with
@@ -146,7 +99,8 @@ class _ArgminTable:
 # (cost + (up[j] - down[i])) + best[j] <= bound.
 # Every term is a class mass or a sum of disjoint ones, at most ~2 in size,
 # so the two sides differ by a few roundings of 2^-52 each; this slack keeps
-# the prefilter looser than the exact test.
+# the prefilter looser than the exact test.  So a suffix minimum that fails
+# the prefilter shows that no node from there on passes the exact test.
 _WALK_SLACK = 1e-12
 
 
@@ -171,11 +125,13 @@ def enumerate_candidates(
     completion from a running minimum of F_c(x_j + eps) + best[j] per kind
     over the nodes j more than 2*eps ahead: O(P) for P nodes.  A walk
     pruned on those completions lists every sequence whose edge sum is
-    within 2*TAU_RISK of the minimum; it finds the successors that can stay
-    under the bound with a range-minimum table per kind, then applies the
-    exact test.  The listed sets, sorted by ``_set_key``, get their exact
-    risks from ``adversarial_risk``, which reads the CDF memo that the fill
-    left.
+    within 2*TAU_RISK of the minimum.  The successors of a node are a
+    suffix of the other kind's nodes; the walk scans it stretch by stretch
+    up to each next suffix minimum of F_c(x_j + eps) + best[j], applying
+    the exact test to every node it scans, and stops at the first suffix
+    minimum that cannot stay under the bound.  The listed sets, sorted by
+    ``_set_key``, get their exact risks from ``adversarial_risk``, which
+    reads the CDF memo that the fill left.
     """
     nodes = sorted({(x, "a") for x in a_points} | {(x, "b") for x in b_points})
 
@@ -189,9 +145,7 @@ def enumerate_candidates(
           for c in (0, 1)]
     down = [at[c][i] for i, c in enumerate(pays)]  # the class node i pays, at x_i - eps
     up = [at[1 - c][i] for i, c in enumerate(pays)]  # the class paid into node i, at x_i + eps
-    low = [pair.cdf(c, -INF) for c in (0, 1)]
     total = [pair.cdf(c, INF) for c in (0, 1)]
-    start = [u - low[1 - c] for u, c in zip(up, pays)]
     end = [total[c] - d for d, c in zip(down, pays)]
 
     # Backward pass: the successors of node i are the nodes of the other kind
@@ -209,25 +163,35 @@ def enumerate_candidates(
         best[i] = min(end[i], run[1 - c] - down[i])
         onward[i] = up[i] + best[i]
 
-    # Per kind, its node indices in order and a range-minimum table of their onward[].
+    # Per kind, its node indices in order and, for each position, the first
+    # position of the least onward[] from there on.
     members = [[i for i in range(n) if pays[i] == c] for c in (0, 1)]
-    tables = [_ArgminTable([onward[i] for i in m]) for m in members]
+    least = []
+    for m in members:
+        arg = list(range(len(m)))
+        for pos in reversed(range(len(m) - 1)):
+            if onward[m[arg[pos + 1]]] < onward[m[pos]]:
+                arg[pos] = arg[pos + 1]
+        least.append(arg)
 
-    trivial = [(IntervalSet.empty(), total[1] - low[1]), (IntervalSet.reals(), total[0] - low[0])]
-    bound = min([r for _, r in trivial] + [s + b for s, b in zip(start, best)]) + 2 * TAU_RISK
+    trivial = [(IntervalSet.empty(), total[1]), (IntervalSet.reals(), total[0])]
+    bound = min(total + [u + b for u, b in zip(up, best)]) + 2 * TAU_RISK
     sets = [s for s, r in trivial if r <= bound]
-    stack = [(i, start[i], (i,)) for i in range(n) if start[i] + best[i] <= bound]
+    stack = [(i, up[i], (i,)) for i in range(n) if up[i] + best[i] <= bound]
     while stack:
         i, cost, path = stack.pop()
         if cost + end[i] <= bound:
             sets.append(_set_from_sequence([xs[j] for j in path], [nodes[j][1] for j in path]))
         k, lo = 1 - pays[i], down[i]
-        for pos in tables[k].at_most(bisect.bisect_left(members[k], first[i]), len(members[k]),
-                                     bound - cost + lo + _WALK_SLACK):
-            j = members[k][pos]
-            step = cost + (up[j] - lo)
-            if step + best[j] <= bound:
-                stack.append((j, step, path + (j,)))
+        m, arg = members[k], least[k]
+        limit = bound - cost + lo + _WALK_SLACK
+        pos = bisect.bisect_left(m, first[i])
+        while pos < len(m) and onward[m[arg[pos]]] <= limit:
+            for j in m[pos:arg[pos] + 1]:
+                step = cost + (up[j] - lo)
+                if step + best[j] <= bound:
+                    stack.append((j, step, path + (j,)))
+            pos = arg[pos] + 1
     sets.sort(key=_set_key)
     return sets, [adversarial_risk(pair, s, eps) for s in sets]
 
