@@ -5,12 +5,13 @@ source is ``--example NAME`` or a ``--config`` JSON file that holds
 ``example``, ``atoms``, or ``class0`` and ``class1``, plus an optional
 ``run`` object.  The run keys are ``epsilon`` (a number or {min, max,
 steps}), ``grid_h``, ``max_k``, ``tolerance``, ``full_matching``, ``out``
-and ``csv``; any other key is an error, and so is a ``max_k`` or
-``steps`` that is not an integer or a ``full_matching`` that is not a
-boolean.  The flags (``--eps`` or ``--eps-min``/``--eps-max``/``--steps``,
-``--grid-h``, ``--max-k``, ``--tol``, ``--full-matching``, ``--out``,
-``--csv``) are written over the run block, and the merged config is
-validated once.
+and ``csv``; any other key is an error, and so is an ``epsilon``, ``min``,
+``max``, ``grid_h`` or ``tolerance`` that is not a JSON number (a bool or
+a string is never coerced), a ``max_k`` or ``steps`` that is not an
+integer, or a ``full_matching`` that is not a boolean.  The flags
+(``--eps`` or ``--eps-min``/``--eps-max``/``--steps``, ``--grid-h``,
+``--max-k``, ``--tol``, ``--full-matching``, ``--out``, ``--csv``) are
+written over the run block, and the merged config is validated once.
 
 Exit codes: 0 success, 1 usage or validation error, 2 completed with
 warnings (e.g. a widened endpoint window), 3 grid-search budget exceeded.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import certify, examples, reportio, solver
 from .certify import BudgetExceeded
-from .density import DistributionPair, pair_from_dict
+from .density import DistributionPair, json_number, pair_from_dict
 from .intervals import IntervalSet
 from .solver import AssumptionUnmet, SolveReport
 
@@ -70,6 +71,8 @@ def _json_object(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("top-level config must be an object")
     return data
@@ -93,19 +96,16 @@ def config_from_dict(data: dict) -> RunConfig:
 
     eps_spec = run.get("epsilon")
     eps0 = None
-    if isinstance(eps_spec, (int, float)):
-        eps0 = float(eps_spec)
+    if isinstance(eps_spec, dict):
+        if not {"min", "max", "steps"} <= eps_spec.keys():
+            raise ParseError("'run.epsilon' needs min, max and steps")
+        lo, hi = (_number(eps_spec[k], f"run.epsilon.{k}") for k in ("min", "max"))
+        eps_values = _eps_range(lo, hi, _integer(eps_spec["steps"], "run.epsilon.steps"))
+    elif eps_spec is not None:
+        eps0 = _number(eps_spec, "run.epsilon")
         eps_values = [eps0]
-    elif isinstance(eps_spec, dict):
-        try:
-            lo, hi, steps = float(eps_spec["min"]), float(eps_spec["max"]), eps_spec["steps"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"'run.epsilon' needs numeric min, max and steps: {exc!r}")
-        eps_values = _eps_range(lo, hi, _integer(steps, "run.epsilon.steps"))
-    elif eps_spec is None:
-        eps_values = []
     else:
-        raise ParseError("'run.epsilon' must be a number or {min, max, steps}")
+        eps_values = []
     for eps in eps_values:
         _check_eps(eps)
 
@@ -129,8 +129,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
             cfg.atoms = tuple(
                 certify.AtomList(
-                    positions=np.array([float(p) for p, _ in atoms[key]]),
-                    masses=np.array([float(m) for _, m in atoms[key]]),
+                    positions=np.array([json_number(p, f"atoms.{key} position")
+                                        for p, _ in atoms[key]]),
+                    masses=np.array([json_number(m, f"atoms.{key} mass") for _, m in atoms[key]]),
                     klass=k,
                 )
                 for k, key in ((0, "class0"), (1, "class1"))
@@ -149,11 +150,8 @@ def config_from_dict(data: dict) -> RunConfig:
         except ValueError as exc:
             raise ValidationError(str(exc))
 
-    try:
-        cfg.grid_h = float(run.get("grid_h", cfg.grid_h))
-        cfg.tolerance = float(run.get("tolerance", cfg.tolerance))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed 'run' value: {exc}")
+    cfg.grid_h = _number(run.get("grid_h", cfg.grid_h), "run.grid_h")
+    cfg.tolerance = _number(run.get("tolerance", cfg.tolerance), "run.tolerance")
     cfg.max_k = _integer(run.get("max_k", cfg.max_k), "run.max_k")
     cfg.full_matching = run.get("full_matching", cfg.full_matching)
     if not isinstance(cfg.full_matching, bool):
@@ -168,6 +166,14 @@ def config_from_dict(data: dict) -> RunConfig:
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         raise ValidationError("tolerance must be finite and positive")
     return cfg
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float when it is a JSON number (``density.json_number``)."""
+    try:
+        return json_number(value, key)
+    except TypeError as exc:
+        raise ParseError(str(exc))
 
 
 def _integer(value, key: str) -> int:

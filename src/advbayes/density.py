@@ -596,14 +596,26 @@ def signed_gap(pair: DistributionPair, plus: int, xp: float, minus: int, xm: flo
 # -- config schema -----------------------------------------------------------
 
 
+def json_number(value, field: str) -> float:
+    """``value`` as a float when it is a JSON number; a bool, a string or any
+    other value is never coerced, and neither is an integer beyond float
+    range.  The ``TypeError`` names ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"'{field}' must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"'{field}' is an integer beyond float range") from None
+
+
 def component_from_dict(d: dict) -> DensityComponent:
     kind = d.get("type")
     if kind == "gaussian":
-        return Gaussian(weight=float(d["weight"]), mu=float(d["mu"]), sigma=float(d["sigma"]))
+        return Gaussian(**{key: json_number(d[key], key) for key in ("weight", "mu", "sigma")})
     if kind == "piecewise_poly":
         return PiecewisePoly(
-            breakpoints=tuple(float(b) for b in d["breakpoints"]),
-            coeffs=tuple(tuple(float(c) for c in row) for row in d["coeffs"]),
+            breakpoints=tuple(json_number(b, "breakpoints") for b in d["breakpoints"]),
+            coeffs=tuple(tuple(json_number(c, "coeffs") for c in row) for row in d["coeffs"]),
         )
     raise ValueError(f"unknown density component type: {kind!r}")
 

@@ -41,6 +41,11 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config("{nope")
 
+    def test_integer_past_digit_limit(self):
+        # json.loads raises a plain ValueError past 4,300 digits
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_config('{"run": {"grid_h": 1%s}}' % ("0" * 5000))
+
     def test_sweep_spec(self):
         cfg = parse_config(
             '{"example": "degenerate", "run": {"epsilon": {"min": 0.1, "max": 0.3, "steps": 3}}}'
@@ -114,7 +119,18 @@ class TestExitCodes:
         ({"example": "degenerate", "run": {"epsilon": 0.05, "max_k": True}}, "run.max_k"),
         ({"example": "degenerate", "run": {"epsilon": {"min": 0.1, "max": 0.3, "steps": 2.5}}},
          "run.epsilon.steps"),
-    ], ids=["full_matching_string", "max_k_float", "max_k_bool", "steps_float"])
+        ({"example": "degenerate", "run": {"epsilon": True}}, "run.epsilon"),
+        ({"example": "degenerate", "run": {"epsilon": "0.05"}}, "run.epsilon"),
+        ({"example": "degenerate", "run": {"epsilon": {"min": "0.1", "max": 0.3, "steps": 2}}},
+         "run.epsilon.min"),
+        ({"example": "degenerate", "run": {"epsilon": {"min": 0.1, "max": True, "steps": 2}}},
+         "run.epsilon.max"),
+        ({"example": "degenerate", "run": {"epsilon": 0.05, "grid_h": "1e-3"}}, "run.grid_h"),
+        ({"example": "degenerate", "run": {"epsilon": 0.05, "grid_h": 10**400}}, "run.grid_h"),
+        ({"example": "degenerate", "run": {"epsilon": 0.05, "tolerance": True}}, "run.tolerance"),
+    ], ids=["full_matching_string", "max_k_float", "max_k_bool", "steps_float", "epsilon_bool",
+            "epsilon_string", "min_string", "max_bool", "grid_h_string", "grid_h_huge_int",
+            "tolerance_bool"])
     def test_wrongly_typed_run_value(self, tmp_path, capsys, config, key):
         """A run value of the wrong JSON type is an error naming its key,
         never coerced: "false" is not false and 2.7 is not 2."""
@@ -187,6 +203,32 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("config, field", [
+        ({"class0": [{"type": "gaussian", "weight": "0.5", "mu": 0.0, "sigma": 1.0}]}, "weight"),
+        ({"class0": [{"type": "gaussian", "weight": 0.5, "mu": False, "sigma": 1.0}]}, "mu"),
+        ({"class0": [{"type": "gaussian", "weight": 0.5, "mu": 0.0, "sigma": True}]}, "sigma"),
+        ({"class0": [{"type": "gaussian", "weight": 0.5, "mu": 10**400, "sigma": 1.0}]}, "mu"),
+        ({"class0": [{"type": "piecewise_poly", "breakpoints": ["-1", "1"], "coeffs": [[0.25]]}]},
+         "breakpoints"),
+        ({"class0": [{"type": "piecewise_poly", "breakpoints": [-1, 1], "coeffs": [["0.25"]]}]},
+         "coeffs"),
+        ({"atoms": {"class0": [["-0.3", 0.5]], "class1": [[0.3, 0.5]]}}, "atoms.class0 position"),
+        ({"atoms": {"class0": [[-0.3, 0.5]], "class1": [[0.3, True]]}}, "atoms.class1 mass"),
+    ], ids=["weight_string", "mu_bool", "sigma_bool", "mu_huge_int", "breakpoint_string",
+            "coeff_string", "atom_position_string", "atom_mass_bool"])
+    def test_wrongly_typed_source_value(self, tmp_path, capsys, config, field):
+        """A density or atom field that is not a JSON number is an error
+        naming the field, never coerced: false is not 0 and "0.5" is not 0.5."""
+        command = "certify" if "atoms" in config else "solve"
+        if command == "solve":
+            config = {"class1": [{"type": "gaussian", "weight": 0.5, "mu": 2.0, "sigma": 1.0}],
+                      **config}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, "run": {"epsilon": 0.3}}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"'{field}'" in captured.err and captured.out == ""
 
     def test_config_is_directory(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path), "--eps", "0.1"]) == 1
