@@ -149,20 +149,28 @@ def _cell_extrema(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
 
     Between the cell ends and the derivative's own such points the derivative
     is monotone, so a strict sign change there brackets exactly one extremum,
-    which ``itp_root`` finds.  Each level lowers the degree by one, so rows
-    of degree at most ``MAX_POLY_DEGREE`` recurse at most 4 deep.
+    which ``itp_root`` finds.  An inner knot where the derivative is exactly
+    0 is skipped when looking for the sign change; if the derivative's sign
+    changes across it, the first such knot is the extremum.  A root that
+    lands on a cell end is dropped: callers read the ends anyway.  Each
+    level lowers the degree by one, so rows of degree at most
+    ``MAX_POLY_DEGREE`` recurse at most 4 deep.
     """
     slope = _poly_derivative(coeffs)
     if len(slope) < 2:
         return []
     f = lambda x: _poly_eval(slope, x)
-    knots = [lo] + _cell_extrema(slope, lo, hi) + [hi]
-    out = []
-    for a, b in zip(knots, knots[1:]):
-        fa, fb = f(a), f(b)
+    knots = _cell_extrema(slope, lo, hi) + [hi]
+    out, a, fa, zero = [], lo, f(lo), None
+    for b in knots:
+        fb = f(b)
+        if fb == 0.0 and b != hi:
+            zero = b if zero is None else zero
+            continue
         if fa < 0.0 < fb or fb < 0.0 < fa:
-            out.append(itp_root(f, a, b, _ROOT_REFINE_TOL))
-    return out
+            out.append(itp_root(f, a, b, _ROOT_REFINE_TOL) if zero is None else zero)
+        a, fa, zero = b, fb, None
+    return [x for x in out if lo < x < hi]
 
 
 @dataclass(frozen=True)

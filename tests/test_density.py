@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -390,6 +390,12 @@ class TestCellExtrema:
 
     @given(cell_rows())
     @settings(deadline=None, max_examples=400)
+    # (x-1)^3 (x-1-1e-6): the slope is exactly 0 at the first inner knot
+    # and changes sign across it, so that knot is the minimum.
+    @example((0.0, 3.0, (1.000001, -4.0000029999999995, 6.000003, -4.000001, 1.0)))
+    # The slope's root sits on the cell's left end: it is that end, not an inner point.
+    @example((0.1766684700651136, 1.1766684700651135,
+              (0.0, 31.21174831514794, -353.3369401302272, 1000.0)))
     def test_bounds_every_sample(self, cell):
         """The least and greatest row values over the ends and the extrema
         bound those of 4,097 evenly spaced samples, up to rounding at the
