@@ -9,7 +9,7 @@ from .density import (
     PiecewisePoly,
 )
 from .intervals import Interval, IntervalSet
-from .risk import RiskBreakdown, adversarial_risk, standard_risk
+from .risk import RiskBreakdown, adversarial_risk
 from .solver import SolveReport, are_equivalent, solve
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "are_equivalent",
     "bayes_classifier",
     "solve",
-    "standard_risk",
 ]
 
 __version__ = "0.1.0"

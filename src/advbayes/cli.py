@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from . import certify, examples, reportio, solver
 from .certify import BudgetExceeded
 from .density import DistributionPair, json_number, pair_from_dict
-from .intervals import IntervalSet
 from .solver import AssumptionUnmet, SolveReport
 
 
@@ -284,7 +283,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     report = solver.solve(cfg.distribution, cfg.eps_values[0])
     _emit(reportio.dumps(reportio.solve_report_to_dict(report)), cfg.out)
     if cfg.csv:
-        reportio.write_csv(cfg.csv, reportio.SOLVE_COLUMNS, [reportio.solve_csv_row(report)])
+        reportio.write_csv(cfg.csv, reportio.SOLVE_COLUMNS, [reportio.report_row(report)])
     return 2 if report.warnings else 0
 
 
@@ -302,7 +301,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rows = []
     prev: SolveReport | None = None
     for rep in reports:
-        top = rep.classes[0].representative if rep.classes else IntervalSet.empty()
+        top = rep.classes[0].representative
         dilated = support.expand(rep.epsilon)
         mono = ""
         if prev is not None:
@@ -311,23 +310,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 mono = "true" if res.holds else "false"
             except AssumptionUnmet:
                 mono = "n/a"
-        rows.append(
-            [
-                reportio.fmt_float(rep.epsilon),
-                reportio.fmt_float(rep.min_risk),
-                len(rep.classes),
-                top.intersect(dilated).n_components,
-                top.complement().intersect(dilated).n_components,
-                "true" if rep.unique_up_to_degeneracy else "false",
-                reportio.representative_string(top),
-                mono,
-            ]
-        )
+        rows.append({
+            **reportio.report_row(rep),
+            "comp_classifier": top.intersect(dilated).n_components,
+            "comp_complement": top.complement().intersect(dilated).n_components,
+            "monotonic_vs_prev": mono,
+        })
         prev = rep
     if cfg.csv:
         reportio.write_csv(cfg.csv, reportio.SWEEP_COLUMNS, rows)
     payload = {
-        "rows": [dict(zip(reportio.SWEEP_COLUMNS, row)) for row in rows],
+        "rows": rows,
         "reports": [reportio.solve_report_to_dict(r) for r in reports],
     }
     _emit(reportio.dumps(payload), cfg.out)

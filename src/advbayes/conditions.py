@@ -82,8 +82,8 @@ class CandidatePoint:
         return (self.location,)
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "second_order": self.second_order,
-                   "residual": self.residual, "at_jump": self.at_jump}
+        d: dict = {"second_order": self.second_order, "residual": self.residual,
+                   "at_jump": self.at_jump}
         if self.plateau is not None:
             d["plateau"] = list(self.plateau)
         else:
@@ -97,7 +97,7 @@ class FirstOrderScan:
     b_candidates: list[CandidatePoint]
     window: Interval
     window_widened: bool
-    truncated: bool = False
+    truncated: bool = False  # always False; only bench/tracing.py's counter reads it
 
 
 def _reads(kind: str) -> tuple[int, int]:

@@ -15,12 +15,7 @@ from typing import Any, Iterable
 from .certify import DualCertificate, GapReport
 from .conditions import FirstOrderScan
 from .intervals import IntervalSet
-from .solver import (
-    CandidateClassifier,
-    DegenerateReport,
-    EquivalenceClass,
-    SolveReport,
-)
+from .solver import EquivalenceClass, SolveReport
 
 
 def fmt_float(x: float) -> str:
@@ -61,31 +56,22 @@ def dumps(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def candidate_to_dict(c: CandidateClassifier) -> dict:
-    return {
-        "set": c.set.to_rows(),
-        "risk": c.risk.to_dict(),
-        "regular": c.regular,
-        "second_order_clean": c.second_order_clean,
-    }
-
-
 def class_to_dict(c: EquivalenceClass) -> dict:
+    d = c.degenerate
     return {
         "representative": c.representative.to_rows(),
-        "members": [m.set.to_rows() for m in c.members],
-        "degenerate_core": c.degenerate_core.to_rows(),
         "risk": c.risk,
-        "assumptions_met": c.degenerate.assumptions_met,
-    }
-
-
-def degenerate_to_dict(d: DegenerateReport) -> dict:
-    return {
-        "small_components": d.small_components.to_rows(),
-        "maximal_degenerate": d.maximal_degenerate.to_rows(),
-        "assumptions_met": d.assumptions_met,
-        "detected_intervals": IntervalSet(d.detected_intervals).to_rows(),
+        "degenerate_core": c.degenerate_core.to_rows(),
+        "members": [
+            {"set": m.set.to_rows(), "risk": m.risk.to_dict(),
+             "second_order_clean": m.second_order_clean}
+            for m in c.members
+        ],
+        "degenerate": {
+            "assumptions_met": d.assumptions_met,
+            "maximal_degenerate": d.maximal_degenerate.to_rows(),
+            "detected_intervals": IntervalSet(d.detected_intervals).to_rows(),
+        },
     }
 
 
@@ -97,7 +83,6 @@ def scan_to_dict(scan: FirstOrderScan | None) -> dict | None:
         "b_candidates": [c.to_dict() for c in scan.b_candidates],
         "window": [scan.window.lo, scan.window.hi],
         "window_widened": scan.window_widened,
-        "truncated": scan.truncated,
     }
 
 
@@ -106,20 +91,12 @@ def solve_report_to_dict(r: SolveReport) -> dict:
         "epsilon": r.epsilon,
         "min_risk": r.min_risk,
         "unique_up_to_degeneracy": r.unique_up_to_degeneracy,
-        "n_classes": len(r.classes),
-        "minimizers": [candidate_to_dict(c) for c in r.minimizers],
         "classes": [class_to_dict(c) for c in r.classes],
         "first_order": scan_to_dict(r.first_order),
         "plateau_checks": [
-            {
-                "kind": p.kind,
-                "plateau": list(p.plateau),
-                "verified": p.verified,
-                "checked_points": p.checked_points,
-            }
+            {"kind": p.kind, "plateau": list(p.plateau), "verified": p.verified}
             for p in r.plateau_checks
         ],
-        "degenerate_reports": [degenerate_to_dict(c.degenerate) for c in r.classes],
         "warnings": r.warnings,
     }
 
@@ -179,20 +156,20 @@ SOLVE_COLUMNS = [
 ]
 
 
-def write_csv(path: str, columns: list[str], rows: Iterable[Iterable]) -> None:
+def report_row(r: SolveReport) -> dict:
+    """The CSV columns that a solve row and a sweep row share, by name."""
+    return {
+        "epsilon": fmt_float(r.epsilon),
+        "min_risk": fmt_float(r.min_risk),
+        "n_classes": len(r.classes),
+        "unique_up_to_degeneracy": "true" if r.unique_up_to_degeneracy else "false",
+        "representative": representative_string(r.classes[0].representative),
+    }
+
+
+def write_csv(path: str, columns: list[str], rows: Iterable[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow(list(row))
-
-
-def solve_csv_row(r: SolveReport) -> list:
-    rep = r.classes[0].representative if r.classes else IntervalSet.empty()
-    return [
-        fmt_float(r.epsilon),
-        fmt_float(r.min_risk),
-        len(r.classes),
-        "true" if r.unique_up_to_degeneracy else "false",
-        representative_string(rep),
-    ]
+            writer.writerow([row[c] for c in columns])

@@ -37,7 +37,6 @@ class RiskBreakdown:
             "total": self.total,
             "fn_mass": self.fn_mass,
             "fp_mass": self.fp_mass,
-            "epsilon": self.epsilon,
         }
 
 
@@ -48,10 +47,6 @@ def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> Risk
     fn = pair.mass_set(1, a.complement().expand(eps))
     fp = pair.mass_set(0, a.expand(eps))
     return RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp, epsilon=eps)
-
-
-def standard_risk(pair: DistributionPair, a: IntervalSet) -> RiskBreakdown:
-    return adversarial_risk(pair, a, 0.0)
 
 
 # -- accuracy-robustness diagnostic -------------------------------------------
@@ -82,6 +77,6 @@ def risk_gap_bound(
                     raise EndpointMismatch(f"endpoint {ea} vs {eb}")
             elif abs(ea - eb) > eps + tol:
                 raise EndpointMismatch(f"|{ea} - {eb}| > eps={eps}")
-    gap = standard_risk(pair, a).total - standard_risk(pair, b).total
+    gap = adversarial_risk(pair, a, 0.0).total - adversarial_risk(pair, b, 0.0).total
     bound = 2.0 * eps * n_components * density_bound
     return gap, bound, gap <= bound + 1e-12

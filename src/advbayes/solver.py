@@ -38,7 +38,6 @@ def _set_key(s: IntervalSet) -> tuple:
 class CandidateClassifier:
     set: IntervalSet
     risk: RiskBreakdown
-    regular: bool
     second_order_clean: bool
 
     def sort_key(self):
@@ -47,7 +46,6 @@ class CandidateClassifier:
 
 @dataclass
 class DegenerateReport:
-    small_components: IntervalSet
     maximal_degenerate: IntervalSet
     assumptions_met: bool
     detected_intervals: list[Interval] = field(default_factory=list)
@@ -67,7 +65,6 @@ class PlateauCheck:
     kind: str
     plateau: tuple[float, float]
     verified: bool
-    checked_points: list[float]
 
 
 @dataclass
@@ -217,19 +214,13 @@ def degenerate_report(
 ) -> DegenerateReport:
     """Describe the removable/addable regions around a minimizer.
 
-    ``small_components`` lists components of the set or its complement no
-    longer than 2*eps; ``maximal_degenerate`` is the outer bound (everything
-    beyond the dilated support plus the set's own boundary), valid when the
-    support is an interval and neither class density vanishes on a support
-    cell.  When those assumptions fail and probe points are supplied,
-    intervals between nearby probes are tested directly for risk-invisibility.
+    ``maximal_degenerate`` is the outer bound (everything beyond the dilated
+    support plus the set's own boundary), valid when the support is an
+    interval and neither class density vanishes on a support cell.  When
+    those assumptions fail and probe points are supplied, intervals between
+    nearby probes are tested directly for risk-invisibility.
     """
     support = pair.support()
-    small = [
-        iv
-        for iv in list(a.intervals) + list(a.complement().intervals)
-        if not math.isinf(iv.length) and iv.length <= 2 * eps
-    ]
     outside = support.expand(eps).complement()
     closure_outside = IntervalSet(
         Interval(iv.lo, iv.hi, not math.isinf(iv.lo), not math.isinf(iv.hi))
@@ -258,7 +249,6 @@ def degenerate_report(
             ):
                 detected.append(Interval(u, v, True, True))
     return DegenerateReport(
-        small_components=IntervalSet(small),
         maximal_degenerate=maximal,
         assumptions_met=assumptions,
         detected_intervals=detected,
@@ -302,7 +292,6 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
         CandidateClassifier(
             set=s,
             risk=r,
-            regular=s.is_regular(eps),
             second_order_clean=all(near_sorted(passed, p, 1e-9) for p in s.boundary_points()),
         )
         for s, r in zip(sets, risks)
@@ -368,8 +357,7 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
                         verified = False
             if relevant:
                 plateau_checks.append(
-                    PlateauCheck(kind=c.kind, plateau=c.plateau, verified=verified,
-                                 checked_points=interior)
+                    PlateauCheck(kind=c.kind, plateau=c.plateau, verified=verified)
                 )
 
     return SolveReport(

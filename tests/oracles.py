@@ -457,19 +457,19 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
         verdicts = [fo.check_second_order(pair, eps, x, kind) for x in (p_lo, p_hi)]
         verdict = fo.PASS if fo.PASS in verdicts else (
             fo.INCONCLUSIVE if fo.INCONCLUSIVE in verdicts else fo.FAIL)
-        out.append({"kind": kind, "second_order": verdict, "residual": 0.0,
+        out.append({"second_order": verdict, "residual": 0.0,
                     "at_jump": False, "plateau": [p_lo, p_hi]})
         taken.extend([p_lo, p_hi])
     for r in sorted(set(roots)):
         if near_existing(r, taken):
             continue
-        out.append({"kind": kind, "second_order": fo.check_second_order(pair, eps, r, kind),
+        out.append({"second_order": fo.check_second_order(pair, eps, r, kind),
                     "residual": g(r), "at_jump": False, "location": r})
         taken.append(r)
     for s in jumps + fo._shifted(pair.discontinuities, eps, kind):
         if not lo < s < hi or near_existing(s, taken):
             continue
-        out.append({"kind": kind, "second_order": fo.INCONCLUSIVE, "residual": g(s),
+        out.append({"second_order": fo.INCONCLUSIVE, "residual": g(s),
                     "at_jump": True, "location": s})
         taken.append(s)
 

@@ -1,9 +1,10 @@
+import csv
 import dataclasses
 import json
 
 import pytest
 
-from advbayes import certify, cli, examples
+from advbayes import certify, cli, examples, reportio
 from advbayes.cli import ParseError, ValidationError, main, parse_config
 
 GAUSS_CFG = """
@@ -260,7 +261,7 @@ class TestSolveCommand:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["min_risk"] == pytest.approx(0.1, abs=1e-12)
-        assert data["n_classes"] == 1
+        assert len(data["classes"]) == 1
         assert data["classes"][0]["representative"] == [["-inf", "inf", False, False]]
         header = csv_path.read_text().splitlines()[0]
         assert header == "epsilon,min_risk,n_classes,unique_up_to_degeneracy,representative"
@@ -278,7 +279,7 @@ class TestSolveCommand:
         out = tmp_path / "report.json"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert data["n_classes"] == 1
+        assert len(data["classes"]) == 1
 
 
 class TestSweepCommand:
@@ -303,15 +304,20 @@ class TestSweepCommand:
         assert uniq == ["true", "false", "false"]
 
     def test_single_step_matches_solve(self, tmp_path):
-        sweep_out = tmp_path / "sweep.json"
-        solve_out = tmp_path / "solve.json"
+        sweep_out, sweep_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        solve_out, solve_csv = tmp_path / "solve.json", tmp_path / "solve.csv"
         main(["sweep", "--example", "degenerate", "--eps-min", "0.05",
-              "--eps-max", "0.05", "--steps", "1", "--out", str(sweep_out)])
+              "--eps-max", "0.05", "--steps", "1", "--out", str(sweep_out),
+              "--csv", str(sweep_csv)])
         main(["solve", "--example", "degenerate", "--eps", "0.05",
-              "--out", str(solve_out)])
+              "--out", str(solve_out), "--csv", str(solve_csv)])
         sweep = json.loads(sweep_out.read_text())
         solve = json.loads(solve_out.read_text())
         assert sweep["reports"][0]["min_risk"] == solve["min_risk"]
+        [solve_row] = csv.DictReader(solve_csv.read_text().splitlines())
+        [sweep_row] = csv.DictReader(sweep_csv.read_text().splitlines())
+        assert list(solve_row) == reportio.SOLVE_COLUMNS
+        assert solve_row == {c: sweep_row[c] for c in reportio.SOLVE_COLUMNS}
 
 
 class TestCertifyCommand:

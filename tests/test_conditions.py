@@ -345,6 +345,8 @@ def _scan_matches_oracle(pair, eps):
     got = ([c.to_dict() for c in scan.a_candidates],
            [c.to_dict() for c in scan.b_candidates])
     assert got == expected
+    assert all(c.kind == "a" for c in scan.a_candidates)
+    assert all(c.kind == "b" for c in scan.b_candidates)
 
 
 @given(gaussian_mixture_pairs(), st.floats(0.02, 1.0))

@@ -20,7 +20,6 @@ from advbayes.risk import (
     EndpointMismatch,
     adversarial_risk,
     risk_gap_bound,
-    standard_risk,
 )
 from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
 
@@ -39,10 +38,11 @@ def rand_sets(rng, n, half_infinite=True):
 
 class TestStandardRisk:
     def test_full_line_costs_class0(self, nua_pair):
-        assert standard_risk(nua_pair, IntervalSet.reals()).total == pytest.approx(0.5, abs=1e-15)
+        assert adversarial_risk(nua_pair, IntervalSet.reals(), 0.0).total == pytest.approx(
+            0.5, abs=1e-15)
 
     def test_empty_costs_class1(self, nua_pair):
-        r = standard_risk(nua_pair, IntervalSet.empty())
+        r = adversarial_risk(nua_pair, IntervalSet.empty(), 0.0)
         assert r.total == pytest.approx(nua_pair.total_mass(1), abs=1e-15)
         assert r.fp_mass == 0.0
 
@@ -53,7 +53,7 @@ class TestStandardRisk:
             ref[0], -1.0, 1 / 3, ref[2]
         )
         assert expected == pytest.approx(2 / 9, abs=1e-12)
-        got = standard_risk(nus_pair, IntervalSet.open(-INF, 1 / 3)).total
+        got = adversarial_risk(nus_pair, IntervalSet.open(-INF, 1 / 3), 0.0).total
         assert got == pytest.approx(2 / 9, abs=1e-14)
 
 
@@ -89,11 +89,6 @@ class TestAdversarialRisk:
                 expected = oracles.oracle_adv_risk(ref, pairs, eps)
                 got = adversarial_risk(pair, s, eps).total
                 assert got == pytest.approx(expected, abs=1e-8)
-
-    def test_zero_eps_equals_standard(self, nua_pair):
-        rng = np.random.default_rng(4)
-        for s in rand_sets(rng, 25):
-            assert adversarial_risk(nua_pair, s, 0.0).total == standard_risk(nua_pair, s).total
 
     def test_breakdown_consistency(self, eqmeans_pair):
         r = adversarial_risk(eqmeans_pair, IntervalSet.open(-1, 1), 0.25)

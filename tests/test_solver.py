@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from advbayes import cli, conditions, examples, solver
+from advbayes import cli, conditions, examples, reportio, solver
 from advbayes.conditions import FAIL
 from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
@@ -391,7 +392,6 @@ class TestDegenerateReport:
         rep_set = IntervalSet.open(-b, b)
         d = degenerate_report(eqmeans_pair, eps, rep_set)
         assert d.assumptions_met
-        assert d.small_components.is_empty
         assert d.maximal_degenerate == IntervalSet(
             [Interval(-b, -b, True, True), Interval(b, b, True, True)]
         )
@@ -438,15 +438,6 @@ class TestDegenerateReport:
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert len(evaluated) == 1
-
-    def test_small_component_listed(self, nua_pair):
-        eps = 0.3
-        a = IntervalSet.of_open((0.0, 0.6), (5.0, INF))
-        d = degenerate_report(nua_pair, eps, a)
-        assert any(
-            iv.lo == pytest.approx(0.0) and iv.hi == pytest.approx(0.6)
-            for iv in d.small_components
-        )
 
 
 class TestMinimizerClosure:
@@ -661,4 +652,56 @@ class TestReportShape:
         for pair, eps in ((deg_pair, 0.05), (nua_pair, 0.2)):
             rep = solve(pair, eps)
             assert all(s.is_regular(eps) for s in calls[-1][1][0])
-            assert all(m.regular for m in rep.minimizers)
+            assert all(m.set.is_regular(eps) for m in rep.minimizers)
+
+
+def _key_paths(obj, prefix: str = "") -> set[str]:
+    """Dotted paths of every object key; ``[]`` marks the objects of a list."""
+    paths = set()
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | _key_paths(value, path)
+    elif isinstance(obj, list):
+        for value in obj:
+            paths |= _key_paths(value, prefix + "[]")
+    return paths
+
+
+SOLVE_REPORT_PATHS = {
+    "epsilon", "min_risk", "unique_up_to_degeneracy", "warnings",
+    "classes", "classes[].representative", "classes[].risk", "classes[].degenerate_core",
+    "classes[].members", "classes[].members[].set", "classes[].members[].risk",
+    "classes[].members[].risk.total", "classes[].members[].risk.fn_mass",
+    "classes[].members[].risk.fp_mass", "classes[].members[].second_order_clean",
+    "classes[].degenerate", "classes[].degenerate.assumptions_met",
+    "classes[].degenerate.maximal_degenerate", "classes[].degenerate.detected_intervals",
+    "first_order", "first_order.window", "first_order.window_widened",
+    *(f"first_order.{kind}_candidates{leaf}" for kind in "ab"
+      for leaf in ("", "[].second_order", "[].residual", "[].at_jump", "[].location",
+                   "[].plateau")),
+    "plateau_checks", "plateau_checks[].kind", "plateau_checks[].plateau",
+    "plateau_checks[].verified",
+}
+
+
+def test_solve_report_schema(nua_pair, deg_pair):
+    """Each fact once: every minimizer's record sits in its class, and the
+    report has exactly these keys.  The three runs cover plateaus and two
+    classes (non_uniqueness_all), detected degenerate intervals (degenerate
+    at 0.2) and 32 tied members in one class (gap cells, k=3)."""
+    paths, reports = set(), []
+    for pair, eps, n_members in ((nua_pair, 0.2, 2), (deg_pair, 0.2, 1),
+                                 (gap_cells_pair(3), 0.1, 32)):
+        rep = solve(pair, eps)
+        data = json.loads(reportio.dumps(reportio.solve_report_to_dict(rep)))
+        paths |= _key_paths(data)
+        listed = [solver._set_key(IntervalSet.from_rows(m["set"]))
+                  for c in data["classes"] for m in c["members"]]
+        assert len(listed) == len(set(listed)) == len(rep.minimizers) == n_members
+        assert set(listed) == {m.sort_key() for m in rep.minimizers}
+        reports.append(data)
+    assert paths == SOLVE_REPORT_PATHS
+    nua, deg, _ = reports
+    assert len(nua["classes"]) == 2 and nua["plateau_checks"]
+    assert deg["classes"][0]["degenerate"]["detected_intervals"]
