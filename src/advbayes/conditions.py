@@ -212,10 +212,18 @@ def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: f
 
 def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[float]:
     """Zero samples, and a root found by ``itp_root`` on ``sign`` between each
-    pair of neighbouring samples of opposite sign."""
+    pair of neighbouring samples of opposite sign.
+
+    A zero sample between two zero samples is dropped: it lies inside a run
+    where the two densities agree to rounding, and like a plateau's inner
+    points it would only add endpoints that tie with the run's ends.
+    """
     roots: list[float] = []
     pos = vals > 0
-    for i in np.flatnonzero((vals[:-1] == 0.0) | (pos[:-1] != pos[1:])):
+    zero = vals == 0.0
+    inner = np.zeros_like(zero)
+    inner[1:-1] = zero[:-2] & zero[1:-1] & zero[2:]
+    for i in np.flatnonzero((zero & ~inner)[:-1] | (pos[:-1] != pos[1:])):
         if vals[i] == 0.0:
             roots.append(float(xs[i]))
         else:

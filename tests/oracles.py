@@ -423,7 +423,9 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
         for i in range(len(xs) - 1):
             v0, v1 = vals[i], vals[i + 1]
             if v0 == 0.0:
-                roots.append(float(xs[i]))
+                # Inside a run of zero samples only the run's two ends are roots.
+                if i == 0 or vals[i - 1] != 0.0 or v1 != 0.0:
+                    roots.append(float(xs[i]))
             elif (v0 > 0) != (v1 > 0):
                 roots.append(itp_root(sign, float(xs[i]), float(xs[i + 1]), fo._BISECT_TOL))
         if vals[-1] == 0.0:

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import oracles
 from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
 from advbayes import conditions, examples
-from advbayes.density import DistributionPair, Gaussian
+from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.conditions import (
     FAIL,
     INCONCLUSIVE,
@@ -259,6 +259,29 @@ class TestFirstOrderUnderflow:
 
     def test_scan_matches_scalar_oracle(self):
         _scan_matches_oracle(self.pair(), self.EPS)
+
+
+class TestFirstOrderRoundingTie:
+    """Both classes hold the same uniform cell on [-1.75, 2] plus a Gaussian
+    at 0.  Past x = 1.77 the Gaussians' difference is below the rounding of
+    the cell's density, so p1 - p0 reads exactly 0 at about 80 samples in a
+    row.  Each zero sample was a root, and the walk listed every subset of
+    those points as a tied minimizer, without bound."""
+
+    @staticmethod
+    def pair():
+        cell = PiecewisePoly(breakpoints=(-1.75, 2.0), coeffs=((0.06666666666666667,),))
+        return DistributionPair(class0=[cell, Gaussian(weight=0.1, mu=0.0, sigma=0.2)],
+                                class1=[cell, Gaussian(weight=0.4, mu=0.0, sigma=0.2)])
+
+    def test_zero_run_gives_its_ends(self):
+        scan = solve_first_order(self.pair(), 0.0)
+        for cands in (scan.a_candidates, scan.b_candidates):
+            got = [c.location for c in cands if c.plateau is None]
+            assert len(got) == 2 and 1.77 < got[0] < 1.78 and got[1] == pytest.approx(2.0)
+
+    def test_scan_matches_scalar_oracle(self):
+        _scan_matches_oracle(self.pair(), 0.0)
 
 
 class TestFirstOrderSubnormal:
