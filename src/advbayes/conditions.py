@@ -350,6 +350,22 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
             keep = vals != 0.0
             if keep.any():
                 pts.update(_sign_changes(sign, xs[keep], vals[keep]))
+    # The scan samples mu and mu +- sigma only of Gaussians narrower than its
+    # step, yet p1 - p0 can turn and turn back between two samples near any
+    # Gaussian.  Probed at those points of every Gaussian and at the pieces'
+    # midpoints, two neighbours of opposite sign with no critical point
+    # between them bracket a crossing the scan did not see.
+    crit = sorted(pts)
+    probes = {c.mu + k * c.sigma for c in pair.class0 + pair.class1
+              if isinstance(c, Gaussian) for k in (-1.0, 0.0, 1.0)}
+    probes.update(0.5 * (a + b) for a, b in zip(crit, crit[1:]))
+    probes = sorted(x for x in probes if lo < x < hi
+                    and not any(p_lo <= x <= p_hi for p_lo, p_hi in plateaus))
+    signs = [sign(x) for x in probes]
+    for x, y, u, v in zip(probes, probes[1:], signs, signs[1:]):
+        if u != 0.0 and v != 0.0 and (u > 0) != (v > 0) and (
+                bisect.bisect_right(crit, x) == bisect.bisect_left(crit, y)):
+            pts.add(itp_root(sign, x, y, _BISECT_TOL))
     return _positive_set(pair, sorted(pts), plateaus)
 
 
