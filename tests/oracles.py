@@ -348,12 +348,15 @@ def literal_logpdf(pair, which: int, x: float) -> float:
     A Gaussian component contributes log(w / (sigma sqrt(2 pi))) - z^2 / 2, so
     far tails stay finite where the density underflows; a piecewise
     component contributes the log of its scalar pdf (-inf outside its support).
+    The constant is the log of one quotient: log(w) - log(sigma sqrt(2 pi))
+    rounds twice and can be one ulp off, which moves the last bit of a root
+    that ``itp_root`` finds on the log-density gap.
     """
     terms = []
     for c in pair.class1 if which == 1 else pair.class0:
         if hasattr(c, "sigma"):
             z = (x - c.mu) / c.sigma
-            terms.append(math.log(c.weight) - math.log(c.sigma * math.sqrt(2 * math.pi)) - 0.5 * z * z)
+            terms.append(math.log(c.weight / (c.sigma * math.sqrt(2 * math.pi))) - 0.5 * z * z)
         else:
             v = c.pdf(x)
             terms.append(math.log(v) if v > 0 else -INF)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -378,7 +378,18 @@ def test_scan_matches_scalar_oracle_gaussian_mixtures(pair, eps):
     _scan_matches_oracle(pair, eps)
 
 
+# Both densities underflow near x = -11.95, where the a-kind root lies on the
+# log-density gap; its last bit once differed with the oracle's log constant.
+_LOG_DOMAIN_ROOT_PAIR = DistributionPair(
+    class0=[Gaussian(weight=0.10107594957691564, mu=0.0, sigma=0.25),
+            Gaussian(weight=0.041908278005852534, mu=0.0, sigma=0.25),
+            Gaussian(weight=0.020351670452465682, mu=-38.0, sigma=0.5),
+            Gaussian(weight=0.07140134790818771, mu=5.0, sigma=0.37084536924373557)],
+    class1=[Gaussian(weight=0.7652627540565784, mu=0.0, sigma=0.234375)])
+
+
 @given(gaussian_mixture_pairs(mu=60.0, sigma=(0.1, 0.5)), st.floats(0.02, 1.0))
+@example(_LOG_DOMAIN_ROOT_PAIR, 0.75)
 @settings(deadline=None, max_examples=25)
 def test_scan_matches_scalar_oracle_far_apart_mixtures(pair, eps):
     _scan_matches_oracle(pair, eps)
