@@ -10,9 +10,12 @@ and the ITP root finder, whole plateaus where the defect vanishes
 identically, and the discontinuity-shifted points where the conditions are
 vacuous and any endpoint location is admissible.
 
-At eps = 0 the a-kind defect is ``p1 - p0``, so the same scan gives the
-boundary of the Bayes classifier {p1 > p0}; ``bayes_boundary_proximity``
-measures how far the endpoint candidates at a radius lie from it.
+The scan cuts its range at the shifted density breakpoints and samples each
+segment at evenly spaced points plus mu - sigma, mu and mu + sigma of every
+Gaussian the defect reads.  At eps = 0 the a-kind defect is ``p1 - p0``, so
+the same segment samples give the boundary of the Bayes classifier
+{p1 > p0}; ``bayes_boundary_proximity`` measures how far the endpoint
+candidates at a radius lie from it.
 """
 
 from __future__ import annotations
@@ -171,20 +174,24 @@ def _samples(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
 
     ``m`` evenly spaced points just inside the segment, plus mu - sigma, mu
     and mu + sigma (shifted by -+eps like the breakpoints) of every Gaussian
-    the defect reads that is narrower than their spacing, so no bump lies
-    between two samples unseen.
+    the defect reads: a narrow bump, or a narrow piece of one sign around a
+    mean, can lie between two evenly spaced samples.  Extra points that are
+    not already samples are merged in, so the points stay sorted and distinct.
     """
     inset = (b - a) * 1e-9
     xs = np.linspace(a + inset, b - inset, m)
-    step = (b - a - 2.0 * inset) / (m - 1)
     plus, minus = _reads(kind)
     classes = (pair.class0, pair.class1)
-    extra = [c.mu + k * c.sigma + shift
+    extra = {c.mu + k * c.sigma + shift
              for which, shift in ((plus, -eps), (minus, eps))
-             for c in classes[which] if isinstance(c, Gaussian) and c.sigma < step
-             for k in (-1.0, 0.0, 1.0)]
-    extra = [x for x in extra if xs[0] < x < xs[-1]]
-    return np.unique(np.concatenate([xs, extra])) if extra else xs
+             for c in classes[which] if isinstance(c, Gaussian)
+             for k in (-1.0, 0.0, 1.0)}
+    lo, hi = float(xs[0]), float(xs[-1])
+    extra = np.array([x for x in extra if lo < x < hi])
+    if not extra.size:
+        return xs
+    extra = extra[xs[np.searchsorted(xs, extra)] != extra]
+    return np.sort(np.concatenate([xs, extra]), kind="stable")
 
 
 def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
@@ -233,54 +240,54 @@ def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[float]:
     return roots
 
 
+def _segments(pair: DistributionPair, eps: float, kind: str,
+              window: Interval) -> list[tuple[float, float, np.ndarray, np.ndarray, bool]]:
+    """The scan's segments as ``(a, b, xs, vals, is_plateau)``, left to right.
+
+    The scanned range ``_scan_bounds`` is cut at the shifted density
+    breakpoints; each segment gets ``_sample_defect``'s reading with a share
+    of GRID_N samples in proportion to its length, and at least 9.  Empty
+    when the range is.
+    """
+    lo, hi = _scan_bounds(pair, eps, window)
+    if not lo < hi:
+        return []
+    edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
+    return [(a, b, *_sample_defect(pair, eps, kind, a, b,
+                                   max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1)))
+            for a, b in zip(edges, edges[1:])]
+
+
 def _scan_kind(pair: DistributionPair, eps: float, kind: str,
                window: Interval) -> list[CandidatePoint]:
     g = lambda x: defect(pair, eps, kind, x)
     plus, minus = _reads(kind)
     # Where both shifted densities are subnormal or 0, log-densities give the sign.
     sign = lambda x: signed_gap(pair, plus, x + eps, minus, x - eps)
-    lo, hi = _scan_bounds(pair, eps, window)
-    if not lo < hi:
+    segments = _segments(pair, eps, kind, window)
+    if not segments:
         return []
-
-    special = [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi]
-    edges = [lo] + special + [hi]
-    total = hi - lo
+    lo, hi = segments[0][0], segments[-1][1]
 
     roots: list[float] = []
-    plateau_flags: list[bool] = []
-    side_vals: list[tuple[float, float]] = []  # first/last sample of each segment
-    for a, b in zip(edges, edges[1:]):
-        m = max(9, int(round(GRID_N * (b - a) / total)) + 1)
-        xs, vals, is_plateau = _sample_defect(pair, eps, kind, a, b, m)
-        plateau_flags.append(is_plateau)
-        side_vals.append((float(vals[0]), float(vals[-1])))
-        if not is_plateau:
-            roots += _sign_changes(sign, xs, vals)
-
     # Maximal plateau runs, reported as closed hulls of their segments.
     plateaus: list[tuple[float, float]] = []
-    i = 0
-    while i < len(plateau_flags):
-        if plateau_flags[i]:
-            j = i
-            while j + 1 < len(plateau_flags) and plateau_flags[j + 1]:
-                j += 1
-            plateaus.append((edges[i], edges[j + 1]))
-            i = j + 1
-        else:
-            i += 1
-
     # Sign changes across a defect breakpoint: the endpoint location is
     # admissible there even though the defect never vanishes.
     jumps: list[float] = []
-    for k, s in enumerate(special):
-        left_plateau, right_plateau = plateau_flags[k], plateau_flags[k + 1]
-        if left_plateau or right_plateau:
+    prev = 0.0  # the previous segment's last value, 0 after a plateau
+    for a, b, xs, vals, is_plateau in segments:
+        if is_plateau:
+            if plateaus and plateaus[-1][1] == a:
+                plateaus[-1] = (plateaus[-1][0], b)
+            else:
+                plateaus.append((a, b))
+            prev = 0.0
             continue
-        gl, gr = side_vals[k][1], side_vals[k + 1][0]
-        if gl != 0.0 and gr != 0.0 and (gl > 0) != (gr > 0):
-            jumps.append(s)
+        if prev != 0.0 and vals[0] != 0.0 and (prev > 0) != (vals[0] > 0):
+            jumps.append(a)
+        prev = float(vals[-1])
+        roots += _sign_changes(sign, xs, vals)
 
     out: list[CandidatePoint] = []
     taken: list[float] = []  # kept sorted
@@ -324,48 +331,25 @@ def solve_first_order(pair: DistributionPair, eps: float) -> FirstOrderScan:
 
 
 def bayes_classifier(pair: DistributionPair) -> IntervalSet:
-    """Open set where class 1 is the more likely label, read off one a-kind
-    scan at eps = 0, where the defect is p1 - p0.
+    """Open set where class 1 is the more likely label, read off the a-kind
+    scan segments at eps = 0, where the defect is p1 - p0.
 
-    The set is literal on the scanned range [lo_ext - 1, hi_ext + 1] of
-    ``finite_extent`` and constant on each side of it: a crossing beyond that
-    range is dropped even where the densities have not underflowed to 0.
+    The critical points are the density breakpoints and the sign changes of
+    every segment's samples, plateau segments included: there |p1 - p0| <=
+    TAU_PLATEAU, but the sign can still change where both densities are that
+    small.  The samples hold every Gaussian's mu and mu +- sigma, like the
+    first-order scan's.  The set is literal on the scanned range
+    [lo_ext - 1, hi_ext + 1] of ``finite_extent`` and constant on each side
+    of it: a crossing beyond that range is dropped even where the densities
+    have not underflowed to 0.
     """
-    window = scan_window(pair, 0.0)[0]
-    cands = _scan_kind(pair, 0.0, "a", window)
-    plateaus = [c.plateau for c in cands if c.plateau is not None]
-    pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
-    pts.update(x for c in cands for x in c.enumeration_points())
-    # The scan looks for no crossing inside a plateau, |p1 - p0| <= TAU_PLATEAU,
-    # but the sign can still change there where both densities are that small.
-    # Zero samples are ties or vanishing densities: a crossing at one still
-    # shows as a sign change between its neighbours.
-    lo, hi = _scan_bounds(pair, 0.0, window)
     sign = lambda x: signed_gap(pair, 1, x, 0, x)
-    inner = sorted(pts)
-    for a, b in zip(inner, inner[1:]):
-        if any(p_lo <= a and b <= p_hi for p_lo, p_hi in plateaus):
-            m = max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1)
-            xs, vals, _ = _sample_defect(pair, 0.0, "a", a, b, m)
-            keep = vals != 0.0
-            if keep.any():
-                pts.update(_sign_changes(sign, xs[keep], vals[keep]))
-    # The scan samples mu and mu +- sigma only of Gaussians narrower than its
-    # step, yet p1 - p0 can turn and turn back between two samples near any
-    # Gaussian.  Probed at those points of every Gaussian and at the pieces'
-    # midpoints, two neighbours of opposite sign with no critical point
-    # between them bracket a crossing the scan did not see.
-    crit = sorted(pts)
-    probes = {c.mu + k * c.sigma for c in pair.class0 + pair.class1
-              if isinstance(c, Gaussian) for k in (-1.0, 0.0, 1.0)}
-    probes.update(0.5 * (a + b) for a, b in zip(crit, crit[1:]))
-    probes = sorted(x for x in probes if lo < x < hi
-                    and not any(p_lo <= x <= p_hi for p_lo, p_hi in plateaus))
-    signs = [sign(x) for x in probes]
-    for x, y, u, v in zip(probes, probes[1:], signs, signs[1:]):
-        if u != 0.0 and v != 0.0 and (u > 0) != (v > 0) and (
-                bisect.bisect_right(crit, x) == bisect.bisect_left(crit, y)):
-            pts.add(itp_root(sign, x, y, _BISECT_TOL))
+    pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
+    plateaus: list[tuple[float, float]] = []
+    for a, b, xs, vals, is_plateau in _segments(pair, 0.0, "a", scan_window(pair, 0.0)[0]):
+        pts.update(_sign_changes(sign, xs, vals))
+        if is_plateau:
+            plateaus.append((a, b))
     return _positive_set(pair, sorted(pts), plateaus)
 
 

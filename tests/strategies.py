@@ -4,6 +4,20 @@ from hypothesis import strategies as st
 
 from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 
+# p1 - p0 is positive only on (-0.015, 0.004), narrower than the scan's
+# sample spacing of about 0.038, around the mean 0 of two Gaussians wider
+# than that spacing.  The scans see the piece only because they sample
+# every Gaussian's mu and mu +- sigma.
+NARROW_GAP_PAIR = DistributionPair(
+    (Gaussian(0.0434543049313793, 0.6015625, 0.4375),
+     Gaussian(0.4161585356889787, 0.4375, 0.109375),
+     Gaussian(0.09961475143828115, 0.0, 0.259765625),
+     Gaussian(0.2189428440773342, -27.0, 0.375)),
+    (Gaussian(0.057768115589590274, 15.0, 0.5),
+     Gaussian(0.04968057940704763, 0.78125, 0.359375),
+     Gaussian(0.05661275327779847, 2.0, 0.5),
+     Gaussian(0.057768115589590274, 0.0, 0.140625)))
+
 
 @st.composite
 def gaussian_mixture_pairs(draw, mu: float = 4.0, sigma: tuple[float, float] = (0.2, 2.0)):

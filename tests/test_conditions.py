@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
-from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
+from strategies import (NARROW_GAP_PAIR, gaussian_mixture_pairs, mixed_pairs,
+                        piecewise_poly_pairs, wide_sigma_pairs)
 from advbayes import conditions, examples
 from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.conditions import (
@@ -23,6 +24,8 @@ from advbayes.conditions import (
     solve_first_order,
 )
 from advbayes.intervals import INF
+from advbayes.risk import TAU_RISK, adversarial_risk
+from advbayes.solver import solve
 
 
 def locations(cands):
@@ -330,7 +333,7 @@ class TestFirstOrderSubnormal:
 class TestFirstOrderNarrowBump:
     """A class-1 bump a thousand times narrower than class 0 lies between two
     evenly spaced samples of the scan (spacing about 0.099 over [-101, 101]);
-    the scan also samples each such bump's mu and mu +- sigma."""
+    the scan also samples every Gaussian's mu and mu +- sigma."""
 
     EPS = 0.01  # the a-kind set (0.003, 0.077) holds no evenly spaced sample
 
@@ -353,6 +356,27 @@ class TestFirstOrderNarrowBump:
 
     def test_scan_matches_scalar_oracle(self):
         _scan_matches_oracle(self.pair(), self.EPS)
+
+
+class TestFirstOrderNarrowGap:
+    """p1 - p0 is positive on (-0.0151, 0.0041) only, narrower than the
+    sample spacing, around a mean shared by two Gaussians that are wider
+    than it; the scan sees the piece at the sampled means."""
+
+    def test_roots_match_brentq_on_log_difference(self):
+        pair = NARROW_GAP_PAIR
+        log_gap = lambda x: oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+        expected = [brentq(log_gap, -0.02, -0.01, xtol=1e-15),
+                    brentq(log_gap, 0.0, 0.01, xtol=1e-15)]
+        scan = solve_first_order(pair, 0.0)
+        for cands in (scan.a_candidates, scan.b_candidates):
+            got = [x for x in locations(cands) if -0.02 < x < 0.01]
+            assert len(got) == 2 and np.max(np.abs(np.array(got) - expected)) <= 1e-12
+
+    def test_solve_reaches_bayes_risk(self):
+        pair = NARROW_GAP_PAIR
+        bayes_risk = adversarial_risk(pair, bayes_classifier(pair), 0.0).total
+        assert abs(solve(pair, 0.0).min_risk - bayes_risk) <= TAU_RISK
 
 
 # -- array scan against the literal scalar scan ---------------------------------

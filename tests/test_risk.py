@@ -21,7 +21,8 @@ from advbayes.risk import (
     adversarial_risk,
     risk_gap_bound,
 )
-from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
+from strategies import (NARROW_GAP_PAIR, gaussian_mixture_pairs, mixed_pairs,
+                        piecewise_poly_pairs, wide_sigma_pairs)
 
 
 def rand_sets(rng, n, half_infinite=True):
@@ -394,22 +395,9 @@ class TestBayesLiteralSign:
         assert np.max(np.abs(np.array(bayes.boundary_points()) - [crossing, 3.0])) <= 1e-12
 
 
-# p1 - p0 is positive only on (-0.015, 0.004), narrower than the scan's
-# step of about 0.038, around the mean 0 of a Gaussian wider than that step.
-_NARROW_GAP_PAIR = DistributionPair(
-    (Gaussian(0.0434543049313793, 0.6015625, 0.4375),
-     Gaussian(0.4161585356889787, 0.4375, 0.109375),
-     Gaussian(0.09961475143828115, 0.0, 0.259765625),
-     Gaussian(0.2189428440773342, -27.0, 0.375)),
-    (Gaussian(0.057768115589590274, 15.0, 0.5),
-     Gaussian(0.04968057940704763, 0.78125, 0.359375),
-     Gaussian(0.05661275327779847, 2.0, 0.5),
-     Gaussian(0.057768115589590274, 0.0, 0.140625)))
-
-
 @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
                  piecewise_poly_pairs()))
-@example(_NARROW_GAP_PAIR)
+@example(NARROW_GAP_PAIR)
 @settings(deadline=None, max_examples=150)
 def test_bayes_matches_literal_sign(pair):
     _bayes_matches_literal_sign(pair)
