@@ -311,14 +311,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
             except AssumptionUnmet:
                 mono = "n/a"
         rows.append({
-            **reportio.report_row(rep),
             "comp_classifier": top.intersect(dilated).n_components,
             "comp_complement": top.complement().intersect(dilated).n_components,
             "monotonic_vs_prev": mono,
         })
         prev = rep
     if cfg.csv:
-        reportio.write_csv(cfg.csv, reportio.SWEEP_COLUMNS, rows)
+        reportio.write_csv(cfg.csv, reportio.SWEEP_COLUMNS,
+                           [{**reportio.report_row(rep), **row} for rep, row in zip(reports, rows)])
     payload = {
         "rows": rows,
         "reports": [reportio.solve_report_to_dict(r) for r in reports],

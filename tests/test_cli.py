@@ -296,12 +296,12 @@ class TestSweepCommand:
         assert lines[0].split(",")[0] == "epsilon"
         assert len(lines) == 4
         data = json.loads(out.read_text())
-        risks = [float(r["min_risk"]) for r in data["rows"]]
+        risks = [r["min_risk"] for r in data["reports"]]
         assert risks == sorted(risks)
         assert all(r["monotonic_vs_prev"] in ("", "true") for r in data["rows"])
         # uniqueness flips exactly at half the mean separation
-        uniq = [r["unique_up_to_degeneracy"] for r in data["rows"]]
-        assert uniq == ["true", "false", "false"]
+        uniq = [r["unique_up_to_degeneracy"] for r in data["reports"]]
+        assert uniq == [True, False, False]
 
     def test_single_step_matches_solve(self, tmp_path):
         sweep_out, sweep_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
