@@ -337,11 +337,12 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     The critical points are the density breakpoints and the sign changes of
     every segment's samples, plateau segments included: there |p1 - p0| <=
     TAU_PLATEAU, but the sign can still change where both densities are that
-    small.  The samples hold every Gaussian's mu and mu +- sigma, like the
-    first-order scan's.  The set is literal on the scanned range
-    [lo_ext - 1, hi_ext + 1] of ``finite_extent`` and constant on each side
-    of it: a crossing beyond that range is dropped even where the densities
-    have not underflowed to 0.
+    small.  Plateau samples are raw p1 - p0, so where both densities underflow
+    to 0 there no sign change shows.  The samples hold every Gaussian's mu and
+    mu +- sigma, like the first-order scan's.  The set is literal on the
+    scanned range [lo_ext - 1, hi_ext + 1] of ``finite_extent`` and constant on
+    each side of it: a crossing beyond that range is dropped even where the
+    densities have not underflowed to 0.
     """
     sign = lambda x: signed_gap(pair, 1, x, 0, x)
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
