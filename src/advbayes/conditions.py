@@ -348,9 +348,12 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
     plateaus: list[tuple[float, float]] = []
     for a, b, xs, vals, is_plateau in _segments(pair, 0.0, "a", scan_window(pair, 0.0)[0]):
-        pts.update(_sign_changes(sign, xs, vals))
         if is_plateau:
             plateaus.append((a, b))
+            keep = vals != 0.0
+            xs, vals = xs[keep], vals[keep]
+        if xs.size:
+            pts.update(_sign_changes(sign, xs, vals))
     return _positive_set(pair, sorted(pts), plateaus)
 
 

@@ -410,6 +410,13 @@ def test_bayes_matches_literal_sign_wide_sigmas(pair):
 
 
 @given(mixed_pairs())
+# (11, 69) is a plateau where p0 underflows to 0 past 38.6 and p1 below 41.4;
+# only the nonzero samples around that run bracket the crossing 40 + ln2/80
+@example(DistributionPair(
+    class0=[Gaussian(weight=0.25, mu=0.0, sigma=1.0),
+            PiecewisePoly(breakpoints=(10.0, 11.0), coeffs=((0.25,),))],
+    class1=[Gaussian(weight=0.125, mu=80.0, sigma=1.0),
+            PiecewisePoly(breakpoints=(69.0, 70.0), coeffs=((0.375,),))]))
 @settings(deadline=None, max_examples=60)
 def test_bayes_matches_literal_sign_mixed_pairs(pair):
     _bayes_matches_literal_sign(pair)
