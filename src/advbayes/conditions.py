@@ -182,16 +182,12 @@ def _samples(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
     xs = np.linspace(a + inset, b - inset, m)
     plus, minus = _reads(kind)
     classes = (pair.class0, pair.class1)
-    extra = {c.mu + k * c.sigma + shift
+    extra = [c.mu + k * c.sigma + shift
              for which, shift in ((plus, -eps), (minus, eps))
              for c in classes[which] if isinstance(c, Gaussian)
-             for k in (-1.0, 0.0, 1.0)}
-    lo, hi = float(xs[0]), float(xs[-1])
-    extra = np.array([x for x in extra if lo < x < hi])
-    if not extra.size:
-        return xs
-    extra = extra[xs[np.searchsorted(xs, extra)] != extra]
-    return np.sort(np.concatenate([xs, extra]), kind="stable")
+             for k in (-1.0, 0.0, 1.0)]
+    extra = [x for x in extra if xs[0] < x < xs[-1]]
+    return np.unique(np.concatenate([xs, extra])) if extra else xs
 
 
 def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
@@ -337,12 +333,14 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     The critical points are the density breakpoints and the sign changes of
     every segment's samples, plateau segments included: there |p1 - p0| <=
     TAU_PLATEAU, but the sign can still change where both densities are that
-    small.  Plateau samples are raw p1 - p0, so where both densities underflow
-    to 0 there no sign change shows.  The samples hold every Gaussian's mu and
-    mu +- sigma, like the first-order scan's.  The set is literal on the
-    scanned range [lo_ext - 1, hi_ext + 1] of ``finite_extent`` and constant on
-    each side of it: a crossing beyond that range is dropped even where the
-    densities have not underflowed to 0.
+    small.  Plateau samples are raw p1 - p0, so only the nonzero ones are
+    scanned: a run where both densities underflow to 0 is bridged by its
+    neighbours, and a crossing inside it is found on the log-density gap; a
+    segment with no nonzero sample shows no sign change.  The samples hold
+    every Gaussian's mu and mu +- sigma, like the first-order scan's.  The set
+    is literal on the scanned range [lo_ext - 1, hi_ext + 1] of
+    ``finite_extent`` and constant on each side of it: a crossing beyond that
+    range is dropped even where the densities have not underflowed to 0.
     """
     sign = lambda x: signed_gap(pair, 1, x, 0, x)
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
