@@ -88,6 +88,35 @@ def gap_cells_config(k: int) -> dict:
     return {"class0": cells(2.0), "class1": cells(0.0)}
 
 
+def many_cells_config(n: int) -> dict:
+    """Two piecewise classes of n cells each, on [0, 10] and [0.25, 10.25].
+
+    The rows cycle through constant, linear and quadratic, with end heights
+    in [0.2, 1] drawn from a fixed seed per class; each class is scaled to
+    mass 1/2 by its exact integral.
+    """
+    def cells(seed: int, offset: float) -> list[dict]:
+        rng = numpy.random.default_rng(seed)
+        bp = numpy.linspace(offset, 10.0 + offset, n + 1).tolist()
+        rows = []
+        for j, (lo, hi) in enumerate(zip(bp, bp[1:])):
+            a, b = rng.uniform(0.2, 1.0, 2).tolist()
+            if j % 3 == 0:
+                rows.append([a])
+            elif j % 3 == 1:  # a at lo, b at hi
+                slope = (b - a) / (hi - lo)
+                rows.append([a - slope * lo, slope])
+            else:  # a at the midpoint m, b at both ends
+                m, k = 0.5 * (lo + hi), (b - a) / (0.5 * (hi - lo)) ** 2
+                rows.append([a + k * m * m, -2.0 * k * m, k])
+        mass = sum(c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                   for lo, hi, row in zip(bp, bp[1:], rows) for i, c in enumerate(row))
+        rows = [[c * (0.5 / mass) for c in row] for row in rows]
+        return [{"type": "piecewise_poly", "breakpoints": bp, "coeffs": rows}]
+
+    return {"class0": cells(1, 0.0), "class1": cells(2, 0.25)}
+
+
 def pinned_runs() -> list[dict]:
     """Every pinned run; ``{dir}`` stands for a scratch directory that holds
     the run's ``inputs`` files and receives its CSV."""
@@ -126,6 +155,12 @@ def pinned_runs() -> list[dict]:
     for config, content, eps in extra:
         runs.append({"argv": ["solve", "--config", "{dir}/" + config, "--eps", eps],
                      "inputs": {config: content}})
+    # Many-cell piecewise classes of mixed degree: array reads gather rows.
+    cells = {"many_cells.json": many_cells_config(96)}
+    runs.append({"argv": ["solve", "--config", "{dir}/many_cells.json", "--eps", "0.1"],
+                 "inputs": cells})
+    runs.append({"argv": ["certify", "--config", "{dir}/many_cells.json", "--eps", "0.1",
+                          "--grid-h", "1e-3"], "inputs": cells})
     return runs
 
 
