@@ -25,7 +25,7 @@ MAX_POLY_DEGREE = 5
 _BREAKPOINT_SNAP = 1e-12
 _ROOT_REFINE_TOL = 1e-13
 TINY = np.finfo(float).tiny  # smallest normal float; below it a density is subnormal or 0
-ARRAY_CDF_POINTS = 24  # shortest list that DistributionPair.cdf_points sends to cdf_array
+ARRAY_CDF_POINTS = 24  # shortest list that cdf_points sends to cdf_array: 8 to 24 scalar CDFs' cost
 
 
 class BreakpointDerivative(ValueError):
@@ -96,6 +96,12 @@ def _poly_derivative(coeffs: Sequence[float]) -> tuple[float, ...]:
 
 def _poly_antiderivative(coeffs: Sequence[float]) -> tuple[float, ...]:
     return (0.0,) + tuple(c / (i + 1) for i, c in enumerate(coeffs))
+
+
+def _columns(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """Rows padded with high-order zeros to the widest, one array per power."""
+    width = max(map(len, rows))
+    return list(np.array([list(row) + [0.0] * (width - len(row)) for row in rows]).T.copy())
 
 
 # -- root finding ------------------------------------------------------------
@@ -207,10 +213,16 @@ class PiecewisePoly:
         """(lo, hi, row) of each cell."""
         return zip(self.breakpoints, self.breakpoints[1:], self.coeffs)
 
+    @functools.cached_property
+    def _cell_values(self) -> list[list[float]]:
+        """Per cell the row's values at its ends and inner extrema: its least
+        and greatest values on the cell are among them."""
+        return [[_poly_eval(row, x) for x in [lo, hi] + _cell_extrema(row, lo, hi)]
+                for lo, hi, row in self._cells()]
+
     def _check_nonnegative(self) -> None:
-        # The row's least value on the cell is at an end or an extremum.
-        for lo, hi, row in self._cells():
-            if any(_poly_eval(row, x) < -1e-12 for x in [lo, hi] + _cell_extrema(row, lo, hi)):
+        for (lo, hi, _), values in zip(self._cells(), self._cell_values):
+            if any(v < -1e-12 for v in values):
                 raise ValueError(f"density is negative on cell [{lo}, {hi}]")
 
     def _cell_index(self, x: float) -> int | None:
@@ -220,11 +232,6 @@ class PiecewisePoly:
             return None
         return min(bisect.bisect_right(bp, x) - 1, len(bp) - 2)
 
-    def _cell_indices(self, xs: np.ndarray) -> np.ndarray:
-        """``_cell_index`` elementwise, clipped to the first and last cell."""
-        bp = self.breakpoints
-        return np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(bp) - 2)
-
     def pdf(self, x: float) -> float:
         j = self._cell_index(x)
         if j is None:
@@ -233,13 +240,12 @@ class PiecewisePoly:
 
     def pdf_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        j = self._cell_indices(xs)
-        j[(xs < self.breakpoints[0]) | (xs > self.breakpoints[-1])] = -1
+        bp, rows, _, _, _ = self._table
         out = np.zeros_like(xs)
-        for cell, row in enumerate(self.coeffs):
-            mask = j == cell
-            if mask.any():
-                out[mask] = np.maximum(_poly_eval(row, xs[mask]), 0.0)
+        inside = ~((xs < bp[0]) | (xs > bp[-1]))
+        x = xs[inside]
+        j = np.minimum(np.searchsorted(bp, x, side="right") - 1, len(bp) - 2)
+        out[inside] = np.maximum(_poly_eval([col[j] for col in rows], x), 0.0)
         return out
 
     def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
@@ -277,18 +283,28 @@ class PiecewisePoly:
         antis, starts, cum = self._primitives
         return cum[j] + _poly_eval(antis[j], x) - starts[j]
 
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray],
+                              np.ndarray, np.ndarray]:
+        """The cells as arrays for ``pdf_array`` and ``cdf_array``: the
+        breakpoints; the coefficient rows and the antiderivative rows, padded
+        with high-order zeros to the widest row, one array per power; and
+        ``_primitives``' starts and cum.  The padding zeros leave Horner's
+        accumulator at +0.0, so a padded row gives the row's bits at any
+        finite x."""
+        antis, starts, cum = self._primitives
+        return (np.asarray(self.breakpoints), _columns(self.coeffs), _columns(antis),
+                np.asarray(starts), np.asarray(cum))
+
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        bp = self.breakpoints
-        antis, starts, cum = self._primitives
-        j = self._cell_indices(xs)
-        out = np.asarray(cum)[j]
-        for cell, anti in enumerate(antis):
-            mask = j == cell
-            if mask.any():  # summed in the scalar cdf's order
-                out[mask] = out[mask] + _poly_eval(anti, xs[mask]) - starts[cell]
-        out[xs <= bp[0]] = 0.0
-        out[xs >= bp[-1]] = self.total_mass
+        bp, _, antis, starts, cum = self._table
+        out = np.where(xs <= bp[0], 0.0, self.total_mass)
+        inside = ~((xs <= bp[0]) | (xs >= bp[-1]))
+        x = xs[inside]
+        j = np.minimum(np.searchsorted(bp, x, side="right") - 1, len(bp) - 2)
+        # Summed in the scalar cdf's order.
+        out[inside] = cum[j] + _poly_eval([col[j] for col in antis], x) - starts[j]
         return out
 
     @property
@@ -297,8 +313,7 @@ class PiecewisePoly:
 
     @property
     def sup_density(self) -> float:
-        return max(0.0, *(_poly_eval(row, x) for lo, hi, row in self._cells()
-                          for x in [lo, hi] + _cell_extrema(row, lo, hi)))
+        return max(0.0, *(v for values in self._cell_values for v in values))
 
     def discontinuities(self) -> list[float]:
         """Breakpoints where the density value jumps."""
@@ -493,9 +508,10 @@ class DistributionPair:
 
         From ``ARRAY_CDF_POINTS`` points on, one ``cdf_array`` call, which
         gives the same bits, computes them all.  Its numpy calls cost about
-        as much as 16 to 28 scalar class CDFs, whatever the number of
-        components (1 to 16 Gaussians or a piecewise built-in), so shorter
-        lists take the scalar path.
+        as much as 8 scalar class CDFs on the Gaussian built-ins, 12 to 16
+        on the multi-cell piecewise ones and 16 Gaussian bumps, and 24 on
+        ``degenerate``'s one-cell class 0, so shorter lists take the
+        scalar path.
         """
         if len(xs) < ARRAY_CDF_POINTS:
             return [self.cdf(which, x) for x in xs]
@@ -517,7 +533,8 @@ class DistributionPair:
 
     # -- structure ----------------------------------------------------------
 
-    def support(self) -> IntervalSet:
+    @functools.cached_property
+    def _support(self) -> IntervalSet:
         out = IntervalSet.empty()
         for which in (0, 1):
             for c in self._components(which):
@@ -525,6 +542,10 @@ class DistributionPair:
                     return IntervalSet.reals()
                 out = out.union(c.support())
         return out
+
+    def support(self) -> IntervalSet:
+        """Where either density may be nonzero; built once per pair."""
+        return self._support
 
     def breakpoints(self, which: int) -> list[float]:
         pts: set[float] = set()

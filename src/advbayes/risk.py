@@ -30,7 +30,6 @@ class RiskBreakdown:
     total: float
     fn_mass: float
     fp_mass: float
-    epsilon: float
 
     def to_dict(self) -> dict:
         return {
@@ -46,7 +45,7 @@ def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> Risk
         raise ValueError("eps must be nonnegative")
     fn = pair.mass_set(1, a.complement().expand(eps))
     fp = pair.mass_set(0, a.expand(eps))
-    return RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp, epsilon=eps)
+    return RiskBreakdown(total=fn + fp, fn_mass=fn, fp_mass=fp)
 
 
 # -- accuracy-robustness diagnostic -------------------------------------------

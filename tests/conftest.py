@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from advbayes import examples
-from advbayes.density import DistributionPair, Gaussian
+from advbayes.density import DistributionPair, Gaussian, pair_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,14 @@ def nua_pair():
 @pytest.fixture(scope="session")
 def deg_pair():
     return examples.degenerate()
+
+
+@pytest.fixture(scope="session")
+def many_cells_pair():
+    """The golden reports' 96-cell piecewise pair: constant, linear and
+    quadratic rows in turn, the classes' breakpoints interleaved."""
+    from test_golden_reports import many_cells_config
+    return pair_from_dict(many_cells_config(96))
 
 
 @pytest.fixture(scope="session")

@@ -156,14 +156,16 @@ class TestMass:
                         expected, abs=1e-9
                     )
 
-    def test_cdf_array_matches_scalar(self, nua_pair, eqmeans_pair, deg_pair):
+    def test_cdf_array_matches_scalar(self, nua_pair, eqmeans_pair, deg_pair, many_cells_pair):
         """The array CDF has the scalar CDF's bits, on multi-cell pairs too:
-        ``degenerate`` class 1 and both classes of the deg_eta counterexample."""
+        ``degenerate`` class 1, both classes of the deg_eta counterexample
+        and the 96-cell mixed-degree pair; at ±inf as well."""
         rng = np.random.default_rng(11)
-        for pair in (nua_pair, eqmeans_pair, deg_pair, examples.deg_eta_0_1_counterexample(0.1)):
+        for pair in (nua_pair, eqmeans_pair, deg_pair, examples.deg_eta_0_1_counterexample(0.1),
+                     many_cells_pair):
             lo, hi = pair.finite_extent()
             xs = np.concatenate([np.linspace(-3, 3, 101), rng.uniform(lo, hi, 4000),
-                                 pair.breakpoints(0), pair.breakpoints(1)])
+                                 pair.breakpoints(0), pair.breakpoints(1), [-INF, INF]])
             for which in (0, 1):
                 arr = pair.cdf_array(which, xs)
                 scl = np.array([pair.cdf(which, float(x)) for x in xs])
@@ -173,9 +175,9 @@ class TestMass:
 class TestPdfArray:
     """Array evaluators against the scalar ``pdf`` they mirror."""
 
-    def test_piecewise_bit_identical(self, nus_pair, nua_pair, deg_pair):
+    def test_piecewise_bit_identical(self, nus_pair, nua_pair, deg_pair, many_cells_pair):
         rng = np.random.default_rng(7)
-        comps = [c for pair in (nus_pair, nua_pair, deg_pair)
+        comps = [c for pair in (nus_pair, nua_pair, deg_pair, many_cells_pair)
                  for c in pair.class0 + pair.class1]
         comps.append(PiecewisePoly(breakpoints=(-1.0, 0.5, 2.0),
                                    coeffs=((0.1, 0.05, 0.2, 0.01), (0.3, -0.1, 0.05))))
