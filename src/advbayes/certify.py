@@ -11,23 +11,24 @@ The dual side places one atom per grid cell at the cell midpoint and
 matches class-0 against class-1 atom mass at midpoint distance at most
 2*eps + h (h the grid step); matched mass counts toward the dual value.
 On a line this is a transportation matching, solved exactly by the
-leftmost-first greedy, written as one recurrence over the class-0 atoms in
-cumulative class-1 mass.  Points of two matched cells can lie 2*eps + 2*h
-apart, so the dual value is no floor under the continuous risk: on
-``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a solver
-minimum of 0.04000.  The gap therefore says how closely the two
+leftmost-first greedy: one recurrence over the class-0 atoms in cumulative
+class-1 mass, whose steps are clamp maps.  Points of two matched cells can
+lie 2*eps + 2*h apart, so the dual value is no floor under the continuous
+risk: on ``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a
+solver minimum of 0.04000.  The gap therefore says how closely the two
 discretizations agree, not that either is optimal; a dual that is a true
-lower bound (midpoints within 2*eps - h) is ROADMAP item 2.
+lower bound (midpoints within 2*eps - h) is ROADMAP item 1.
 
-Both halves are linear in the grid size: the primal's sliding window
-minimum is the van Herk / Gil-Werman block prefix/suffix minimum, and the
-dual makes one pass over the atoms.
+The primal is linear in the grid size: its sliding window minimum is the
+van Herk / Gil-Werman block prefix/suffix minimum, taken in place in
+scratch reused by every layer.  The dual composes the clamp maps by a
+Hillis-Steele prefix scan, log2(n) numpy passes of ``max`` and ``min``
+with no Python step per atom.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +36,13 @@ import numpy as np
 from .density import DistributionPair, itp_root
 from .intervals import INF, Interval, IntervalSet
 
-# Float64 values the grid primal may hold at once (400 MB).  The DP keeps
-# 2 * max_k layers of n values plus scratch arrays of n values: measured at
-# 8.4 to 13 of them, the most when the dilation window spans the grid.
+# Float64 values the grid primal may hold at once (400 MB).  Besides its
+# 2 * max_k layers of n values the primal holds the grid, four CDF arrays,
+# two scratch arrays and a window-minimum pad of under 2 n; reading the CDF
+# arrays peaks higher at max_k = 1.  tracemalloc measured at most 9.4 arrays
+# of n values besides the layers on the built-ins at n >= 2,000.
 WORK_BUDGET = 50_000_000
-_DP_SCRATCH = 14
-_SWEEP_CHUNK = 8192  # class-0 atoms per pass of the dual loop
+_DP_SCRATCH = 10
 
 
 class BudgetExceeded(RuntimeError):
@@ -183,6 +185,26 @@ def discretize(pair: DistributionPair, grid_h: float) -> tuple[AtomList, AtomLis
     return out[0], out[1]
 
 
+def _compose_clamps(a: np.ndarray, b: np.ndarray) -> None:
+    """In place, map i becomes the composition of the clamp maps 0 .. i.
+
+    Map i is ``w -> clamp(w, a[i], b[i])`` with ``a[i] <= b[i]``.  Map
+    ``(a, b)`` followed by ``(a', b')`` is ``(clamp(a, a', b'), clamp(b, a', b'))``,
+    so the Hillis-Steele scan composes every prefix in ``log2(n)`` passes of
+    ``max`` and ``min``, which round nothing.
+    """
+    n = len(a)
+    ta, tb = np.empty(n), np.empty(n)
+    d = 1
+    while d < n:
+        k = n - d
+        np.maximum(a[:k], a[d:], out=ta[:k])
+        np.maximum(b[:k], a[d:], out=tb[:k])
+        np.minimum(ta[:k], b[d:], out=a[d:])
+        np.minimum(tb[:k], b[d:], out=b[d:])
+        d *= 2
+
+
 def dual_value(
     class0: AtomList,
     class1: AtomList,
@@ -195,16 +217,23 @@ def dual_value(
     feeding the leftmost compatible class-1 atoms that still have capacity;
     an exchange argument gives optimality for the two-sided-window
     compatibility structure.  In cumulative class-1 mass ``C1`` the greedy
-    consumes a growing prefix, so with ``L_i <= j < R_i`` the class-1 atoms
-    within reach of atom i (two ``searchsorted`` calls) it is one
-    recurrence on the consumed frontier ``u``:
+    consumes a growing prefix.  With ``L_i <= j < R_i`` the class-1 atoms
+    within reach of atom i (two ``searchsorted`` calls), ``F_i = C1[L_i]``
+    and ``C_i = C1[R_i]``, the consumed frontier after atom i is
 
-        u = max(u, C1[L_i]);  take_i = min(m0_i, C1[R_i] - u);  u += take_i
+        u_i = min(max(u_{i-1}, F_i) + m_i, C_i),
 
-    for the positive takes.  The dual value is the ``math.fsum`` of the
-    takes as the moves of ``u`` they make, so it is the mass the consumed
-    stretches cover; the certificate keeps each stretch and expands the
-    pairs only when ``matching`` is read.
+    as ``u`` never passes ``C_i``.  Relative to the cumulative class-0 mass
+    ``S``, ``w_i = u_i - S_i`` is a clamp of ``w_{i-1}`` to
+    ``[min(F_i - S_{i-1}, b_i), b_i]`` with ``b_i = C_i - S_i``.  Clamp maps
+    compose by ``max`` and ``min`` alone, so a prefix scan of them gives
+    every ``u_i`` without a Python step per atom, and rounds no take into
+    ``u`` on the way.
+
+    Atom i consumed the stretch from ``max(u_0 .. u_{i-1}, F_i)`` to ``u_i``
+    when that is not empty.  The dual value is the ``math.fsum`` of the
+    stretch lengths, the mass the stretches cover; the certificate keeps
+    each stretch and expands the pairs only when ``matching`` is read.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -213,29 +242,26 @@ def dual_value(
     c1 = np.concatenate([[0.0], np.cumsum(class1.masses)])
     lo = np.searchsorted(pos1, pos0 - radius, "left")
     hi = np.searchsorted(pos1, pos0 + radius, "right")
-    # Python floats run the loop fastest; chunks keep their lists short, and
-    # array buffers keep the result compact.
-    rows, ends = array("q"), array("d")
-    u = 0.0
-    for s in range(0, len(pos0), _SWEEP_CHUNK):
-        part = slice(s, s + _SWEEP_CHUNK)
-        for i, (m, floor, ceil) in enumerate(zip(class0.masses[part].tolist(),
-                                                 c1[lo[part]].tolist(),
-                                                 c1[hi[part]].tolist()), s):
-            if u < floor:
-                u = floor
-            take = ceil - u
-            if m < take:
-                take = m
-            if take > 0.0 and u + take > u:  # a take below the rounding of u moves nothing
-                rows.append(i)
-                u += take
-                ends.append(u)
-    idx = np.frombuffer(rows, dtype=np.int64)
-    end = np.frombuffer(ends, dtype=float)
-    # C1[L_i] never decreases, so u before a stretch is the larger of the
-    # previous stretch's end and the atom's own floor.
-    start = np.maximum(np.concatenate([[0.0], end[:-1]]), c1[lo[idx]])
+    floor, ceil = c1[lo], c1[hi]
+    s = np.cumsum(class0.masses)
+    b = ceil - s
+    a = np.empty_like(b)
+    a[:1] = floor[:1]
+    np.subtract(floor[1:], s[:-1], out=a[1:])
+    np.minimum(a, b, out=a)
+    _compose_clamps(a, b)
+    # From w = 0 before the first atom, then back to u, kept within reach.
+    u = np.maximum(a, 0.0, out=a)
+    np.minimum(u, b, out=u)
+    u += s
+    np.minimum(u, ceil, out=u)
+    # Rounding can dip u by an ulp; the running maximum keeps stretches apart.
+    start = np.empty_like(u)
+    start[:1] = 0.0
+    np.maximum.accumulate(u[:-1], out=start[1:])
+    np.maximum(start, floor, out=start)
+    idx = np.flatnonzero(u > start)
+    start, end = start[idx], u[idx]
     return DualCertificate(
         dual_value=float(math.fsum((end - start).tolist())),
         grid_h=grid_h,
@@ -251,36 +277,48 @@ def dual_value(
 # -- grid primal --------------------------------------------------------------
 
 
-def _prefix_min_shifted(v: np.ndarray, shift: int) -> np.ndarray:
+def _prefix_min_shifted(v: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
     """out[k] = min(v[0 .. k-shift]), +inf where the range is empty."""
     n = len(v)
-    out = np.full(n, np.inf)
-    if shift < n:
-        pm = np.minimum.accumulate(v)
-        out[shift:] = pm[: n - shift]
+    shift = min(shift, n)
+    out[:shift] = np.inf
+    np.minimum.accumulate(v[:n - shift], out=out[shift:])
     return out
 
 
-def _window_min(v: np.ndarray, width: int) -> np.ndarray:
+def _pad_size(n: int, width: int) -> int:
+    """Values ``_window_min`` pads n values to: whole blocks of ``width``."""
+    width = min(width, n)
+    return -(-n // width) * width if width > 0 else 0
+
+
+def _window_min(v: np.ndarray, width: int, out: np.ndarray, pad: np.ndarray) -> np.ndarray:
     """out[k] = min(v[k-width .. k-1]), +inf where the range is empty.
 
-    The van Herk / Gil-Werman block minimum, O(n) for any width: on
-    ``u = [inf] * width + v``, padded with +inf to whole blocks of
-    ``width``, a window ``u[k .. k+width-1]`` is the tail of one block and
-    the head of the next, so its minimum is that of the block's backward
-    running minimum at k and the forward one at k + width - 1.
+    The van Herk / Gil-Werman block minimum, O(n) for any width: cut ``v``
+    into blocks of ``width``, padded with +inf to whole blocks in ``pad``
+    (``_pad_size`` values).  A window ``v[k-width .. k-1]`` is the tail of
+    one block and the head of the next, so its minimum is that of the
+    block's backward running minimum at k - width and the forward one at
+    k - 1.  Both running minima are taken in place in ``pad``.
     """
     n = len(v)
     width = min(width, n)
     if width <= 0:
-        return np.full(n, np.inf)
-    blocks = -(-(n + width) // width)
-    u = np.full(blocks * width, np.inf)
-    u[width:width + n] = v
-    u = u.reshape(blocks, width)
-    forward = np.minimum.accumulate(u, axis=1).ravel()
-    backward = np.minimum.accumulate(u[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.minimum(backward[:n], forward[width - 1:width - 1 + n])
+        out.fill(np.inf)
+        return out
+    size = _pad_size(n, width)
+    rows = pad[:size].reshape(-1, width)
+    pad[n:size] = np.inf
+    pad[:n] = v
+    backward = rows[:, ::-1]
+    np.minimum.accumulate(backward, axis=1, out=backward)
+    out[:width] = np.inf
+    out[width:] = pad[:n - width]
+    pad[:n] = v
+    np.minimum.accumulate(rows, axis=1, out=rows)
+    np.minimum(out[1:], pad[:n - 1], out=out[1:])
+    return out
 
 
 class _PrimalDP:
@@ -309,28 +347,37 @@ class _PrimalDP:
         self.m = (pair.total_mass(0), pair.total_mass(1))
         h = xs[1] - xs[0] if n > 1 else 1.0
         self.d_steps = int(math.floor(2.0 * eps / h + 1e-9))
+        # Scratch that every step and every edge-cost read reuses.
+        self._v, self._win = np.empty(n), np.empty(n)
+        self._pad = np.empty(_pad_size(n, self.d_steps))
 
     def _step(self, prev: np.ndarray, c: int) -> np.ndarray:
         """Next layer, whose edges add a dilated piece of class ``c``."""
         fp, fm, op, om = self.fp[c], self.fm[c], self.fp[1 - c], self.fm[1 - c]
-        sep = _prefix_min_shifted(prev - fm, self.d_steps + 1)
-        win = _window_min(prev - fm - op, self.d_steps) + om
-        return fp + np.minimum(sep, win)
+        v, win = self._v, self._win
+        out = _prefix_min_shifted(np.subtract(prev, fm, out=v), self.d_steps + 1,
+                                  np.empty(len(prev)))
+        v -= op
+        _window_min(v, self.d_steps, win, self._pad)
+        win += om
+        np.minimum(out, win, out=out)
+        return np.add(fp, out, out=out)
 
     def _edge_costs(self, prev: np.ndarray, k: int, c: int) -> np.ndarray:
         """Costs of reaching node ``k`` of the next layer from each ``prev[:k]``."""
         fp, fm, op, om = self.fp[c], self.fm[c], self.fp[1 - c], self.fm[1 - c]
-        v = prev[:k] - fm[:k]
+        v = np.subtract(prev[:k], fm[:k], out=self._v[:k])
         lo = max(0, k - self.d_steps)
-        v[lo:] -= op[lo:k] - om[k]
-        return v + fp[k]
+        v[lo:] -= np.subtract(op[lo:k], om[k], out=self._win[:k - lo])
+        v += fp[k]
+        return v
 
     def run(self) -> tuple[float, IntervalSet]:
         layers = [self.fp[1]]
         for layer in range(1, 2 * self.max_k):
             nxt = self._step(layers[-1], (layer + 1) % 2)
             if layer == 1:
-                nxt = np.minimum(nxt, self.fp[0])  # leading half-infinite interval
+                np.minimum(nxt, self.fp[0], out=nxt)  # leading half-infinite interval
             layers.append(nxt)
 
         best, argmin, state = self.m[1], IntervalSet.empty(), None
@@ -343,7 +390,8 @@ class _PrimalDP:
         n_layers = len(layers)
         for layer in [*range(1, n_layers, 2), *range(0, n_layers, 2)]:
             t = layer % 2
-            totals = layers[layer] + (self.m[t] - self.fm[t])
+            totals = np.subtract(self.m[t], self.fm[t], out=self._v)
+            totals += layers[layer]
             j = int(np.argmin(totals))
             if totals[j] < best:
                 best, state = float(totals[j]), (layer, j)

@@ -90,6 +90,16 @@ def _poly_eval(coeffs: Sequence[float], x: float | np.ndarray) -> float | np.nda
     return acc
 
 
+def _eval_rows(columns: Sequence[np.ndarray], j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_poly_eval`` of row ``j[i]`` of ``_columns`` at ``x[i]``, with the
+    same bits; one power is gathered at a time, in place."""
+    acc = np.zeros_like(x)
+    for col in reversed(columns):
+        acc *= x
+        acc += col[j]
+    return acc
+
+
 def _poly_derivative(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
 
@@ -245,7 +255,7 @@ class PiecewisePoly:
         inside = ~((xs < bp[0]) | (xs > bp[-1]))
         x = xs[inside]
         j = np.minimum(np.searchsorted(bp, x, side="right") - 1, len(bp) - 2)
-        out[inside] = np.maximum(_poly_eval([col[j] for col in rows], x), 0.0)
+        out[inside] = np.maximum(_eval_rows(rows, j, x), 0.0)
         return out
 
     def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
@@ -303,8 +313,11 @@ class PiecewisePoly:
         inside = ~((xs <= bp[0]) | (xs >= bp[-1]))
         x = xs[inside]
         j = np.minimum(np.searchsorted(bp, x, side="right") - 1, len(bp) - 2)
-        # Summed in the scalar cdf's order.
-        out[inside] = cum[j] + _poly_eval([col[j] for col in antis], x) - starts[j]
+        # Summed in the scalar cdf's order: (cum + antiderivative) - start.
+        v = _eval_rows(antis, j, x)
+        v += cum[j]
+        v -= starts[j]
+        out[inside] = v
         return out
 
     @property
@@ -436,6 +449,13 @@ class DistributionPair:
         """Each class's pointwise evaluator, the windowed one for an all-Gaussian class."""
         return tuple((_GaussianSums if all(isinstance(c, Gaussian) for c in comps)
                       else _ComponentSums)(comps) for comps in (self.class0, self.class1))
+
+    @functools.cached_property
+    def gaussian_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per class, mu - sigma, mu and mu + sigma of each Gaussian component."""
+        return tuple(np.array([c.mu + k * c.sigma for c in comps if isinstance(c, Gaussian)
+                               for k in (-1.0, 0.0, 1.0)], dtype=float)
+                     for comps in (self.class0, self.class1))
 
     def _components(self, which: int) -> tuple[DensityComponent, ...]:
         if which == 0:

@@ -3,7 +3,8 @@
 Everything here avoids the package's own quadrature and set algebra:
 densities are plain lambdas with literal formulas, masses come from
 adaptive numeric integration, set dilation is a merge of shifted endpoint
-pairs, and the matching optimum comes from an LP solver.  Tests freeze
+pairs, and the matching optimum comes from an LP solver or from the greedy
+matching written as a per-atom loop.  Tests freeze
 values computed by these oracles and compare the package against them.
 """
 
@@ -222,6 +223,32 @@ def lp_matching_value(pos0, m0, pos1, m1, radius: float) -> float:
     res = linprog(c=-np.ones(nv), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
     assert res.success
     return -res.fun
+
+
+def greedy_dual_loop(pos0, m0, pos1, m1, radius: float):
+    """The leftmost-first greedy matching, one Python step per class-0 atom.
+
+    In cumulative class-1 mass ``c1`` the greedy consumes a growing prefix:
+    atom i can reach ``c1[lo_i] .. c1[hi_i]``, and the frontier ``u`` moves
+    by ``take = min(m_i, c1[hi_i] - u)`` after rising to ``c1[lo_i]``.
+    Returns the dual value, the ``math.fsum`` of the moves.
+    """
+    c1 = np.concatenate([[0.0], np.cumsum(m1)])
+    lo = np.searchsorted(pos1, pos0 - radius, "left")
+    hi = np.searchsorted(pos1, pos0 + radius, "right")
+    takes = []
+    u = 0.0
+    for m, floor, ceil in zip(np.asarray(m0).tolist(), c1[lo].tolist(), c1[hi].tolist()):
+        if u < floor:
+            u = floor
+        take = ceil - u
+        if m < take:
+            take = m
+        if take > 0.0 and u + take > u:  # a take below the rounding of u moves nothing
+            start = u
+            u += take
+            takes.append(u - start)
+    return math.fsum(takes)
 
 
 # -- literal grid enumeration ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from advbayes.certify import (
     WORK_BUDGET,
     AtomList,
     BudgetExceeded,
+    _pad_size,
     _window_min,
     discretize,
+    dp_slots,
     dual_value,
     duality_gap,
     primal_bruteforce,
 )
+from advbayes.regressions import _DEFAULT_EPS
 from advbayes.solver import solve
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import IntervalSet
@@ -158,6 +162,39 @@ def test_dual_matches_lp_and_matching(a0, a1, eps16, grid_h):
     assert abs(math.fsum(m for _, _, m in matching) - cert.dual_value) <= 1e-12
 
 
+def _assert_matches_loop(a0, a1, eps, grid_h):
+    """The scanned dual against the per-atom greedy loop.
+
+    With ``r`` = 4 * 2^-53 of the total mass, the values agree to
+    (n0 + n1) * r; each stretch lies inside its atom's reach and is no
+    longer than the atom's mass plus r, the rounding of ``u = w + S``.
+    """
+    cert = dual_value(a0, a1, eps, grid_h)
+    expected = oracles.greedy_dual_loop(a0.positions, a0.masses, a1.positions, a1.masses,
+                                        cert.pairing_radius)
+    r = 4 * 2.0**-53 * (a0.total() + a1.total())
+    assert abs(cert.dual_value - expected) <= (len(a0) + len(a1)) * r
+    lo = np.searchsorted(a1.positions, a0.positions[cert.rows] - cert.pairing_radius, "left")
+    assert np.all(cert.c1[lo] <= cert.start)
+    assert np.all(cert.end <= cert.c1[cert.hi])
+    assert np.all(cert.start < cert.end)
+    assert np.all(cert.end - cert.start <= a0.masses[cert.rows] + r)
+
+
+@given(atom_lists(0), atom_lists(1), st.integers(0, 48), st.sampled_from([0.0, 0.125]))
+@settings(deadline=None, max_examples=300)
+def test_dual_matches_loop_on_atom_lists(a0, a1, eps16, grid_h):
+    _assert_matches_loop(a0, a1, eps16 / 16.0, grid_h)
+
+
+@pytest.mark.parametrize("name, grid_h", [*((name, 1e-3) for name in examples.EXAMPLE_NAMES),
+                                          ("degenerate", 1e-5)])
+def test_dual_matches_loop_on_builtins(name, grid_h):
+    eps = _DEFAULT_EPS[name]
+    a0, a1 = discretize(examples.example_pair(name, eps), grid_h)
+    _assert_matches_loop(a0, a1, eps, grid_h)
+
+
 def _literal_window_min(v, width):
     return [min(v[max(0, k - width):k], default=math.inf) for k in range(len(v))]
 
@@ -170,7 +207,8 @@ def test_window_min_matches_literal(data):
     entries = st.one_of(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), st.just(math.inf))
     v = data.draw(st.lists(entries, max_size=40))
     width = data.draw(st.integers(0, len(v) + 5))
-    got = _window_min(np.array(v, dtype=float), width)
+    got = _window_min(np.array(v, dtype=float), width, np.empty(len(v)),
+                      np.empty(_pad_size(len(v), width)))
     assert got.tobytes() == np.array(_literal_window_min(v, width), dtype=float).tobytes()
 
 
@@ -227,6 +265,24 @@ class TestPrimal:
                     val, argmin = primal_bruteforce(pair, eps, 5e-3, max_k)
                     assert argmin.n_components == min(k, max_k)
                     assert abs(adversarial_risk(pair, argmin, eps).total - val) <= 1e-12
+
+    @pytest.mark.parametrize("eps, window", [
+        (0.05, (-1.05, 1.05)),  # the dilation window is a tenth of the grid
+        (3.0, (-3.0, 3.0)),  # one step short of the grid: the widest pad
+        (3.0, (-1.0, 1.0)),  # wider than the grid
+    ])
+    @pytest.mark.parametrize("max_k", [1, 2])
+    def test_peak_memory_within_charge(self, deg_pair, eps, window, max_k):
+        # The whole primal, its grid and CDF reads included, at h = 1e-4.
+        h = 1e-4
+        n = int(round((window[1] - window[0]) / h)) + 1
+        tracemalloc.start()
+        try:
+            primal_bruteforce(deg_pair, eps, h, max_k, window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * dp_slots(n, max_k)
 
     def test_budget_guard(self, eqvar_pair):
         with pytest.raises(BudgetExceeded):
