@@ -92,7 +92,8 @@ def _poly_eval(coeffs: Sequence[float], x: float | np.ndarray) -> float | np.nda
 
 def _eval_rows(columns: Sequence[np.ndarray], j: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``_poly_eval`` of row ``j[i]`` of ``_columns`` at ``x[i]``, with the
-    same bits; one power is gathered at a time, in place."""
+    same bits; one power is gathered at a time, in place, so a grid-sized
+    read holds two temporaries rather than one per power."""
     acc = np.zeros_like(x)
     for col in reversed(columns):
         acc *= x
@@ -255,7 +256,7 @@ class PiecewisePoly:
         inside = ~((xs < bp[0]) | (xs > bp[-1]))
         x = xs[inside]
         j = np.minimum(np.searchsorted(bp, x, side="right") - 1, len(bp) - 2)
-        out[inside] = np.maximum(_eval_rows(rows, j, x), 0.0)
+        out[inside] = np.maximum(_poly_eval([col[j] for col in rows], x), 0.0)
         return out
 
     def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
