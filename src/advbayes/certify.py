@@ -107,13 +107,11 @@ class DualCertificate:
     def _cell_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """Per stretch, the class-1 atoms ``first <= j < stop`` it can overlap.
 
-        A stretch starts at or above the cells left of its reach, so only
-        ``stop`` needs a bound: rounding can put ``end`` an ulp past
-        ``c1[hi]``.
+        A stretch is not empty and lies inside its reach ``c1[L] .. c1[hi]``,
+        so ``first <= stop <= hi``.
         """
         first = np.searchsorted(self.c1[1:], self.start, "right")
-        stop = np.minimum(np.searchsorted(self.c1[:-1], self.end, "left"), self.hi)
-        return first, np.maximum(first, stop)
+        return first, np.searchsorted(self.c1[:-1], self.end, "left")
 
     @property
     def matching(self) -> list[tuple[int, int, float]]:

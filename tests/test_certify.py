@@ -267,7 +267,7 @@ class TestPrimal:
                     assert abs(adversarial_risk(pair, argmin, eps).total - val) <= 1e-12
 
     @pytest.mark.parametrize("eps, window", [
-        (0.05, (-1.05, 1.05)),  # the dilation window is a tenth of the grid
+        (0.05, (-1.05, 1.05)),  # the dilation window is a twentieth of the grid
         (3.0, (-3.0, 3.0)),  # one step short of the grid: the widest pad
         (3.0, (-1.0, 1.0)),  # wider than the grid
     ])
