@@ -256,7 +256,8 @@ class PiecewisePoly:
         inside = ~((xs < bp[0]) | (xs > bp[-1]))
         x = xs[inside]
         j = np.minimum(np.searchsorted(bp, x, side="right") - 1, len(bp) - 2)
-        out[inside] = np.maximum(_poly_eval([col[j] for col in rows], x), 0.0)
+        v = _eval_rows(rows, j, x)
+        out[inside] = np.maximum(v, 0.0, out=v)
         return out
 
     def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
