@@ -88,8 +88,9 @@ class DualCertificate:
     """The dual value and the class-1 mass each class-0 atom consumed.
 
     Class-0 atom ``rows[t]`` consumed the stretch ``(start[t], end[t])`` of
-    cumulative class-1 mass ``c1``; class-1 atoms from ``hi[t]`` on are out
-    of its reach.  A pair is a class-1 atom whose cell
+    cumulative class-1 mass ``c1``, a stretch inside its reach ``c1[L] ..
+    c1[R]`` (``L .. R - 1`` the class-1 atoms within the pairing radius).
+    A pair is a class-1 atom whose cell
     ``(c1[j], c1[j + 1])`` overlaps that stretch by a positive length, and
     the overlap is its mass.  ``matching`` expands the pairs each time it
     is read.
@@ -102,13 +103,12 @@ class DualCertificate:
     rows: np.ndarray = field(repr=False)
     start: np.ndarray = field(repr=False)
     end: np.ndarray = field(repr=False)
-    hi: np.ndarray = field(repr=False)
 
     def _cell_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """Per stretch, the class-1 atoms ``first <= j < stop`` it can overlap.
 
-        A stretch is not empty and lies inside its reach ``c1[L] .. c1[hi]``,
-        so ``first <= stop <= hi``.
+        A stretch is not empty and lies inside its reach ``c1[L] .. c1[R]``,
+        so ``L <= first < stop <= R``.
         """
         first = np.searchsorted(self.c1[1:], self.start, "right")
         return first, np.searchsorted(self.c1[:-1], self.end, "left")
@@ -268,7 +268,6 @@ def dual_value(
         rows=idx,
         start=start,
         end=end,
-        hi=hi[idx],
     )
 
 

@@ -174,9 +174,11 @@ def _assert_matches_loop(a0, a1, eps, grid_h):
                                         cert.pairing_radius)
     r = 4 * 2.0**-53 * (a0.total() + a1.total())
     assert abs(cert.dual_value - expected) <= (len(a0) + len(a1)) * r
-    lo = np.searchsorted(a1.positions, a0.positions[cert.rows] - cert.pairing_radius, "left")
+    pos = a0.positions[cert.rows]
+    lo = np.searchsorted(a1.positions, pos - cert.pairing_radius, "left")
+    hi = np.searchsorted(a1.positions, pos + cert.pairing_radius, "right")
     assert np.all(cert.c1[lo] <= cert.start)
-    assert np.all(cert.end <= cert.c1[cert.hi])
+    assert np.all(cert.end <= cert.c1[hi])
     assert np.all(cert.start < cert.end)
     assert np.all(cert.end - cert.start <= a0.masses[cert.rows] + r)
 
