@@ -397,8 +397,8 @@ class TestBayesLiteralSign:
 @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
                  piecewise_poly_pairs()))
 @example(NARROW_GAP_PAIR)
-# p1 = c (1 + x)^2 on [-1.25, 1.75] touches 0 at -1, where p0 vanishes too:
-# a grid point of the literal check, skipped as a touch point
+# p1 = c (1 + x)^2 on [-1.25, 1.75] touches 0 at -1, inside a stretch where
+# p0 vanishes: a grid point of the literal check, skipped as a touch point
 @example(DistributionPair(
     class0=[PiecewisePoly(breakpoints=(0.0, 0.25), coeffs=((2.0,),))],
     class1=[PiecewisePoly(breakpoints=(-1.25, 1.75),
@@ -440,9 +440,9 @@ def _bayes_matches_literal_sign(pair):
     set holds; and points where log p1 and log p0 agree to 1e-12, touch points
     of p1 - p0 that no sign change reveals or gaps below the rounding of the
     densities' sum (a Gaussian tail on top of a piecewise cell).  A touch
-    point where both densities vanish, p1 positive on each side, is skipped
-    too: like ``test_touch_point_at_piece_midpoint``'s, it stays inside the
-    set."""
+    zero of p1 inside a stretch where p0 vanishes (p1 positive and p0 zero
+    1e-6 to each side) is skipped too: like
+    ``test_touch_point_at_piece_midpoint``'s, it stays inside the set."""
     lo_ext, hi_ext = pair.finite_extent()
     means = {c.mu for c in pair.class0 + pair.class1 if isinstance(c, Gaussian)}
     xs = sorted({float(x) for x in np.linspace(lo_ext - 1.0, hi_ext + 1.0, 997)} | means)
@@ -459,6 +459,7 @@ def _bayes_matches_literal_sign(pair):
         if any(abs(x - z) <= 1e-9 for z in edges) or abs(gap) <= 1e-12:
             continue
         if math.isnan(gap) and all(oracles.literal_logpdf(pair, 1, y) > -math.inf
+                                   and oracles.literal_logpdf(pair, 0, y) == -math.inf
                                    for y in (x - 1e-6, x + 1e-6)):
             continue
         assert bayes.contains_point(x) == (gap > 0), x
