@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (TINY, BreakpointDerivative, DistributionPair, itp_root,
+from .density import (TINY, BreakpointDerivative, DistributionPair, Gaussian, itp_root,
                       log_gap, signed_gap)
 from .intervals import INF, Interval, IntervalSet
 
@@ -181,10 +181,13 @@ def _samples(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
     inset = (b - a) * 1e-9
     xs = np.linspace(a + inset, b - inset, m)
     plus, minus = _reads(kind)
-    points = pair.gaussian_points
-    extra = np.concatenate([points[plus] - eps, points[minus] + eps])
-    extra = extra[(xs[0] < extra) & (extra < xs[-1])]
-    return np.unique(np.concatenate([xs, extra])) if extra.size else xs
+    classes = (pair.class0, pair.class1)
+    extra = [c.mu + k * c.sigma + shift
+             for which, shift in ((plus, -eps), (minus, eps))
+             for c in classes[which] if isinstance(c, Gaussian)
+             for k in (-1.0, 0.0, 1.0)]
+    extra = [x for x in extra if xs[0] < x < xs[-1]]
+    return np.unique(np.concatenate([xs, extra])) if extra else xs
 
 
 def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: float,

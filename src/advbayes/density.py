@@ -452,13 +452,6 @@ class DistributionPair:
         return tuple((_GaussianSums if all(isinstance(c, Gaussian) for c in comps)
                       else _ComponentSums)(comps) for comps in (self.class0, self.class1))
 
-    @functools.cached_property
-    def gaussian_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per class, mu - sigma, mu and mu + sigma of each Gaussian component."""
-        return tuple(np.array([c.mu + k * c.sigma for c in comps if isinstance(c, Gaussian)
-                               for k in (-1.0, 0.0, 1.0)], dtype=float)
-                     for comps in (self.class0, self.class1))
-
     def _components(self, which: int) -> tuple[DensityComponent, ...]:
         if which == 0:
             return self.class0

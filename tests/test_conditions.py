@@ -358,28 +358,6 @@ class TestFirstOrderNarrowBump:
         _scan_matches_oracle(self.pair(), self.EPS)
 
 
-def _literal_samples(pair, eps, kind, a, b, m):
-    """``conditions._samples`` written per Gaussian, with a Python list."""
-    inset = (b - a) * 1e-9
-    xs = np.linspace(a + inset, b - inset, m)
-    plus, minus = (1, 0) if kind == "a" else (0, 1)
-    classes = (pair.class0, pair.class1)
-    extra = [c.mu + k * c.sigma + shift
-             for which, shift in ((plus, -eps), (minus, eps))
-             for c in classes[which] if isinstance(c, Gaussian)
-             for k in (-1.0, 0.0, 1.0)]
-    extra = [x for x in extra if xs[0] < x < xs[-1]]
-    return np.unique(np.concatenate([xs, extra])) if extra else xs
-
-
-@given(mixed_pairs(), st.floats(0.0, 1.0), st.sampled_from("ab"),
-       st.floats(-6.0, 6.0), st.floats(0.0, 8.0), st.integers(2, 40))
-@settings(deadline=None, max_examples=100)
-def test_samples_match_literal_list(pair, eps, kind, a, width, m):
-    got = conditions._samples(pair, eps, kind, a, a + width, m)
-    assert got.tobytes() == _literal_samples(pair, eps, kind, a, a + width, m).tobytes()
-
-
 class TestFirstOrderNarrowGap:
     """p1 - p0 is positive on (-0.0151, 0.0041) only, narrower than the
     sample spacing, around a mean shared by two Gaussians that are wider
