@@ -94,8 +94,9 @@ def _eval_rows(columns: Sequence[np.ndarray], j: np.ndarray, x: np.ndarray) -> n
     """``_poly_eval`` of row ``j[i]`` of ``_columns`` at ``x[i]``, with the
     same bits; one power is gathered at a time, in place, so a grid-sized
     read holds two temporaries rather than one per power."""
-    acc = np.zeros_like(x)
-    for col in reversed(columns):
+    acc = x * 0.0
+    acc += columns[-1][j]
+    for col in reversed(columns[:-1]):
         acc *= x
         acc += col[j]
     return acc
