@@ -11,19 +11,19 @@ The dual side places one atom per grid cell at the cell midpoint and
 matches class-0 against class-1 atom mass at midpoint distance at most
 2*eps + h (h the grid step); matched mass counts toward the dual value.
 On a line this is a transportation matching, solved exactly by the
-leftmost-first greedy: one recurrence over the class-0 atoms in cumulative
-class-1 mass, whose steps are clamp maps.  Points of two matched cells can
-lie 2*eps + 2*h apart, so the dual value is no floor under the continuous
-risk: on ``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a
-solver minimum of 0.04000.  The gap therefore says how closely the two
+leftmost-first greedy, whose step for each class-0 atom is a clamp map in
+cumulative class-1 mass.  Points of two matched cells can lie 2*eps + 2*h
+apart, so the dual value is no floor under the continuous risk: on
+``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a solver
+minimum of 0.04000.  The gap therefore says how closely the two
 discretizations agree, not that either is optimal; a dual that is a true
 lower bound (midpoints within 2*eps - h) is ROADMAP item 1.
 
 The primal is linear in the grid size: its sliding window minimum is the
 van Herk / Gil-Werman block prefix/suffix minimum, taken in place in
-scratch reused by every layer.  The dual composes the clamp maps by a
-Hillis-Steele prefix scan, log2(n) numpy passes of ``max`` and ``min``
-with no Python step per atom.
+scratch reused by every layer.  The dual is a prefix scan of the clamp
+maps (Hillis-Steele), log2(n) numpy passes of ``max`` and ``min`` with no
+Python step per atom.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ class DualCertificate:
     """
 
     dual_value: float
-    grid_h: float
     pairing_radius: float
     c1: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
@@ -125,15 +124,13 @@ class DualCertificate:
         keep = mass > 0.0
         return list(zip(self.rows[owner[keep]].tolist(), j[keep].tolist(), mass[keep].tolist()))
 
-    def matching_stats(self) -> dict:
+    @property
+    def n_pairs(self) -> int:
+        """The number of pairs, counted without expanding them."""
         # The overlap is positive exactly on the nonempty cells of each range.
         first, stop = self._cell_ranges()
         nonempty = np.concatenate([[0], np.cumsum(self.c1[1:] > self.c1[:-1])])
-        return {
-            "n_pairs": int(np.sum(nonempty[stop] - nonempty[first])),
-            "matched_mass": self.dual_value,
-            "max_pair_distance": self.pairing_radius,
-        }
+        return int(np.sum(nonempty[stop] - nonempty[first]))
 
 
 @dataclass
@@ -262,7 +259,6 @@ def dual_value(
     start, end = start[idx], u[idx]
     return DualCertificate(
         dual_value=float(math.fsum((end - start).tolist())),
-        grid_h=grid_h,
         pairing_radius=radius,
         c1=c1,
         rows=idx,

@@ -4,14 +4,13 @@
 source is ``--example NAME`` or a ``--config`` JSON file that holds
 ``example``, ``atoms``, or ``class0`` and ``class1``, plus an optional
 ``run`` object.  The run keys are ``epsilon`` (a number or {min, max,
-steps}), ``grid_h``, ``max_k``, ``tolerance``, ``full_matching``, ``out``
-and ``csv``; any other key is an error, and so is an ``epsilon``, ``min``,
-``max``, ``grid_h`` or ``tolerance`` that is not a JSON number (a bool or
-a string is never coerced), a ``max_k`` or ``steps`` that is not an
-integer, or a ``full_matching`` that is not a boolean.  The flags
-(``--eps`` or ``--eps-min``/``--eps-max``/``--steps``, ``--grid-h``,
-``--max-k``, ``--tol``, ``--full-matching``, ``--out``, ``--csv``) are
-written over the run block, and the merged config is validated once.
+steps}), ``grid_h``, ``max_k``, ``tolerance``, ``out`` and ``csv``; any
+other key is an error, and so is an ``epsilon``, ``min``, ``max``,
+``grid_h`` or ``tolerance`` that is not a JSON number (a bool or a string
+is never coerced), or a ``max_k`` or ``steps`` that is not an integer.
+The flags (``--eps`` or ``--eps-min``/``--eps-max``/``--steps``,
+``--grid-h``, ``--max-k``, ``--tol``, ``--out``, ``--csv``) are written
+over the run block, and the merged config is validated once.
 
 Exit codes: 0 success, 1 usage or validation error, 2 completed with
 warnings (e.g. a widened endpoint window), 3 grid-search budget exceeded.
@@ -51,13 +50,12 @@ class RunConfig:
     eps_values: list[float] = field(default_factory=list)
     grid_h: float = 1e-3
     max_k: int = 2
-    full_matching: bool = False
     tolerance: float = 5e-3
     out: str | None = None
     csv: str | None = None
 
 
-RUN_KEYS = ("epsilon", "grid_h", "max_k", "tolerance", "full_matching", "out", "csv")
+RUN_KEYS = ("epsilon", "grid_h", "max_k", "tolerance", "out", "csv")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -152,9 +150,6 @@ def config_from_dict(data: dict) -> RunConfig:
     cfg.grid_h = _number(run.get("grid_h", cfg.grid_h), "run.grid_h")
     cfg.tolerance = _number(run.get("tolerance", cfg.tolerance), "run.tolerance")
     cfg.max_k = _integer(run.get("max_k", cfg.max_k), "run.max_k")
-    cfg.full_matching = run.get("full_matching", cfg.full_matching)
-    if not isinstance(cfg.full_matching, bool):
-        raise ParseError(f"'run.full_matching' must be true or false, got {cfg.full_matching!r}")
     cfg.out, cfg.csv = run.get("out"), run.get("csv")
     if not all(p is None or isinstance(p, str) for p in (cfg.out, cfg.csv)):
         raise ParseError("'run.out' and 'run.csv' must be path strings")
@@ -194,7 +189,11 @@ def _eps_range(lo: float, hi: float, steps: int) -> list[float]:
         raise ValidationError("need finite 0 <= eps_min <= eps_max")
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    radii = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValidationError(f"the {steps} radii from eps_min {lo!r} to eps_max {hi!r} "
+                              "are not strictly increasing")
+    return radii
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -221,7 +220,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--grid-h", type=float, default=None)
         sp.add_argument("--max-k", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--full-matching", action="store_true")
         sp.add_argument("--out", default=None)
         sp.add_argument("--csv", default=None)
     ex = sub.add_parser("examples")
@@ -256,8 +254,6 @@ def _config_from_args(args) -> RunConfig:
                        ("tolerance", args.tol), ("out", args.out), ("csv", args.csv)):
         if value is not None:
             flags[key] = value
-    if args.full_matching:
-        flags["full_matching"] = True
     run = data.get("run", {})
     if isinstance(run, dict):  # config_from_dict rejects any other 'run'
         data["run"] = {**run, **flags}
@@ -335,7 +331,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         cert = certify.dual_value(cfg.atoms[0], cfg.atoms[1], eps)
         payload = {
             "mode": "atoms",
-            "certificate": reportio.certificate_to_dict(cert, cfg.full_matching),
+            "certificate": {**reportio.certificate_to_dict(cert), "matching": cert.matching},
         }
         _emit(reportio.dumps(payload), cfg.out)
         return 0
@@ -345,7 +341,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     payload = {
         "solver_min_risk": report.min_risk,
         "solver_vs_primal": report.min_risk - gap.primal,
-        "gap_report": reportio.gap_to_dict(gap, cfg.full_matching),
+        "gap_report": reportio.gap_to_dict(gap),
         "tolerance": cfg.tolerance,
     }
     _emit(reportio.dumps(payload), cfg.out)

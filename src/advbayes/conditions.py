@@ -333,11 +333,13 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     The critical points are the density breakpoints and the sign changes of
     every segment's samples, plateau segments included: there |p1 - p0| <=
     TAU_PLATEAU, but the sign can still change where both densities are that
-    small.  Plateau samples are raw p1 - p0, so only the nonzero ones are
-    scanned: a run where both densities underflow to 0 is bridged by its
-    neighbours, and a crossing inside it is found on the log-density gap; a
-    segment with no nonzero sample shows no sign change.  The samples hold
-    every Gaussian's mu and mu +- sigma, like the first-order scan's.  The set
+    small.  Plateau samples are raw p1 - p0, and a sample where that is 0
+    takes the log-density gap, which carries the sign where both densities
+    underflow to 0.  Samples still 0 (both densities vanish identically, or
+    their logs tie) are not scanned: such a run is bridged by its
+    neighbours, and a crossing inside it is found on the log-density gap.
+    The samples hold every Gaussian's mu and mu +- sigma, like the
+    first-order scan's.  The set
     is literal on the scanned range [lo_ext - 1, hi_ext + 1] of
     ``finite_extent`` and constant on each side of it: a crossing beyond that
     range is dropped even where the densities have not underflowed to 0.
@@ -348,6 +350,9 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     for a, b, xs, vals, is_plateau in _segments(pair, 0.0, "a", scan_window(pair, 0.0)[0]):
         if is_plateau:
             plateaus.append((a, b))
+            zero = vals == 0.0
+            if zero.any():
+                vals[zero] = log_gap(pair, 1, xs[zero], 0, xs[zero])
             keep = vals != 0.0
             xs, vals = xs[keep], vals[keep]
         if xs.size:

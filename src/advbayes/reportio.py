@@ -60,8 +60,6 @@ def class_to_dict(c: EquivalenceClass) -> dict:
     d = c.degenerate
     return {
         "representative": c.representative.to_rows(),
-        "risk": c.risk,
-        "degenerate_core": c.degenerate_core.to_rows(),
         "members": [
             {"set": m.set.to_rows(), "risk": m.risk.to_dict(),
              "second_order_clean": m.second_order_clean}
@@ -101,27 +99,22 @@ def solve_report_to_dict(r: SolveReport) -> dict:
     }
 
 
-def certificate_to_dict(c: DualCertificate, full_matching: bool = False) -> dict:
-    out = {
+def certificate_to_dict(c: DualCertificate) -> dict:
+    return {
         "dual_value": c.dual_value,
-        "grid_h": c.grid_h,
         "pairing_radius": c.pairing_radius,
-        "matching_stats": c.matching_stats(),
+        "n_pairs": c.n_pairs,
     }
-    if full_matching:
-        out["matching"] = [[i, j, m] for i, j, m in c.matching]
-    return out
 
 
-def gap_to_dict(g: GapReport, full_matching: bool = False) -> dict:
+def gap_to_dict(g: GapReport) -> dict:
     return {
         "primal": g.primal,
-        "dual": g.dual,
         "gap": g.gap,
         "argmin": g.argmin.to_rows(),
         "grid_h": g.grid_h,
         "max_k": g.max_k,
-        "certificate": certificate_to_dict(g.certificate, full_matching),
+        "certificate": certificate_to_dict(g.certificate),
     }
 
 

@@ -55,8 +55,6 @@ class DegenerateReport:
 class EquivalenceClass:
     representative: IntervalSet
     members: list[CandidateClassifier]
-    degenerate_core: IntervalSet
-    risk: float
     degenerate: DegenerateReport
 
 
@@ -323,16 +321,7 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
     for members in groups.values():
         rep = min(members, key=lambda m: (m.set.n_components, m.sort_key())).set
         deg = degenerate_report(pair, eps, rep, probe_points)
-        core = deg.maximal_degenerate.union(IntervalSet(deg.detected_intervals))
-        classes.append(
-            EquivalenceClass(
-                representative=rep,
-                members=members,
-                degenerate_core=core,
-                risk=min(m.risk.total for m in members),
-                degenerate=deg,
-            )
-        )
+        classes.append(EquivalenceClass(representative=rep, members=members, degenerate=deg))
     classes.sort(key=lambda c: _set_key(c.representative))
 
     plateau_checks = []

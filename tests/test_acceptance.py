@@ -52,7 +52,8 @@ def test_criterion_1_equal_variances():
         ok = ok and len(rep.classes) == 2
         ok = ok and rep.has_minimizer(IntervalSet.reals())
         ok = ok and rep.has_minimizer(IntervalSet.empty())
-        ok = ok and all(abs(c.risk - 0.5) <= 1e-9 for c in rep.classes)
+        ok = ok and all(abs(m.risk.total - 0.5) <= 1e-9
+                        for c in rep.classes for m in c.members)
     risks = [
         adversarial_risk(pair, s, 1.0).total
         for s in (IntervalSet.open(1.0, INF), IntervalSet.reals(), IntervalSet.empty())

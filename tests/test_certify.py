@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from advbayes import examples
+from advbayes.cli import main
 from advbayes.certify import (
     WORK_BUDGET,
     AtomList,
@@ -25,6 +27,7 @@ from advbayes.solver import solve
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import IntervalSet
 from advbayes.risk import adversarial_risk
+from test_solver import _key_paths
 
 
 def uniform_half_pair():
@@ -150,7 +153,7 @@ def test_dual_matches_lp_and_matching(a0, a1, eps16, grid_h):
                                          radius)
     assert abs(cert.dual_value - expected) <= 1e-9
     matching = cert.matching
-    assert len(matching) == cert.matching_stats()["n_pairs"]
+    assert len(matching) == cert.n_pairs
     used0, used1 = np.zeros(len(a0)), np.zeros(len(a1))
     for i, j, m in matching:
         assert abs(a0.positions[i] - a1.positions[j]) <= cert.pairing_radius
@@ -344,3 +347,31 @@ class TestDualityGap:
         # decade of grid_h.
         gaps = [abs(duality_gap(deg_pair, 0.05, h, 2).gap) for h in (1e-3, 1e-4, 1e-5)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+CERTIFY_REPORT_PATHS = {
+    "solver_min_risk", "solver_vs_primal", "tolerance", "gap_report",
+    *(f"gap_report.{key}" for key in (
+        "primal", "argmin", "gap", "grid_h", "max_k", "certificate",
+        "certificate.dual_value", "certificate.pairing_radius", "certificate.n_pairs")),
+}
+ATOM_CERTIFY_REPORT_PATHS = {
+    "mode", "certificate", "certificate.dual_value", "certificate.pairing_radius",
+    "certificate.n_pairs", "certificate.matching",
+}
+
+
+def test_certify_report_schema(tmp_path):
+    """Each fact once: the dual value, the pairing radius and the pair count
+    sit in the certificate only, and atom mode always writes the matching."""
+    reports = []
+    for argv in (["--example", "degenerate", "--eps", "0.05", "--grid-h", "1e-3"],
+                 ["--example", "non_equiv", "--eps", "0.3"]):
+        out = tmp_path / "report.json"
+        assert main(["certify", *argv, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    density, atoms = reports
+    assert _key_paths(density) == CERTIFY_REPORT_PATHS
+    assert _key_paths(atoms) == ATOM_CERTIFY_REPORT_PATHS
+    assert atoms["mode"] == "atoms"
+    assert len(atoms["certificate"]["matching"]) == atoms["certificate"]["n_pairs"]

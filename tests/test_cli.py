@@ -114,8 +114,6 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, key", [
-        ({"example": "non_equiv", "run": {"epsilon": 0.3, "full_matching": "false"}},
-         "run.full_matching"),
         ({"example": "degenerate", "run": {"epsilon": 0.05, "max_k": 2.7}}, "run.max_k"),
         ({"example": "degenerate", "run": {"epsilon": 0.05, "max_k": True}}, "run.max_k"),
         ({"example": "degenerate", "run": {"epsilon": {"min": 0.1, "max": 0.3, "steps": 2.5}}},
@@ -129,7 +127,7 @@ class TestExitCodes:
         ({"example": "degenerate", "run": {"epsilon": 0.05, "grid_h": "1e-3"}}, "run.grid_h"),
         ({"example": "degenerate", "run": {"epsilon": 0.05, "grid_h": 10**400}}, "run.grid_h"),
         ({"example": "degenerate", "run": {"epsilon": 0.05, "tolerance": True}}, "run.tolerance"),
-    ], ids=["full_matching_string", "max_k_float", "max_k_bool", "steps_float", "epsilon_bool",
+    ], ids=["max_k_float", "max_k_bool", "steps_float", "epsilon_bool",
             "epsilon_string", "min_string", "max_bool", "grid_h_string", "grid_h_huge_int",
             "tolerance_bool"])
     def test_wrongly_typed_run_value(self, tmp_path, capsys, config, key):
@@ -144,13 +142,36 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"'{key}'" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("key", ["grid_n", "keep_all", "tolerence"])
+    @pytest.mark.parametrize("key", ["grid_n", "keep_all", "tolerence", "full_matching"])
     def test_unknown_run_key_rejected(self, tmp_path, capsys, key):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"example": "degenerate", "run": {"epsilon": 0.05, key: 1}}))
         assert main(["solve", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert f"'{key}'" in captured.err and captured.out == ""
+
+    def test_full_matching_flag_rejected(self, capsys):
+        assert main(["certify", "--example", "non_equiv", "--eps", "0.3",
+                     "--full-matching"]) == 1
+        captured = capsys.readouterr()
+        assert "--full-matching" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("source", [
+        ["--example", "degenerate", "--eps-min", "0.1", "--eps-max", "0.1", "--steps", "3"],
+        ["--example", "degenerate", "--eps-min", "1", "--eps-max", "1.0000000000000002",
+         "--steps", "4"],
+        {"example": "degenerate", "run": {"epsilon": {"min": 0.1, "max": 0.1, "steps": 3}}},
+    ], ids=["flags", "flags_one_ulp", "config"])
+    def test_sweep_radii_not_increasing(self, tmp_path, capsys, source):
+        """Radii that repeat are a validation error, not a traceback from the
+        monotonicity check between neighbouring rows."""
+        if isinstance(source, dict):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(source))
+            source = ["--config", str(cfg)]
+        assert main(["sweep"] + source) == 1
+        captured = capsys.readouterr()
+        assert "not strictly increasing" in captured.err and captured.out == ""
 
     def test_examples_negative_eps(self, capsys):
         assert main(["examples", "degenerate", "--eps", "-1"]) == 1
@@ -337,6 +358,7 @@ class TestCertifyCommand:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["certificate"]["dual_value"] == 0.5
+        assert data["certificate"]["matching"] == [[0, 0, 0.5]]
 
     @pytest.mark.parametrize("name, tol, failing", [
         ("non_uniqueness_all", "1e-20", []),  # both within rounding of 0
@@ -406,7 +428,7 @@ class TestParserCache:
         ["sweep", "--example", "degenerate", "--eps-min", "0.05", "--eps-max", "0.1",
          "--steps", "2"],
         ["examples", "non_uniqueness_single"],
-        ["certify", "--example", "non_equiv", "--eps", "0.3", "--full-matching"],
+        ["certify", "--example", "non_equiv", "--eps", "0.3"],
         ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "2e-3"],
         ["solve", "--bogus"],
         ["solve", "--example", "non_uniqueness_all", "--eps", "0.2"],

@@ -292,6 +292,15 @@ class TestBayesSampleScan:
         assert np.max(np.abs(np.array(got[1:3]) - [r_lo, r_hi])) <= 1e-12
 
 
+# (1, 20) is a plateau where both densities underflow to 0 at every sample;
+# log p1 - log p0 = 100 x - 1000 there, so the set is (10, inf)
+PLATEAU_UNDERFLOW_PAIR = DistributionPair(
+    class0=[Gaussian(weight=0.4, mu=-40.0, sigma=1.0),
+            PiecewisePoly(breakpoints=(0.0, 1.0), coeffs=((0.1,),))],
+    class1=[Gaussian(weight=0.4, mu=60.0, sigma=1.0),
+            PiecewisePoly(breakpoints=(20.0, 21.0), coeffs=((0.1,),))])
+
+
 class TestBayesUnderflow:
     """Both densities underflow to 0 between far-apart bumps; log-densities
     still order them."""
@@ -311,6 +320,15 @@ class TestBayesUnderflow:
         bayes = bayes_classifier(pair)
         assert bayes.n_components == 1
         assert np.max(np.abs(np.array(bayes.boundary_points()) - expected)) <= 1e-12
+
+    def test_crossing_inside_zero_plateau(self):
+        pair = PLATEAU_UNDERFLOW_PAIR
+        assert pair.pdf(0, 5.0) == 0.0 and pair.pdf(1, 5.0) == 0.0
+        log_gap = lambda x: oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+        expected = brentq(log_gap, 2.0, 19.0, xtol=1e-15)
+        bayes = bayes_classifier(pair)
+        assert bayes.n_components == 1 and bayes.intervals[0].hi == INF
+        assert abs(bayes.intervals[0].lo - expected) <= 1e-12
 
 
 class TestBayesLiteralSign:
@@ -423,6 +441,7 @@ def test_bayes_matches_literal_sign_wide_sigmas(pair):
             PiecewisePoly(breakpoints=(10.0, 11.0), coeffs=((0.25,),))],
     class1=[Gaussian(weight=0.125, mu=80.0, sigma=1.0),
             PiecewisePoly(breakpoints=(69.0, 70.0), coeffs=((0.375,),))]))
+@example(PLATEAU_UNDERFLOW_PAIR)
 @settings(deadline=None, max_examples=60)
 def test_bayes_matches_literal_sign_mixed_pairs(pair):
     _bayes_matches_literal_sign(pair)

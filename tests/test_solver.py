@@ -670,10 +670,10 @@ def _key_paths(obj, prefix: str = "") -> set[str]:
 
 SOLVE_REPORT_PATHS = {
     "epsilon", "min_risk", "unique_up_to_degeneracy", "warnings",
-    "classes", "classes[].representative", "classes[].risk", "classes[].degenerate_core",
-    "classes[].members", "classes[].members[].set", "classes[].members[].risk",
-    "classes[].members[].risk.total", "classes[].members[].risk.fn_mass",
-    "classes[].members[].risk.fp_mass", "classes[].members[].second_order_clean",
+    "classes", "classes[].representative", "classes[].members", "classes[].members[].set",
+    "classes[].members[].risk", "classes[].members[].risk.total",
+    "classes[].members[].risk.fn_mass", "classes[].members[].risk.fp_mass",
+    "classes[].members[].second_order_clean",
     "classes[].degenerate", "classes[].degenerate.assumptions_met",
     "classes[].degenerate.maximal_degenerate", "classes[].degenerate.detected_intervals",
     "first_order", "first_order.window", "first_order.window_widened",
