@@ -339,10 +339,10 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     their logs tie) are not scanned: such a run is bridged by its
     neighbours, and a crossing inside it is found on the log-density gap.
     The samples hold every Gaussian's mu and mu +- sigma, like the
-    first-order scan's.  The set
-    is literal on the scanned range [lo_ext - 1, hi_ext + 1] of
-    ``finite_extent`` and constant on each side of it: a crossing beyond that
-    range is dropped even where the densities have not underflowed to 0.
+    first-order scan's.  The set is literal on the scanned range
+    [lo_ext - 1, hi_ext + 1] of ``finite_extent`` and constant on each side
+    of it: a crossing beyond that range is dropped even where the densities
+    have not underflowed to 0.
     """
     sign = lambda x: signed_gap(pair, 1, x, 0, x)
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))

@@ -42,12 +42,6 @@ def schema_lists(text: str) -> list[set[str]]:
     return lists
 
 
-def test_schema_lists_parse_nesting():
-    text = ("# Title\n\n## Report schema\n\nA report:\n\n- `a[]`: list.\n  more text\n"
-            "  - `b`, `c`: leaves.\n- `d`: top.\n  - `e`: child.\n\n- `f`: next list.\n")
-    assert schema_lists(text) == [{"a", "a[].b", "a[].c", "d", "d.e"}, {"f"}]
-
-
 def test_report_schema_names_every_key():
     lists = schema_lists(README.read_text())
     for pinned in (SOLVE_REPORT_PATHS, CERTIFY_REPORT_PATHS, ATOM_CERTIFY_REPORT_PATHS):
