@@ -2,7 +2,6 @@
 
 from .conditions import bayes_classifier
 from .density import (
-    BreakpointDerivative,
     DistributionPair,
     Gaussian,
     OutsideSupport,
@@ -13,7 +12,6 @@ from .risk import RiskBreakdown, adversarial_risk
 from .solver import SolveReport, are_equivalent, solve
 
 __all__ = [
-    "BreakpointDerivative",
     "DistributionPair",
     "Gaussian",
     "Interval",

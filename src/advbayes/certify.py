@@ -17,7 +17,7 @@ apart, so the dual value is no floor under the continuous risk: on
 ``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a solver
 minimum of 0.04000.  The gap therefore says how closely the two
 discretizations agree, not that either is optimal; a dual that is a true
-lower bound (midpoints within 2*eps - h) is ROADMAP item 1.
+lower bound (midpoints within 2*eps - h) is ROADMAP item 4.
 
 The primal is linear in the grid size: its sliding window minimum is the
 van Herk / Gil-Werman block prefix/suffix minimum, taken in place in

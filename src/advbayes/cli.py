@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from . import certify, examples, reportio, solver
 from .certify import BudgetExceeded
+from .conditions import ScanOverflow
 from .density import DistributionPair, json_number, pair_from_dict
 from .solver import AssumptionUnmet, SolveReport
 
@@ -362,10 +363,13 @@ def cmd_examples(name: str, eps: float | None) -> int:
     from . import regressions
 
     try:
-        checks = regressions.example_checks(name, eps)
+        examples.example_pair(name, eps)  # a radius the built-in cannot take is a usage error
     except examples.UnknownExample:
         print(f"unknown example: {name}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    checks = regressions.example_checks(name, eps)
     failures = 0
     for label, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -396,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CliUsageError, ParseError, ValidationError) as exc:
+    except (CliUsageError, ParseError, ValidationError, ScanOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

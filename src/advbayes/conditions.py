@@ -3,12 +3,19 @@
 A left endpoint ``a`` of a candidate classifier must satisfy
 ``p1(a+eps) - p0(a-eps) = 0`` wherever both densities are continuous at the
 shifted points, and a right endpoint ``b`` must satisfy
-``p0(b+eps) - p1(b-eps) = 0``.  Local minimality further requires the
-corresponding derivative combination to be nonnegative.  This module finds
-every solution inside the admissible window: isolated roots by bracketing
-and the ITP root finder, whole plateaus where the defect vanishes
-identically, and the discontinuity-shifted points where the conditions are
-vacuous and any endpoint location is admissible.
+``p0(b+eps) - p1(b-eps) = 0``.  This module finds every solution inside the
+admissible window: isolated roots by bracketing and the ITP root finder,
+whole plateaus where the defect vanishes identically, and the
+discontinuity-shifted points where the conditions are vacuous and any
+endpoint location is admissible.
+
+Each defect is the derivative of the adversarial risk in that endpoint, so
+a candidate is a local maximum of the risk, never a minimizer's endpoint,
+where the defect falls through it.  The scan reads that off its own
+samples: a candidate's ``second_order`` is FAIL when the nearest nonzero
+sample before it is positive and the nearest one after it is negative,
+read across segment edges and past plateaus (for an ITP root these are
+its bracket's ends), and PASS otherwise.  Jump points stay INCONCLUSIVE.
 
 The scan cuts its range at the shifted density breakpoints and samples each
 segment at evenly spaced points plus mu - sigma, mu and mu + sigma of every
@@ -26,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (TINY, BreakpointDerivative, DistributionPair, Gaussian, itp_root,
-                      log_gap, signed_gap)
+from .density import TINY, DistributionPair, Gaussian, itp_root, log_gap, signed_gap
 from .intervals import INF, Interval, IntervalSet
 
 PASS = "PASS"
@@ -36,7 +42,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 TAU_ROOT = 1e-10
 TAU_PLATEAU = 1e-11
-TAU_DERIV = 1e-10
 _BISECT_TOL = 1e-12
 GRID_N = 2048  # defect samples per scan, spread over the scanned range
 
@@ -55,6 +60,10 @@ def near_sorted(points: list[float], p: float, tol: float, relative: bool = Fals
 
 class WindowEmpty(Exception):
     """The admissible endpoint window is empty; only ∅ and ℝ remain."""
+
+
+class ScanOverflow(ValueError):
+    """The scanned range at a radius is too wide to sample in floats."""
 
 
 class DegenerateTie(ValueError):
@@ -140,16 +149,6 @@ def scan_window(pair: DistributionPair, eps: float) -> tuple[Interval | None, bo
     return Interval(lo, hi), True
 
 
-def check_second_order(pair: DistributionPair, eps: float, x: float, kind: str) -> str:
-    """PASS iff the local-minimality derivative combination is >= -TAU_DERIV."""
-    plus, minus = _reads(kind)
-    try:
-        s = pair.derivative(plus, x + eps) - pair.derivative(minus, x - eps)
-    except BreakpointDerivative:
-        return INCONCLUSIVE
-    return PASS if s >= -TAU_DERIV else FAIL
-
-
 def _shifted(points, eps: float, kind: str) -> list[float]:
     """Density points seen by the defect: ``points(c)`` shifted by ∓eps.
 
@@ -213,27 +212,44 @@ def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: f
     return xs, vals, is_plateau
 
 
-def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[float]:
+def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[tuple[float, int]]:
     """Zero samples, and a root found by ``itp_root`` on ``sign`` between each
-    pair of neighbouring samples of opposite sign.
+    pair of neighbouring samples of opposite sign; each root with the number
+    of samples up to and including its bracket's left end (a zero sample is
+    its own left end).
 
     A zero sample between two zero samples is dropped: it lies inside a run
     where the two densities agree to rounding, and like a plateau's inner
     points it would only add endpoints that tie with the run's ends.
     """
-    roots: list[float] = []
+    roots: list[tuple[float, int]] = []
     pos = vals > 0
     zero = vals == 0.0
     inner = np.zeros_like(zero)
     inner[1:-1] = zero[:-2] & zero[1:-1] & zero[2:]
     for i in np.flatnonzero((zero & ~inner)[:-1] | (pos[:-1] != pos[1:])):
         if vals[i] == 0.0:
-            roots.append(float(xs[i]))
+            roots.append((float(xs[i]), i + 1))
         else:
-            roots.append(itp_root(sign, float(xs[i]), float(xs[i + 1]), _BISECT_TOL))
+            roots.append((itp_root(sign, float(xs[i]), float(xs[i + 1]), _BISECT_TOL), i + 1))
     if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
+        roots.append((float(xs[-1]), len(xs)))
     return roots
+
+
+def _verdict(vals: np.ndarray, k: int) -> str:
+    """FAIL where the last nonzero value of ``vals[:k]`` is positive and the
+    first nonzero value of ``vals[k:]`` negative, PASS otherwise.
+
+    The walks from k read only the zeros next to it: an ITP root's bracket
+    ends are nonzero, so it reads just those two values.
+    """
+    i, j = k - 1, k
+    while i >= 0 and vals[i] == 0.0:
+        i -= 1
+    while j < len(vals) and vals[j] == 0.0:
+        j += 1
+    return FAIL if i >= 0 and j < len(vals) and vals[i] > 0.0 > vals[j] else PASS
 
 
 def _segments(pair: DistributionPair, eps: float, kind: str,
@@ -243,11 +259,14 @@ def _segments(pair: DistributionPair, eps: float, kind: str,
     The scanned range ``_scan_bounds`` is cut at the shifted density
     breakpoints; each segment gets ``_sample_defect``'s reading with a share
     of GRID_N samples in proportion to its length, and at least 9.  Empty
-    when the range is.
+    when the range is; ``ScanOverflow`` when GRID_N times its width overflows.
     """
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:
         return []
+    if math.isinf(GRID_N * (hi - lo)):
+        raise ScanOverflow(f"eps={eps!r} is too large: the scanned range [{lo!r}, {hi!r}] "
+                           "is too wide to sample")
     edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
     return [(a, b, *_sample_defect(pair, eps, kind, a, b,
                                    max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1)))
@@ -265,41 +284,45 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
         return []
     lo, hi = segments[0][0], segments[-1][1]
 
-    roots: list[float] = []
+    # Each root and plateau with the number of non-plateau samples before its
+    # right side: the verdicts read the samples on both sides of it.
+    roots: dict[float, int] = {}
     # Maximal plateau runs, reported as closed hulls of their segments.
-    plateaus: list[tuple[float, float]] = []
+    plateaus: list[tuple[float, float, int]] = []
     # Sign changes across a defect breakpoint: the endpoint location is
     # admissible there even though the defect never vanishes.
     jumps: list[float] = []
+    samples: list[np.ndarray] = []  # the non-plateau segments' values
+    n = 0
     prev = 0.0  # the previous segment's last value, 0 after a plateau
     for a, b, xs, vals, is_plateau in segments:
         if is_plateau:
             if plateaus and plateaus[-1][1] == a:
-                plateaus[-1] = (plateaus[-1][0], b)
+                plateaus[-1] = (plateaus[-1][0], b, n)
             else:
-                plateaus.append((a, b))
+                plateaus.append((a, b, n))
             prev = 0.0
             continue
         if prev != 0.0 and vals[0] != 0.0 and (prev > 0) != (vals[0] > 0):
             jumps.append(a)
         prev = float(vals[-1])
-        roots += _sign_changes(sign, xs, vals)
+        for r, k in _sign_changes(sign, xs, vals):
+            roots.setdefault(r, n + k)
+        samples.append(vals)
+        n += len(vals)
+    values = np.concatenate(samples) if samples else np.zeros(0)
 
     out: list[CandidatePoint] = []
     taken: list[float] = []  # kept sorted
-    for p_lo, p_hi in plateaus:
-        verdicts = [check_second_order(pair, eps, x, kind) for x in (p_lo, p_hi)]
-        verdict = PASS if PASS in verdicts else (
-            INCONCLUSIVE if INCONCLUSIVE in verdicts else FAIL)
+    for p_lo, p_hi, k in plateaus:
         out.append(CandidatePoint(kind=kind, plateau=(p_lo, p_hi),
-                                  second_order=verdict, residual=0.0))
+                                  second_order=_verdict(values, k), residual=0.0))
         bisect.insort(taken, p_lo)
         bisect.insort(taken, p_hi)
-    for r in sorted(set(roots)):
+    for r, k in sorted(roots.items()):
         if near_sorted(taken, r, 1e-11, relative=True):
             continue
-        out.append(CandidatePoint(kind=kind, location=r,
-                                  second_order=check_second_order(pair, eps, r, kind),
+        out.append(CandidatePoint(kind=kind, location=r, second_order=_verdict(values, k),
                                   residual=g(r)))
         bisect.insort(taken, r)
     # Jump points, then discontinuity-shifted points: the latter are
@@ -356,7 +379,7 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
             keep = vals != 0.0
             xs, vals = xs[keep], vals[keep]
         if xs.size:
-            pts.update(_sign_changes(sign, xs, vals))
+            pts.update(r for r, _ in _sign_changes(sign, xs, vals))
     return _positive_set(pair, sorted(pts), plateaus)
 
 

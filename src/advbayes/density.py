@@ -22,14 +22,9 @@ from .intervals import INF, Interval, IntervalSet
 
 MASS_TOL = 1e-9
 MAX_POLY_DEGREE = 5
-_BREAKPOINT_SNAP = 1e-12
 _ROOT_REFINE_TOL = 1e-13
 TINY = np.finfo(float).tiny  # smallest normal float; below it a density is subnormal or 0
 ARRAY_CDF_POINTS = 24  # shortest list that cdf_points sends to cdf_array: 8 to 24 scalar CDFs' cost
-
-
-class BreakpointDerivative(ValueError):
-    """Requested a derivative at a piecewise-polynomial breakpoint."""
 
 
 class OutsideSupport(ValueError):
@@ -63,9 +58,6 @@ class Gaussian:
     def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
         z = (xs - self.mu) / self.sigma
         return math.log(self.weight / (self.sigma * math.sqrt(2.0 * math.pi))) - 0.5 * z * z
-
-    def dpdf(self, x: float) -> float:
-        return -(x - self.mu) / (self.sigma**2) * self.pdf(x)
 
     def cdf(self, x: float) -> float:
         return self.weight * float(ndtr((x - self.mu) / self.sigma))
@@ -265,15 +257,6 @@ class PiecewisePoly:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf_array(xs))
 
-    def dpdf(self, x: float) -> float:
-        for b in self.breakpoints:
-            if abs(x - b) <= _BREAKPOINT_SNAP * max(1.0, abs(b)):
-                raise BreakpointDerivative(f"x={x} is a breakpoint of the density")
-        j = self._cell_index(x)
-        if j is None:
-            return 0.0
-        return _poly_eval(_poly_derivative(self.coeffs[j]), x)
-
     @functools.cached_property
     def _primitives(self) -> tuple[list[tuple[float, ...]], list[float], list[float]]:
         """Per cell the antiderivative row and its value at the cell's left end,
@@ -354,7 +337,7 @@ DensityComponent = Union[Gaussian, PiecewisePoly]
 
 
 class _ComponentSums:
-    """Density and slope of one class at a point: the sum over its components."""
+    """Density of one class at a point: the sum over its components."""
 
     def __init__(self, components: tuple[DensityComponent, ...]):
         self.components = components
@@ -362,25 +345,20 @@ class _ComponentSums:
     def pdf(self, x: float) -> float:
         return sum(c.pdf(x) for c in self.components)
 
-    def derivative(self, x: float) -> float:
-        return sum(c.dpdf(x) for c in self.components)
-
 
 class _GaussianSums(_ComponentSums):
     """``_ComponentSums`` of an all-Gaussian class, bit for bit, over a window.
 
-    Each term is ``Gaussian.pdf``'s (or ``dpdf``'s) expression in the same
-    operation order, from one precomputed ``(mu, sigma, weight,
-    sigma*sqrt(2*pi), sigma**2)`` row.  A component more than 40·sigma_max
-    from x has ``exp(-0.5*z*z) == 0.0`` (it underflows past z = 38.6), so
-    its term is exactly ±0.0, and a sum that starts at +0.0 is never -0.0,
-    so leaving such a term out changes no bit.  The rest are summed in
-    component order.
+    Each term is ``Gaussian.pdf``'s expression in the same operation order,
+    from one precomputed ``(mu, sigma, weight, sigma*sqrt(2*pi))`` row.  A
+    component more than 40·sigma_max from x has ``exp(-0.5*z*z) == 0.0`` (it
+    underflows past z = 38.6), so its term is exactly +0.0, and leaving such
+    a term out changes no bit.  The rest are summed in component order.
     """
 
     def __init__(self, components: tuple[Gaussian, ...]):
         super().__init__(components)
-        self._rows = [(g.mu, g.sigma, g.weight, g.sigma * math.sqrt(2.0 * math.pi), g.sigma**2)
+        self._rows = [(g.mu, g.sigma, g.weight, g.sigma * math.sqrt(2.0 * math.pi))
                       for g in components]
         self._order = sorted(range(len(components)), key=lambda i: components[i].mu)
         self._in_order = self._order == list(range(len(components)))
@@ -390,15 +368,12 @@ class _GaussianSums(_ComponentSums):
         # With every mean within 2^40·sigma of 0, x ± reach rounds by far less
         # than the 40 versus 38.6 sigma margin wherever a mean is that close.
         self._reach = 40.0 * sigma if top <= 2.0**40 * sigma else INF
-        # The window is taken where |x| < limit.  Where |x| + top stays under
-        # 2^1000·sigma_min^2, the slope factor -(x - mu)/sigma**2 is finite,
-        # so a skipped dpdf term is ±0.0 and not nan; beyond (and at ±inf or
-        # nan) every component is summed.  Means that all lie within the
-        # reach of one another leave nothing out near them: no window then.
-        self._limit = (2.0**1000 * min(row[4] for row in self._rows) - top
-                       if self._mus[-1] - self._mus[0] > self._reach else 0.0)
+        # The window is taken at finite x; at ±inf and nan every component is
+        # summed.  Means that all lie within the reach of one another leave
+        # nothing out near them: no window then.
+        self._limit = INF if self._mus[-1] - self._mus[0] > self._reach else 0.0
 
-    def _window(self, x: float) -> list[tuple[float, float, float, float, float]]:
+    def _window(self, x: float) -> list[tuple[float, float, float, float]]:
         if not -self._limit < x < self._limit:
             return self._rows
         lo = bisect.bisect_left(self._mus, x - self._reach)
@@ -410,16 +385,9 @@ class _GaussianSums(_ComponentSums):
 
     def pdf(self, x: float) -> float:
         acc, exp = 0.0, math.exp
-        for mu, sigma, weight, norm, _ in self._window(x):
+        for mu, sigma, weight, norm in self._window(x):
             z = (x - mu) / sigma
             acc += weight * exp(-0.5 * z * z) / norm
-        return acc
-
-    def derivative(self, x: float) -> float:
-        acc, exp = 0.0, math.exp
-        for mu, sigma, weight, norm, var in self._window(x):
-            z = (x - mu) / sigma
-            acc += -(x - mu) / var * (weight * exp(-0.5 * z * z) / norm)
         return acc
 
 
@@ -469,18 +437,16 @@ class DistributionPair:
 
     def pdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(xs, dtype=float)
-        for c in self._components(which):
-            out += c.pdf_array(xs)
+        # Far out on a huge radius's range a Gaussian's z * z overflows to inf,
+        # and its term is then exactly 0, as in the scalar ``pdf``.
+        with np.errstate(over="ignore"):
+            for c in self._components(which):
+                out += c.pdf_array(xs)
         return out
 
     def logpdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
         """log pdf, finite where a Gaussian tail underflows ``pdf_array`` to 0."""
         return logsumexp([c.logpdf_array(xs) for c in self._components(which)], axis=0)
-
-    def derivative(self, which: int, x: float) -> float:
-        if which == 0 or which == 1:
-            return self._class_sums[which].derivative(x)
-        raise _class_index_error(which)
 
     def eta(self, x: float) -> float:
         p0, p1 = self.pdf(0, x), self.pdf(1, x)

@@ -399,11 +399,17 @@ def literal_first_order(pair, eps: float, grid_n: int = 2048):
     A literal copy of the first-order scan in which every sample is two
     scalar ``pair.pdf`` calls and sign changes are found by a Python loop;
     where both densities are 0, ``literal_logpdf`` gives the sign.  It
-    reuses the package's scalar pieces (window, shifted points, root finder,
-    second-order check) and none of its array evaluators.  The root finder
-    reads each bracket's ends through ``sign`` itself, so only the signs of
-    the samples matter.  Returns
-    ``(a_dicts, b_dicts)``, or None when the window is empty.
+    reuses the package's scalar pieces (window, shifted points, root finder)
+    and none of its array evaluators.  The root finder reads each bracket's
+    ends through ``sign`` itself, so only the signs of the samples matter.
+
+    A candidate's ``second_order`` is FAIL when the nearest nonzero sample
+    before it is positive and the nearest one after it negative, over all
+    non-plateau samples in order, and PASS otherwise; jump points are
+    INCONCLUSIVE.  An ITP root whose bracket ends are both nonzero also
+    carries ``"bracket": (left value, right value)``, which the caller
+    drops before comparing.  Returns ``(a_dicts, b_dicts)``, or None when
+    the window is empty.
     """
     from advbayes import conditions as fo
 
@@ -438,6 +444,8 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
     edges = [lo] + special + [hi]
     total = hi - lo
     roots, plateau_flags, side_vals = [], [], []
+    flat = []  # the non-plateau samples, in order
+    starts, brackets = [], {}  # len(flat) at each segment; ITP roots' bracket ends
     for a, b in zip(edges, edges[1:]):
         m = max(9, int(round(grid_n * (b - a) / total)) + 1)
         xs = fo._samples(pair, eps, kind, a, b, m)
@@ -448,18 +456,30 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
                     for x, v in zip(xs, vals)]
         plateau_flags.append(is_plateau)
         side_vals.append((vals[0], vals[-1]))
+        starts.append(len(flat))
         if is_plateau:
             continue
+        # Each root with the number of samples up to its bracket's left end
+        # (a zero sample is its own left end).
         for i in range(len(xs) - 1):
             v0, v1 = vals[i], vals[i + 1]
             if v0 == 0.0:
                 # Inside a run of zero samples only the run's two ends are roots.
                 if i == 0 or vals[i - 1] != 0.0 or v1 != 0.0:
-                    roots.append(float(xs[i]))
+                    roots.append((float(xs[i]), len(flat) + i + 1))
             elif (v0 > 0) != (v1 > 0):
-                roots.append(itp_root(sign, float(xs[i]), float(xs[i + 1]), fo._BISECT_TOL))
+                r = itp_root(sign, float(xs[i]), float(xs[i + 1]), fo._BISECT_TOL)
+                roots.append((r, len(flat) + i + 1))
+                if v1 != 0.0:
+                    brackets.setdefault(r, (v0, v1))
         if vals[-1] == 0.0:
-            roots.append(float(xs[-1]))
+            roots.append((float(xs[-1]), len(flat) + len(xs)))
+        flat.extend(vals)
+
+    def verdict(split):
+        before = [v for v in flat[:split] if v != 0.0]
+        after = [v for v in flat[split:] if v != 0.0]
+        return fo.FAIL if before and after and before[-1] > 0 > after[0] else fo.PASS
 
     plateaus = []
     i = 0
@@ -468,7 +488,7 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
             j = i
             while j + 1 < len(plateau_flags) and plateau_flags[j + 1]:
                 j += 1
-            plateaus.append((edges[i], edges[j + 1]))
+            plateaus.append((edges[i], edges[j + 1], starts[i]))
             i = j + 1
         else:
             i += 1
@@ -485,18 +505,20 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
         return any(abs(x - y) <= 1e-11 * max(1.0, abs(y)) for y in locs)
 
     out, taken = [], []
-    for p_lo, p_hi in plateaus:
-        verdicts = [fo.check_second_order(pair, eps, x, kind) for x in (p_lo, p_hi)]
-        verdict = fo.PASS if fo.PASS in verdicts else (
-            fo.INCONCLUSIVE if fo.INCONCLUSIVE in verdicts else fo.FAIL)
-        out.append({"second_order": verdict, "residual": 0.0,
+    for p_lo, p_hi, split in plateaus:
+        out.append({"second_order": verdict(split), "residual": 0.0,
                     "at_jump": False, "plateau": [p_lo, p_hi]})
         taken.extend([p_lo, p_hi])
-    for r in sorted(set(roots)):
+    first_split = {}
+    for r, split in roots:
+        first_split.setdefault(r, split)
+    for r in sorted(first_split):
         if near_existing(r, taken):
             continue
-        out.append({"second_order": fo.check_second_order(pair, eps, r, kind),
-                    "residual": g(r), "at_jump": False, "location": r})
+        out.append({"second_order": verdict(first_split[r]), "residual": g(r),
+                    "at_jump": False, "location": r})
+        if r in brackets:
+            out[-1]["bracket"] = brackets[r]
         taken.append(r)
     for s in jumps + fo._shifted(pair.discontinuities, eps, kind):
         if not lo < s < hi or near_existing(s, taken):

@@ -178,6 +178,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "nonnegative" in captured.err and "[PASS]" not in captured.out
 
+    def test_examples_radius_the_builtin_rejects(self, capsys):
+        """The radius-dependent built-in needs eps > 0; ``solve`` already says
+        so in one line, and ``examples`` does the same."""
+        assert main(["examples", "deg_eta_0_1_counterexample", "--eps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: eps must be positive\n" and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--example", "gaussians_equal_variances", "--eps", "1e308"],
+        ["sweep", "--example", "gaussians_equal_means", "--eps-min", "1", "--eps-max", "1e308",
+         "--steps", "2"],
+        ["certify", "--example", "gaussians_equal_means", "--eps", "1e306"],
+    ])
+    def test_radius_too_large_to_scan(self, capsys, argv):
+        """A finite radius whose scanned range overflows is one error line."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: eps=") and "too large" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "nan"],
         ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "inf"],

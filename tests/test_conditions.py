@@ -18,7 +18,6 @@ from advbayes.conditions import (
     WindowEmpty,
     bayes_boundary_proximity,
     bayes_classifier,
-    check_second_order,
     defect,
     scan_window,
     solve_first_order,
@@ -122,7 +121,7 @@ class TestFirstOrder:
         assert len(plats) == 1
         lo, hi = plats[0].plateau
         assert lo == pytest.approx(-0.2, abs=1e-12) and hi == pytest.approx(0.2, abs=1e-12)
-        assert plats[0].second_order == INCONCLUSIVE
+        assert plats[0].second_order == PASS
 
     def test_ramp_roots(self, nus_pair):
         eps = 0.1
@@ -168,21 +167,58 @@ class TestFirstOrder:
 
 
 class TestSecondOrder:
+    """A candidate's verdict is read off the scan's samples on both sides of
+    it: FAIL where the defect (the risk's slope in the endpoint) falls from
+    positive to negative through it, PASS otherwise, INCONCLUSIVE at jumps."""
+
+    @staticmethod
+    def verdicts(cands):
+        return [(c.plateau or c.location, c.second_order) for c in cands]
+
     def test_equal_variance_b_fails(self, eqvar_pair):
-        assert check_second_order(eqvar_pair, 0.5, 1.0, "b") == FAIL
-        assert check_second_order(eqvar_pair, 0.5, 1.0, "a") == PASS
+        scan = solve_first_order(eqvar_pair, 0.5)
+        [(a, a_verdict)] = self.verdicts(scan.a_candidates)
+        [(b, b_verdict)] = self.verdicts(scan.b_candidates)
+        assert a == pytest.approx(1.0, abs=1e-9) and a_verdict == PASS
+        assert b == pytest.approx(1.0, abs=1e-9) and b_verdict == FAIL
 
     def test_flat_distribution_boundary_case(self, nua_pair):
-        # both derivative combinations vanish in cell interiors: PASS
-        assert check_second_order(nua_pair, 0.1, 0.5, "a") == PASS
+        # The defects vanish on [-eps, eps], whose ends are shifted density
+        # kinks, and are constant beside it: the a-defect rises through its
+        # plateau and the b-defect falls through its own.
+        for eps in (0.1, 0.2):
+            scan = solve_first_order(nua_pair, eps)
+            assert self.verdicts(scan.a_candidates) == [((-eps, eps), PASS)]
+            assert self.verdicts(scan.b_candidates) == [((-eps, eps), FAIL)]
 
-    def test_breakpoint_inconclusive(self, nua_pair):
-        # x - eps hits the density kink at 0
-        assert check_second_order(nua_pair, 0.2, 0.2, "a") == INCONCLUSIVE
+    def test_breakpoint_inconclusive(self, deg_pair):
+        # Candidates at shifted density jumps keep no verdict.
+        scan = solve_first_order(deg_pair, 0.05)
+        jumps = [c for c in scan.a_candidates + scan.b_candidates if c.at_jump]
+        assert jumps and all(c.second_order == INCONCLUSIVE for c in jumps)
+        assert all(c.second_order != INCONCLUSIVE
+                   for c in scan.a_candidates + scan.b_candidates if not c.at_jump)
 
     def test_ramp_a_fails(self, nus_pair):
         eps = 0.1
-        assert check_second_order(nus_pair, eps, (1 - eps) / 3, "a") == FAIL
+        a = self.verdicts(solve_first_order(nus_pair, eps).a_candidates)
+        assert a == [(pytest.approx((1 - eps) / 3, abs=1e-9), FAIL)]
+
+    def test_falling_tail_crossing_fails(self):
+        # 0.75 N(0, 0.25^2) over 0.25 N(0, 0.25^2): far in the tail the
+        # a-defect falls through 0 at x = 1.7166 with slope about -1e-11.
+        pair = DistributionPair(class0=[Gaussian(weight=0.25, mu=0.0, sigma=0.25)],
+                                class1=[Gaussian(weight=0.75, mu=0.0, sigma=0.25)])
+        scan = solve_first_order(pair, 0.02)
+        assert self.verdicts(scan.a_candidates) == [(pytest.approx(1.7166, abs=1e-4), FAIL)]
+        assert self.verdicts(scan.b_candidates) == [(pytest.approx(-1.7166, abs=1e-4), FAIL)]
+
+    def test_sides_skip_zero_samples(self):
+        values = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 2.0])
+        # Split k puts values[:k] before it: a zero run between + and - falls,
+        # and a split with no nonzero value on one side does not.
+        assert [conditions._verdict(values, k) for k in range(7)] == [
+            PASS, FAIL, FAIL, FAIL, PASS, PASS, PASS]
 
 
 class TestProximity:
@@ -389,6 +425,10 @@ def _scan_matches_oracle(pair, eps):
             solve_first_order(pair, eps)
         return
     scan = solve_first_order(pair, eps)
+    for d in expected[0] + expected[1]:
+        left, right = d.pop("bracket", (0.0, 0.0))
+        if left and right:  # an ITP root: its verdict is its bracket's direction
+            assert d["second_order"] == (FAIL if left > 0 > right else PASS), d
     got = ([c.to_dict() for c in scan.a_candidates],
            [c.to_dict() for c in scan.b_candidates])
     assert got == expected
@@ -528,5 +568,5 @@ def test_bracket_ends_read_with_scalar_sign():
         read.append(x)
         return 1e-300 + x
 
-    assert conditions._sign_changes(sign, xs, vals) == [0.0]
+    assert conditions._sign_changes(sign, xs, vals) == [(0.0, 1)]
     assert read == [0.0, 0.5]

@@ -9,7 +9,6 @@ import oracles
 from advbayes import examples
 from advbayes.density import (
     ARRAY_CDF_POINTS,
-    BreakpointDerivative,
     DistributionPair,
     Gaussian,
     OutsideSupport,
@@ -89,31 +88,6 @@ class TestEval:
     def test_zero_outside_breakpoints(self, nus_pair):
         assert nus_pair.pdf(0, 1.5) == 0.0
         assert nus_pair.pdf(1, -2.0) == 0.0
-
-
-class TestDerivative:
-    def test_gaussian_derivative(self):
-        g = Gaussian(weight=1.0, mu=0.0, sigma=1.0)
-        assert g.dpdf(1.0) == pytest.approx(-oracles.normpdf(1.0, 0.0, 1.0), abs=1e-12)
-
-    def test_ramp_slope(self, nus_pair):
-        assert nus_pair.derivative(0, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
-
-    def test_constant_cell_zero(self, nua_pair):
-        assert nua_pair.derivative(0, 0.5) == 0.0
-
-    def test_breakpoint_raises(self, nua_pair):
-        with pytest.raises(BreakpointDerivative):
-            nua_pair.derivative(0, 0.0)
-
-    def test_matches_finite_differences(self, eqmeans_pair, nus_pair):
-        rng = np.random.default_rng(3)
-        h = 1e-6
-        for pair, lo, hi in ((eqmeans_pair, -6.0, 6.0), (nus_pair, -0.99, 0.99)):
-            for x in rng.uniform(lo, hi, size=1000):
-                for which in (0, 1):
-                    fd = (pair.pdf(which, x + h) - pair.pdf(which, x - h)) / (2 * h)
-                    assert abs(pair.derivative(which, x) - fd) < 1e-5
 
 
 class TestMass:
@@ -244,8 +218,8 @@ def wide_classes(draw):
 
 def probe_points(draw, pair: DistributionPair) -> list[float]:
     """The means, points up to 60 sigmas from them (across the 38.6-sigma
-    underflow of each term) and far tails, out to where dpdf's slope factor
-    overflows and a far term is nan."""
+    underflow of each term) and far tails, out to where (x - mu) / sigma
+    overflows."""
     gaussians = [c for c in pair.class0 + pair.class1 if isinstance(c, Gaussian)]
     pts = [g.mu for g in gaussians] + [1.7e308, -1.7e308, 1e300, -1e300, 1e4, -1e4]
     for g in gaussians:
@@ -256,22 +230,15 @@ def probe_points(draw, pair: DistributionPair) -> list[float]:
 
 
 class TestScalarSums:
-    """``pdf``, ``derivative`` and the pool's CDF fill against the plain
-    component sums, bit for bit."""
+    """``pdf`` and the pool's CDF fill against the plain component sums, bit
+    for bit."""
 
     @given(wide_classes(), st.data())
     @settings(deadline=None, max_examples=150)
-    def test_pdf_and_derivative_bits(self, pair, data):
+    def test_pdf_bits(self, pair, data):
         for x in probe_points(data.draw, pair) + [INF, -INF]:
             for which, comps in ((0, pair.class0), (1, pair.class1)):
                 assert pair.pdf(which, x).hex() == sum(c.pdf(x) for c in comps).hex(), x
-                try:
-                    expected = sum(c.dpdf(x) for c in comps).hex()
-                except BreakpointDerivative:
-                    with pytest.raises(BreakpointDerivative):
-                        pair.derivative(which, x)
-                    continue
-                assert pair.derivative(which, x).hex() == expected, x
 
     @given(wide_classes(), st.data(), st.floats(0.0, 2.0))
     @settings(deadline=None, max_examples=50)

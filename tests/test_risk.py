@@ -187,7 +187,7 @@ def test_adversarial_risk_rejects_negative_eps(nua_pair):
 @pytest.mark.parametrize("which", [-1, 2])
 def test_cdf_rejects_bad_class_index(nua_pair, eqvar_pair, which):
     for pair in (nua_pair, eqvar_pair):
-        for evaluate in (pair.cdf, pair.pdf, pair.derivative):
+        for evaluate in (pair.cdf, pair.pdf):
             with pytest.raises(ValueError, match="class index"):
                 evaluate(which, 0.5)
 
@@ -431,6 +431,38 @@ def test_bayes_matches_literal_sign(pair):
 @settings(deadline=None, max_examples=100)
 def test_bayes_matches_literal_sign_wide_sigmas(pair):
     _bayes_matches_literal_sign(pair)
+
+
+# Two pairs whose sign change of p1 - p0 lies between two scan samples
+# (ROADMAP item 3, "A scan that proves each bracket root-free").  Each test
+# checks the literal sign at one point of the missed stretch; both flip to
+# passing when the scan proves its brackets root-free.
+_MISSED_P0_STRETCH = DistributionPair(
+    class0=[Gaussian(weight=0.1015625, mu=0.0, sigma=0.1),
+            Gaussian(weight=0.1015625, mu=0.4375, sigma=0.4531583637600818)],
+    class1=[Gaussian(weight=0.3984375, mu=-0.3125, sigma=0.01),
+            Gaussian(weight=0.3984375, mu=2.0, sigma=9.821718891880378)])
+_MISSED_P1_STRETCH = DistributionPair(
+    class0=[Gaussian(weight=0.1, mu=-2.4107589444113144, sigma=2.5152602612031805),
+            Gaussian(weight=0.1, mu=-0.99999, sigma=0.003315527086915029)],
+    class1=[Gaussian(weight=0.4, mu=-0.7729749569038402, sigma=0.076852324198907),
+            Gaussian(weight=0.4, mu=2.7018585604301197, sigma=0.04897573564647099)])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: p0 > p1 on (-0.40915, -0.35286) "
+                   "holds no scan sample")
+def test_bayes_excludes_missed_p0_stretch():
+    pair, x = _MISSED_P0_STRETCH, -0.38
+    assert pair.pdf(0, x) > pair.pdf(1, x)
+    assert not bayes_classifier(pair).contains_point(x)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: p1 > p0 on about (-1.01661, -1.01400) "
+                   "holds no scan sample")
+def test_bayes_contains_missed_p1_stretch():
+    pair, x = _MISSED_P1_STRETCH, -1.0153
+    assert pair.pdf(1, x) > pair.pdf(0, x)
+    assert bayes_classifier(pair).contains_point(x)
 
 
 @given(mixed_pairs())

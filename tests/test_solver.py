@@ -140,6 +140,17 @@ class TestSolveGaussians:
             assert top.intervals[0].hi == pytest.approx(b, abs=1e-8)
 
 
+class TestHugeRadius:
+    def test_overflowing_scan_range_names_the_radius(self, eqvar_pair):
+        with pytest.raises(ValueError, match=r"eps=1e\+308 is too large"):
+            solve(eqvar_pair, 1e308)
+
+    def test_finite_scan_range_still_solves(self, eqvar_pair):
+        # Beyond eps = 1 both ∅ and ℝ are optimal (risk 1/2).
+        rep = solve(eqvar_pair, 1e200)
+        assert rep.min_risk == pytest.approx(0.5, abs=1e-12) and len(rep.classes) == 2
+
+
 class TestSolvePiecewise:
     def test_non_uniqueness_all_below_threshold(self, nua_pair):
         rep = solve(nua_pair, 0.2)
