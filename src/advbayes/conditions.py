@@ -19,15 +19,18 @@ its bracket's ends), and PASS otherwise.  Jump points stay INCONCLUSIVE.
 
 The scan cuts its range at the shifted density breakpoints and samples each
 segment at evenly spaced points plus mu - sigma, mu and mu + sigma of every
-Gaussian the defect reads.  At eps = 0 the a-kind defect is ``p1 - p0``, so
-the same segment samples give the boundary of the Bayes classifier
-{p1 > p0}; ``bayes_boundary_proximity`` measures how far the endpoint
-candidates at a radius lie from it.
+Gaussian the defect reads.  The segments of a scan kind are sampled as one
+array, so each class density is read once per kind, and one pass over the
+non-plateau samples finds every bracket.  At eps = 0 the a-kind defect is
+``p1 - p0``, so the same segment samples give the boundary of the Bayes
+classifier {p1 > p0}; ``bayes_boundary_proximity`` measures how far the
+endpoint candidates at a radius lie from it.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,51 +192,42 @@ def _samples(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
     return np.unique(np.concatenate([xs, extra])) if extra else xs
 
 
-def _sample_defect(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
-                   m: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Samples of [a, b], the defect's values there, and whether the segment is
-    a plateau: |defect| <= TAU_PLATEAU at every sample.
-
-    Off a plateau, where both shifted densities are subnormal or 0 the value
-    is the log-density gap, which carries the sign.  Only the sign of each
-    sample picks the brackets of ``_sign_changes``; ``itp_root`` evaluates
-    their ends again with the scalar ``signed_gap``, so roots equal a
-    scalar-sampled scan's unless a sample is within rounding of zero
-    (np.exp and math.exp may differ by one ulp).
-    """
-    plus, minus = _reads(kind)
-    xs = _samples(pair, eps, kind, a, b, m)
-    p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
-    vals = p_plus - p_minus
-    is_plateau = bool(np.max(np.abs(vals)) <= TAU_PLATEAU)
-    under = (p_plus < TINY) & (p_minus < TINY)
-    if not is_plateau and under.any():
-        vals[under] = log_gap(pair, plus, xs[under] + eps, minus, xs[under] - eps)
-    return xs, vals, is_plateau
-
-
-def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray) -> list[tuple[float, int]]:
+def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray,
+                  ends: list[int]) -> list[tuple[float, int]]:
     """Zero samples, and a root found by ``itp_root`` on ``sign`` between each
     pair of neighbouring samples of opposite sign; each root with the number
     of samples up to and including its bracket's left end (a zero sample is
     its own left end).
 
-    A zero sample between two zero samples is dropped: it lies inside a run
+    The samples are runs laid end to end, each ending before the index in
+    ``ends``.  No bracket spans two runs, and a zero sample is read within its
+    run: one between two zero samples is dropped, since it lies inside a run
     where the two densities agree to rounding, and like a plateau's inner
-    points it would only add endpoints that tie with the run's ends.
+    points it would only add endpoints that tie with the run's ends.  A run's
+    first and last samples have no neighbour inside it, so a zero there is
+    always kept.
     """
-    roots: list[tuple[float, int]] = []
     pos = vals > 0
     zero = vals == 0.0
     inner = np.zeros_like(zero)
     inner[1:-1] = zero[:-2] & zero[1:-1] & zero[2:]
-    for i in np.flatnonzero((zero & ~inner)[:-1] | (pos[:-1] != pos[1:])):
-        if vals[i] == 0.0:
+    hits = set(np.flatnonzero((zero & ~inner)[:-1] | (pos[:-1] != pos[1:])).tolist())
+    start = 0
+    for end in ends:
+        if start < end:
+            if zero[start]:
+                hits.add(start)
+            if zero[end - 1]:
+                hits.add(end - 1)
+            else:
+                hits.discard(end - 1)
+        start = end
+    roots: list[tuple[float, int]] = []
+    for i in sorted(hits):
+        if zero[i]:
             roots.append((float(xs[i]), i + 1))
         else:
             roots.append((itp_root(sign, float(xs[i]), float(xs[i + 1]), _BISECT_TOL), i + 1))
-    if vals[-1] == 0.0:
-        roots.append((float(xs[-1]), len(xs)))
     return roots
 
 
@@ -257,9 +251,20 @@ def _segments(pair: DistributionPair, eps: float, kind: str,
     """The scan's segments as ``(a, b, xs, vals, is_plateau)``, left to right.
 
     The scanned range ``_scan_bounds`` is cut at the shifted density
-    breakpoints; each segment gets ``_sample_defect``'s reading with a share
-    of GRID_N samples in proportion to its length, and at least 9.  Empty
-    when the range is; ``ScanOverflow`` when GRID_N times its width overflows.
+    breakpoints, and each segment gets ``_samples`` with a share of GRID_N
+    samples in proportion to its length, and at least 9.  All segments'
+    samples form one array, so the scan reads each class density once; each
+    segment's ``xs`` and ``vals`` are views into it.  ``vals`` is the defect,
+    and a segment is a plateau where |vals| <= TAU_PLATEAU at every sample.
+    Off a plateau, where both shifted densities are subnormal or 0 the value
+    is the log-density gap, which carries the sign.  Only the sign of each
+    sample picks the brackets of ``_sign_changes``; ``itp_root`` evaluates
+    their ends again with the scalar ``signed_gap``, so roots equal a
+    scalar-sampled scan's unless a sample is within rounding of zero
+    (np.exp and math.exp may differ by one ulp).
+
+    Empty when the range is; ``ScanOverflow`` when GRID_N times its width
+    overflows.
     """
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:
@@ -268,9 +273,23 @@ def _segments(pair: DistributionPair, eps: float, kind: str,
         raise ScanOverflow(f"eps={eps!r} is too large: the scanned range [{lo!r}, {hi!r}] "
                            "is too wide to sample")
     edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
-    return [(a, b, *_sample_defect(pair, eps, kind, a, b,
-                                   max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1)))
-            for a, b in zip(edges, edges[1:])]
+    pieces = [_samples(pair, eps, kind, a, b, max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1))
+              for a, b in zip(edges, edges[1:])]
+    starts = list(itertools.accumulate(map(len, pieces), initial=0))
+    plus, minus = _reads(kind)
+    xs = np.concatenate(pieces)
+    xp, xm = xs + eps, xs - eps
+    p_plus, p_minus = pair.pdf_array(plus, xp), pair.pdf_array(minus, xm)
+    vals = p_plus - p_minus
+    flat = (np.maximum.reduceat(np.abs(vals), starts[:-1]) <= TAU_PLATEAU).tolist()
+    under = (p_plus < TINY) & (p_minus < TINY)
+    for s, e, is_plateau in zip(starts, starts[1:], flat):
+        if is_plateau:
+            under[s:e] = False
+    if under.any():
+        vals[under] = log_gap(pair, plus, xp[under], minus, xm[under])
+    return [(a, b, xs[s:e], vals[s:e], is_plateau)
+            for a, b, s, e, is_plateau in zip(edges, edges[1:], starts, starts[1:], flat)]
 
 
 def _scan_kind(pair: DistributionPair, eps: float, kind: str,
@@ -292,7 +311,9 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
     # Sign changes across a defect breakpoint: the endpoint location is
     # admissible there even though the defect never vanishes.
     jumps: list[float] = []
-    samples: list[np.ndarray] = []  # the non-plateau segments' values
+    runs_x: list[np.ndarray] = []  # the non-plateau segments' samples
+    runs_v: list[np.ndarray] = []  # and their values
+    ends: list[int] = []  # the number of non-plateau samples up to each run's end
     n = 0
     prev = 0.0  # the previous segment's last value, 0 after a plateau
     for a, b, xs, vals, is_plateau in segments:
@@ -306,11 +327,15 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
         if prev != 0.0 and vals[0] != 0.0 and (prev > 0) != (vals[0] > 0):
             jumps.append(a)
         prev = float(vals[-1])
-        for r, k in _sign_changes(sign, xs, vals):
-            roots.setdefault(r, n + k)
-        samples.append(vals)
+        runs_x.append(xs)
+        runs_v.append(vals)
         n += len(vals)
-    values = np.concatenate(samples) if samples else np.zeros(0)
+        ends.append(n)
+    values = np.zeros(0)
+    if runs_v:
+        values = np.concatenate(runs_v)
+        for r, k in _sign_changes(sign, np.concatenate(runs_x), values, ends):
+            roots.setdefault(r, k)
 
     out: list[CandidatePoint] = []
     taken: list[float] = []  # kept sorted
@@ -370,6 +395,10 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     sign = lambda x: signed_gap(pair, 1, x, 0, x)
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
     plateaus: list[tuple[float, float]] = []
+    runs_x: list[np.ndarray] = []
+    runs_v: list[np.ndarray] = []
+    ends: list[int] = []
+    n = 0
     for a, b, xs, vals, is_plateau in _segments(pair, 0.0, "a", scan_window(pair, 0.0)[0]):
         if is_plateau:
             plateaus.append((a, b))
@@ -378,8 +407,13 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
                 vals[zero] = log_gap(pair, 1, xs[zero], 0, xs[zero])
             keep = vals != 0.0
             xs, vals = xs[keep], vals[keep]
-        if xs.size:
-            pts.update(r for r, _ in _sign_changes(sign, xs, vals))
+        runs_x.append(xs)
+        runs_v.append(vals)
+        n += len(vals)
+        ends.append(n)
+    if n:
+        pts.update(r for r, _ in _sign_changes(sign, np.concatenate(runs_x),
+                                                np.concatenate(runs_v), ends))
     return _positive_set(pair, sorted(pts), plateaus)
 
 

@@ -124,11 +124,15 @@ def deg_eta_0_1_counterexample(eps: float = 0.1) -> DistributionPair:
 
     Densities are constant on 2*eps <= |x| <= 3*eps and on |x| <= eps, with
     class masses 1/3 and 2/3.  Built per radius because the geometry scales
-    with eps.
+    with eps.  The smallest density is 1/(18*eps), so a radius past about
+    1e307, where 18*eps overflows, cannot be built in floats.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     e = float(eps)
+    if math.isinf(18 * e):
+        raise ValueError(f"eps={eps!r} is too large for this example: "
+                         "its density 1/(18*eps) underflows to 0")
     bp = (-3 * e, -2 * e, -e, e, 2 * e, 3 * e)
     return DistributionPair(
         class0=[

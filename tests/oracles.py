@@ -529,3 +529,54 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
 
     out.sort(key=lambda d: d["plateau"][0] if "plateau" in d else d["location"])
     return out
+
+
+def per_segment_reading(pair, eps: float, kind: str, window):
+    """The first-order scan's segments read one at a time, as ``(a, b, xs,
+    vals, is_plateau)``: each segment's points from ``conditions._samples``,
+    each class density read on them with its own ``pdf_array`` call, and off
+    a plateau the log-density gap where both densities are subnormal or 0.
+    ``conditions._segments`` reads all segments of a kind at once and must
+    match this bit for bit."""
+    from advbayes import conditions as fo
+    from advbayes.density import TINY, log_gap
+
+    plus, minus = (1, 0) if kind == "a" else (0, 1)
+    lo, hi = fo._scan_bounds(pair, eps, window)
+    if not lo < hi:
+        return []
+    edges = [lo] + [s for s in fo._shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
+    out = []
+    for a, b in zip(edges, edges[1:]):
+        m = max(9, int(round(fo.GRID_N * (b - a) / (hi - lo))) + 1)
+        xs = fo._samples(pair, eps, kind, a, b, m)
+        p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
+        vals = p_plus - p_minus
+        is_plateau = bool(np.max(np.abs(vals)) <= fo.TAU_PLATEAU)
+        under = (p_plus < TINY) & (p_minus < TINY)
+        if not is_plateau and under.any():
+            vals[under] = log_gap(pair, plus, xs[under] + eps, minus, xs[under] - eps)
+        out.append((a, b, xs, vals, is_plateau))
+    return out
+
+
+def per_run_sign_changes(sign, runs):
+    """``conditions._sign_changes`` read one run of samples at a time: ``runs``
+    is a list of ``(xs, vals)``, and each root's count runs on across runs.
+    Within a run, a zero sample not between two zero samples is a root, and
+    so is the run's last sample when zero; each pair of neighbours of
+    opposite sign brackets a root found by ``itp_root``."""
+    from advbayes import conditions as fo
+
+    roots, n = [], 0
+    for xs, vals in runs:
+        for i in range(len(xs)):
+            if vals[i] == 0.0:
+                inner = 0 < i < len(xs) - 1 and vals[i - 1] == 0.0 and vals[i + 1] == 0.0
+                if not inner:
+                    roots.append((float(xs[i]), n + i + 1))
+            elif i + 1 < len(xs) and (vals[i] > 0) != (vals[i + 1] > 0):
+                roots.append((fo.itp_root(sign, float(xs[i]), float(xs[i + 1]), fo._BISECT_TOL),
+                              n + i + 1))
+        n += len(xs)
+    return roots

@@ -198,6 +198,15 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: eps=") and "too large" in captured.err
 
+    @pytest.mark.parametrize("eps", ["4e307", "1e308"])
+    def test_radius_too_large_for_the_builtin(self, capsys, eps):
+        """The radius-dependent built-in's smallest density 1/(18 eps) is 0
+        past about 1e307; the error names the radius, not the broken pair."""
+        assert main(["solve", "--example", "deg_eta_0_1_counterexample", "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: eps={float(eps)!r} is too large")
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "nan"],
         ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", "inf"],

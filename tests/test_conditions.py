@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -191,6 +192,24 @@ class TestSecondOrder:
             assert self.verdicts(scan.a_candidates) == [((-eps, eps), PASS)]
             assert self.verdicts(scan.b_candidates) == [((-eps, eps), FAIL)]
 
+    @pytest.mark.parametrize("scale", [
+        1.0, 1e-3,
+        pytest.param(1e11, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 10: TAU_PLATEAU bounds the defect absolutely, so "
+            "densities of 2.5e-12 make every segment a plateau"))),
+    ])
+    def test_plateaus_scale_with_the_pair(self, scale):
+        # Uniform 0.25/S on [0, 2S] against uniform 0.25/S on [S, 3S] at eps
+        # 0.1 S: the a-defect vanishes on (0.9 S, 2.1 S) and rises through it,
+        # the b-defect vanishes on (1.1 S, 1.9 S) and falls through it.
+        S = scale
+        pair = DistributionPair(
+            class0=[PiecewisePoly(breakpoints=(0.0, 2 * S), coeffs=((0.25 / S,),))],
+            class1=[PiecewisePoly(breakpoints=(S, 3 * S), coeffs=((0.25 / S,),))])
+        scan = solve_first_order(pair, 0.1 * S)
+        assert self.verdicts(scan.a_candidates) == [(pytest.approx((0.9 * S, 2.1 * S)), PASS)]
+        assert self.verdicts(scan.b_candidates) == [(pytest.approx((1.1 * S, 1.9 * S)), FAIL)]
+
     def test_breakpoint_inconclusive(self, deg_pair):
         # Candidates at shifted density jumps keep no verdict.
         scan = solve_first_order(deg_pair, 0.05)
@@ -357,7 +376,8 @@ class TestFirstOrderSubnormal:
 
     def test_samples_signed_by_log_densities(self):
         pair, eps = self.pair(), self.EPS
-        xs, vals, is_plateau = conditions._sample_defect(pair, eps, "a", 0.0, 20.0, 8001)
+        [(_, _, xs, vals, is_plateau)] = conditions._segments(pair, eps, "a",
+                                                               scan_window(pair, eps)[0])
         assert not is_plateau
         near = (xs > 14.1) & (xs < 14.3)
         assert np.array_equal(np.sign(vals[near]), np.sign([self.log_gap(x) for x in xs[near]]))
@@ -483,6 +503,67 @@ def test_scan_samples_without_scalar_pdf(monkeypatch, name, eps):
     assert len(calls) < 512
 
 
+@pytest.mark.parametrize("name, eps", [
+    ("gaussians_equal_variances", 0.5), ("gaussians_equal_means", 0.5),
+    ("non_uniqueness_single", 0.1), ("non_uniqueness_all", 0.2), ("degenerate", 0.05),
+    ("deg_eta_0_1_counterexample", 0.1)])
+def test_scan_reads_each_class_once_per_kind(monkeypatch, name, eps):
+    """Every segment of a scan kind is sampled as one array, so a scan makes
+    one ``pdf_array`` call per class and kind.  Reading each segment on its
+    own made 40 calls on ``deg_eta_0_1_counterexample``, 20 on
+    ``degenerate`` and 12 on ``non_uniqueness_all``."""
+    calls = [0]
+    pdf_array = DistributionPair.pdf_array
+
+    def counted(self, which, xs):
+        calls[0] += 1
+        return pdf_array(self, which, xs)
+
+    pair = examples.example_pair(name, eps)
+    monkeypatch.setattr(DistributionPair, "pdf_array", counted)
+    solve_first_order(pair, eps)
+    assert calls[0] == 4
+
+
+def _segments_match_per_segment_reading(pair, eps):
+    window, _ = scan_window(pair, eps)
+    if window is None:
+        return
+    for kind in "ab":
+        got = conditions._segments(pair, eps, kind, window)
+        want = oracles.per_segment_reading(pair, eps, kind, window)
+        assert [(a, b, flat) for a, b, _, _, flat in got] == \
+            [(a, b, flat) for a, b, _, _, flat in want]
+        for (_, _, xs, vals, _), (_, _, ref_xs, ref_vals, _) in zip(got, want):
+            assert xs.tobytes() == ref_xs.tobytes()
+            assert vals.tobytes() == ref_vals.tobytes()
+
+
+# On (11 + eps, 20 - eps) both Gaussian tails underflow to 0, so the a-kind
+# segment there is a plateau whose log-density gap is nonzero: plateau values
+# stay the raw difference.
+_UNDERFLOW_PLATEAU_PAIR = DistributionPair(
+    class0=[Gaussian(weight=0.25, mu=0.0, sigma=0.1),
+            PiecewisePoly(breakpoints=(10.0, 11.0), coeffs=((0.25,),))],
+    class1=[Gaussian(weight=0.25, mu=0.05, sigma=0.1),
+            PiecewisePoly(breakpoints=(20.0, 21.0), coeffs=((0.25,),))])
+
+
+@given(st.one_of(mixed_pairs(), piecewise_poly_pairs()), st.floats(0.0, 1.0))
+@example(_UNDERFLOW_PLATEAU_PAIR, 0.1)
+@settings(deadline=None, max_examples=60)
+def test_segments_match_per_segment_reading(pair, eps):
+    _segments_match_per_segment_reading(pair, eps)
+
+
+@pytest.mark.parametrize("name", examples.EXAMPLE_NAMES)
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2, 0.45])
+def test_builtin_segments_match_per_segment_reading(name, eps):
+    # deg_eta_0_1_counterexample is built for its own radius, 0.1 at eps 0.
+    pair = examples.example_pair(name, eps or 0.1)
+    _segments_match_per_segment_reading(pair, eps)
+
+
 # -- root refinement ------------------------------------------------------------
 
 
@@ -557,6 +638,22 @@ def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
     assert calls[0] / 2 <= 16 * brackets[0]
 
 
+@given(st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0]), max_size=7),
+                min_size=1, max_size=5))
+def test_sign_changes_read_run_by_run(runs):
+    """One pass over runs laid end to end finds each run's roots as a pass
+    over that run alone would: no bracket spans two runs, and a zero at a
+    run's edge is a root whatever lies across the edge."""
+    vals = np.array([v for run in runs for v in run])
+    xs = np.arange(len(vals), dtype=float)
+    sign = lambda x: float(np.interp(x, xs, vals))
+    ends = list(itertools.accumulate(len(run) for run in runs))
+    starts = [0] + ends[:-1]
+    expected = oracles.per_run_sign_changes(
+        sign, [(xs[s:e], vals[s:e]) for s, e in zip(starts, ends)])
+    assert conditions._sign_changes(sign, xs, vals, ends) == expected
+
+
 def test_bracket_ends_read_with_scalar_sign():
     """The array samples pick the bracket; its ends are read again with the
     scalar sign.  Where that reading gives both ends one sign (a sample
@@ -568,5 +665,5 @@ def test_bracket_ends_read_with_scalar_sign():
         read.append(x)
         return 1e-300 + x
 
-    assert conditions._sign_changes(sign, xs, vals) == [(0.0, 1)]
+    assert conditions._sign_changes(sign, xs, vals, [3]) == [(0.0, 1)]
     assert read == [0.0, 0.5]
