@@ -49,7 +49,7 @@ class BudgetExceeded(RuntimeError):
     """The grid primal would hold more values than the configured budget."""
 
 
-def dp_slots(n: int, max_k: int) -> int:
+def dp_slots(n: float, max_k: int) -> float:
     """Float64 values the grid primal holds at once on n grid points."""
     return n * (2 * max_k + _DP_SCRATCH)
 
@@ -434,12 +434,12 @@ def primal_bruteforce(
         lo, hi = lo - eps, hi + eps
     else:
         lo, hi = window
-    n = int(round((hi - lo) / grid_h)) + 1
+    n = round((hi - lo) / grid_h, 0) + 1  # a float: a tiny grid_h makes it huge or inf
     slots = dp_slots(n, max_k)
     if slots > WORK_BUDGET:
-        raise BudgetExceeded(f"grid primal needs {slots:.2e} values (n = {n}, max_k = {max_k}), "
-                             f"over the budget of {WORK_BUDGET:.0e}")
-    xs = lo + grid_h * np.arange(n)
+        raise BudgetExceeded(f"grid primal needs {slots:.2e} values (n = {n:.6g}, "
+                             f"max_k = {max_k}), over the budget of {WORK_BUDGET:.0e}")
+    xs = lo + grid_h * np.arange(int(n))
     return _PrimalDP(pair, eps, xs, max_k).run()
 
 

@@ -303,8 +303,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         mono = ""
         if prev is not None:
             try:
-                res = solver.check_monotonicity(cfg.distribution, prev, rep)
-                mono = "true" if res.holds else "false"
+                holds = solver.check_monotonicity(cfg.distribution, prev, rep)
+                mono = "true" if holds else "false"
             except AssumptionUnmet:
                 mono = "n/a"
         rows.append({
@@ -362,8 +362,9 @@ def cmd_examples(name: str, eps: float | None) -> int:
     """Run the named built-in regression and print one line per assertion."""
     from . import regressions
 
-    try:
-        examples.example_pair(name, eps)  # a radius the built-in cannot take is a usage error
+    try:  # a radius the built-in cannot take or makes no claim at is a usage error
+        examples.example_pair(name, eps)
+        regressions.check_radius(name, eps)
     except examples.UnknownExample:
         print(f"unknown example: {name}", file=sys.stderr)
         return 1

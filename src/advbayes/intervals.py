@@ -65,7 +65,7 @@ class Interval:
     def strictly_contains(self, x: float) -> bool:
         return self.lo < x < self.hi
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo}, {self.hi}{right}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from . import conditions, examples, solver
-from .intervals import IntervalSet
+from .intervals import Interval, IntervalSet
 from .risk import adversarial_risk
 
 Check = tuple[str, bool, str]
@@ -23,6 +23,21 @@ _DEFAULT_EPS = {
     "degenerate": 0.05,
     "deg_eta_0_1_counterexample": 0.1,
 }
+# The radii at which each built-in's claims are stated (see its docstring in
+# ``examples``); the others are claimed at every radius they can be built for.
+_CLAIMED_EPS = {
+    "gaussians_equal_variances": Interval(0.0, 1.0, True, False),
+    "non_uniqueness_single": Interval(0.0, 0.5, True, False),
+    "non_uniqueness_all": Interval(0.0, 1.0 / 3.0),
+    "degenerate": Interval(0.0, 0.125, True, False),
+}
+
+
+def check_radius(name: str, eps: float | None) -> None:
+    """Raise ValueError when the claims of ``name`` are not stated at ``eps``."""
+    radii = _CLAIMED_EPS.get(name)
+    if eps is not None and radii is not None and not radii.contains(eps):
+        raise ValueError(f"the {name} claims are stated for eps in {radii!r}, got {eps!r}")
 
 
 def _phi(x: float) -> float:

@@ -376,26 +376,26 @@ def _replace_endpoint(s: IntervalSet, lo: float, hi: float, t: float) -> Interva
     return IntervalSet(pieces) if replaced else None
 
 
-@dataclass
-class MonotonicityResult:
-    holds: bool
-    violations: list[str]
-    exempt: bool = False  # ∅ and ℝ both optimal at the smaller radius
+def _contains(outer: Interval, inner: Interval) -> bool:
+    """``inner`` ⊆ ``outer``, endpoint flags included."""
+    return ((outer.lo, not outer.lo_closed) <= (inner.lo, not inner.lo_closed)
+            and (inner.hi, inner.hi_closed) <= (outer.hi, outer.hi_closed))
 
 
 def check_monotonicity(
     pair: DistributionPair,
     report1: SolveReport,
     report2: SolveReport,
-) -> MonotonicityResult:
-    """Structure comparison across radii eps1 < eps2.
+) -> bool:
+    """Structure comparison across radii eps1 < eps2: True when it holds.
 
     For every representative pair: component counts of the classifier and
     its complement (clipped to the dilated support) must not increase with
     the radius, no component of the small-radius classifier may contain a
-    clipped gap of the large-radius one, and no gap may contain a clipped
-    component.  Requires an interval support and eta not in {0, 1} on
-    positive mass.
+    gap of the large-radius one clipped to the small dilated support, and no
+    gap may contain such a clipped component.  When ∅ and ℝ are both optimal
+    at eps1, the result is whether both are optimal at eps2.  Requires an
+    interval support and eta not in {0, 1} on positive mass.
     """
     if report2.epsilon <= report1.epsilon:
         raise ValueError("reports must be ordered by increasing epsilon")
@@ -405,44 +405,25 @@ def check_monotonicity(
     if pair.eta_degenerate_on_support:
         raise AssumptionUnmet("eta is 0 or 1 on a set of positive mass")
 
-    both_trivial_1 = report1.has_minimizer(IntervalSet.reals()) and report1.has_minimizer(
-        IntervalSet.empty()
-    )
-    if both_trivial_1:
-        ok = report2.has_minimizer(IntervalSet.reals()) and report2.has_minimizer(
-            IntervalSet.empty()
-        )
-        return MonotonicityResult(
-            holds=ok,
-            violations=[] if ok else ["∅ and ℝ optimal at eps1 but not at eps2"],
-            exempt=True,
-        )
+    trivial = (IntervalSet.reals(), IntervalSet.empty())
+    if all(report1.has_minimizer(s) for s in trivial):
+        return all(report2.has_minimizer(s) for s in trivial)
 
-    i1 = support.expand(report1.epsilon)
-    i2 = support.expand(report2.epsilon)
-    violations = []
-    for a1 in report1.representatives():
-        for a2 in report2.representatives():
-            c1 = a1.intersect(i1).n_components
-            c2 = a2.intersect(i2).n_components
-            if c1 < c2:
-                violations.append(f"comp(A1∩I^e1)={c1} < comp(A2∩I^e2)={c2}")
-            k1 = a1.complement().intersect(i1).n_components
-            k2 = a2.complement().intersect(i2).n_components
-            if k1 < k2:
-                violations.append(f"comp(A1^C∩I^e1)={k1} < comp(A2^C∩I^e2)={k2}")
-            gaps2 = [
-                IntervalSet((g,)).intersect(i1) for g in a2.complement().intervals
-            ]
-            comps2 = [IntervalSet((c,)).intersect(i1) for c in a2.intervals]
-            for comp in a1.intervals:
-                holder = IntervalSet((comp,))
-                for g in gaps2:
-                    if not g.is_empty and holder.contains_set(g):
-                        violations.append(f"component {comp!r} contains a gap of A2")
-            for gap in a1.complement().intervals:
-                holder = IntervalSet((gap,))
-                for c in comps2:
-                    if not c.is_empty and holder.contains_set(c):
-                        violations.append(f"gap {gap!r} contains a component of A2")
-    return MonotonicityResult(holds=not violations, violations=violations)
+    i1, i2 = (support.expand(r.epsilon) for r in (report1, report2))
+    small = []  # per eps1 representative: components, gaps, their counts within i1
+    for a in report1.representatives():
+        gaps = a.complement()
+        small.append((a.intervals, gaps.intervals,
+                      a.intersect(i1).n_components, gaps.intersect(i1).n_components))
+    large = []  # per eps2 representative: counts within i2, components and gaps clipped to i1
+    for a in report2.representatives():
+        gaps = a.complement()
+        large.append((a.intersect(i2).n_components, gaps.intersect(i2).n_components,
+                      a.intersect(i1).intervals, gaps.intersect(i1).intervals))
+    return all(
+        c1 >= c2 and k1 >= k2
+        and not any(_contains(comp, g) for comp in comps1 for g in gaps2)
+        and not any(_contains(gap, c) for gap in gaps1 for c in comps2)
+        for comps1, gaps1, c1, k1 in small
+        for c2, k2, comps2, gaps2 in large
+    )

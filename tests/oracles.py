@@ -580,3 +580,63 @@ def per_run_sign_changes(sign, runs):
                               n + i + 1))
         n += len(xs)
     return roots
+
+
+# -- structure check across radii ---------------------------------------------------
+
+
+def literal_monotonicity(pair, report1, report2) -> bool:
+    """The structure check ``solver.check_monotonicity`` once was, verbatim
+    but for its result: it builds a clipped ``IntervalSet`` per piece inside
+    the loop over representative pairs, tests containment with
+    ``contains_set``, and collects every violation.  Returns whether none
+    was found (with the same errors for unordered reports and unmet
+    assumptions)."""
+    from advbayes.intervals import IntervalSet
+    from advbayes.solver import AssumptionUnmet
+
+    if report2.epsilon <= report1.epsilon:
+        raise ValueError("reports must be ordered by increasing epsilon")
+    support = pair.support()
+    if support.n_components != 1:
+        raise AssumptionUnmet("support is not an interval")
+    if pair.eta_degenerate_on_support:
+        raise AssumptionUnmet("eta is 0 or 1 on a set of positive mass")
+
+    both_trivial_1 = report1.has_minimizer(IntervalSet.reals()) and report1.has_minimizer(
+        IntervalSet.empty()
+    )
+    if both_trivial_1:
+        ok = report2.has_minimizer(IntervalSet.reals()) and report2.has_minimizer(
+            IntervalSet.empty()
+        )
+        return ok
+
+    i1 = support.expand(report1.epsilon)
+    i2 = support.expand(report2.epsilon)
+    violations = []
+    for a1 in report1.representatives():
+        for a2 in report2.representatives():
+            c1 = a1.intersect(i1).n_components
+            c2 = a2.intersect(i2).n_components
+            if c1 < c2:
+                violations.append(f"comp(A1∩I^e1)={c1} < comp(A2∩I^e2)={c2}")
+            k1 = a1.complement().intersect(i1).n_components
+            k2 = a2.complement().intersect(i2).n_components
+            if k1 < k2:
+                violations.append(f"comp(A1^C∩I^e1)={k1} < comp(A2^C∩I^e2)={k2}")
+            gaps2 = [
+                IntervalSet((g,)).intersect(i1) for g in a2.complement().intervals
+            ]
+            comps2 = [IntervalSet((c,)).intersect(i1) for c in a2.intervals]
+            for comp in a1.intervals:
+                holder = IntervalSet((comp,))
+                for g in gaps2:
+                    if not g.is_empty and holder.contains_set(g):
+                        violations.append(f"component {comp!r} contains a gap of A2")
+            for gap in a1.complement().intervals:
+                holder = IntervalSet((gap,))
+                for c in comps2:
+                    if not c.is_empty and holder.contains_set(c):
+                        violations.append(f"gap {gap!r} contains a component of A2")
+    return not violations

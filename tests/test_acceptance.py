@@ -264,12 +264,12 @@ def test_criterion_8_structure_monotone_in_sweeps():
         reports = [solve(pair, e) for e in eps_list]
         for r1, r2 in zip(reports, reports[1:]):
             try:
-                res = check_monotonicity(pair, r1, r2)
+                holds = check_monotonicity(pair, r1, r2)
             except AssumptionUnmet:
                 skipped += 1
                 continue
             checked += 1
-            ok = ok and res.holds
+            ok = ok and holds
     ok = ok and checked >= 20
     _verdict(8, ok, f"component counts never increase ({checked} pairs, {skipped} exempt)")
 

@@ -6,6 +6,7 @@ import pytest
 
 from advbayes import certify, cli, examples, reportio
 from advbayes.cli import ParseError, ValidationError, main, parse_config
+from test_solver import SOLVE_REPORT_PATHS, _key_paths
 
 GAUSS_CFG = """
 {
@@ -83,6 +84,16 @@ class TestExitCodes:
         assert main(argv + [str(certify.WORK_BUDGET)]) == 1
         assert main(argv + ["100000"]) == 3
         assert "(n = 2101, max_k = 100000)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_h, n", [("1e-300", "n = 2.1e+300"), ("1e-310", "n = inf")])
+    def test_tiny_grid_h_past_budget(self, capsys, grid_h, n):
+        """A grid too fine for the budget exits 3 with one line, the grid
+        count in e notation, even where the count overflows a float."""
+        argv = ["certify", "--example", "degenerate", "--eps", "0.05", "--grid-h", grid_h]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: grid primal needs") and f"({n}," in captured.err
 
     def test_unknown_example(self, capsys):
         assert main(["examples", "not_a_thing"]) == 1
@@ -184,6 +195,22 @@ class TestExitCodes:
         assert main(["examples", "deg_eta_0_1_counterexample", "--eps", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: eps must be positive\n" and captured.out == ""
+
+    @pytest.mark.parametrize("name, eps, span", [
+        ("gaussians_equal_variances", "1", "[0.0, 1.0)"),
+        ("non_uniqueness_single", "1.2", "[0.0, 0.5)"),
+        ("non_uniqueness_all", "0", "(0.0, 0.3333333333333333)"),
+        ("non_uniqueness_all", "0.34", "(0.0, 0.3333333333333333)"),
+        ("degenerate", "0.13", "[0.0, 0.125)"),
+    ])
+    def test_examples_radius_outside_the_claims(self, capsys, name, eps, span):
+        """A radius at which the built-in's claims are not stated is one
+        error line, not FAIL lines or a traceback."""
+        assert main(["examples", name, "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the {name} claims are stated for eps in {span}, "
+                                f"got {float(eps)!r}\n")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--example", "gaussians_equal_variances", "--eps", "1e308"],
@@ -332,7 +359,24 @@ class TestSolveCommand:
         assert len(data["classes"]) == 1
 
 
+SWEEP_REPORT_PATHS = {
+    "rows", "rows[].comp_classifier", "rows[].comp_complement", "rows[].monotonic_vs_prev",
+    "reports",
+}
+
+
 class TestSweepCommand:
+    def test_sweep_report_schema(self, tmp_path):
+        """A sweep prints the rows' keys and one solve report per radius, with
+        no key outside the solve report's schema."""
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--example", "non_uniqueness_all", "--eps-min", "0.05",
+                     "--eps-max", "0.45", "--steps", "9", "--out", str(out)]) == 0
+        paths = _key_paths(json.loads(out.read_text()))
+        nested = {p for p in paths if p.startswith("reports[].")}
+        assert paths - nested == SWEEP_REPORT_PATHS
+        assert {p.removeprefix("reports[].") for p in nested} <= SOLVE_REPORT_PATHS
+
     def test_rows_and_monotonicity(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         out = tmp_path / "sweep.json"

@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 from test_certify import ATOM_CERTIFY_REPORT_PATHS, CERTIFY_REPORT_PATHS
+from test_cli import SWEEP_REPORT_PATHS
 from test_solver import SOLVE_REPORT_PATHS
 
 README = Path(__file__).parents[1] / "README.md"
@@ -44,7 +45,8 @@ def schema_lists(text: str) -> list[set[str]]:
 
 def test_report_schema_names_every_key():
     lists = schema_lists(README.read_text())
-    for pinned in (SOLVE_REPORT_PATHS, CERTIFY_REPORT_PATHS, ATOM_CERTIFY_REPORT_PATHS):
+    for pinned in (SOLVE_REPORT_PATHS, SWEEP_REPORT_PATHS, CERTIFY_REPORT_PATHS,
+                   ATOM_CERTIFY_REPORT_PATHS):
         closest = max(lists, key=lambda paths: len(paths & pinned))
         assert closest == pinned, (f"README names {sorted(closest - pinned)} that no report "
                                    f"prints and misses {sorted(pinned - closest)}")

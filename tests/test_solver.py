@@ -12,9 +12,13 @@ from advbayes import cli, conditions, examples, reportio, solver
 from advbayes.conditions import FAIL
 from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
-from advbayes.risk import TAU_RISK, adversarial_risk
+from advbayes.risk import TAU_RISK, RiskBreakdown, adversarial_risk
 from advbayes.solver import (
     AssumptionUnmet,
+    CandidateClassifier,
+    DegenerateReport,
+    EquivalenceClass,
+    SolveReport,
     are_equivalent,
     check_monotonicity,
     degenerate_report,
@@ -515,26 +519,23 @@ class TestMonotonicity:
     def test_identical_representatives(self, eqvar_pair):
         r1 = solve(eqvar_pair, 0.3)
         r2 = solve(eqvar_pair, 0.6)
-        res = check_monotonicity(eqvar_pair, r1, r2)
-        assert res.holds and not res.violations
+        assert check_monotonicity(eqvar_pair, r1, r2) is True
 
     def test_growing_interval(self, eqmeans_pair):
         r1 = solve(eqmeans_pair, 0.2)
         r2 = solve(eqmeans_pair, 0.8)
-        res = check_monotonicity(eqmeans_pair, r1, r2)
-        assert res.holds
+        assert check_monotonicity(eqmeans_pair, r1, r2) is True
 
     def test_collapse_to_full_line(self, nus_pair):
         r1 = solve(nus_pair, 0.1)
         r2 = solve(nus_pair, 0.3)
-        res = check_monotonicity(nus_pair, r1, r2)
-        assert res.holds
+        assert check_monotonicity(nus_pair, r1, r2) is True
 
     def test_trivial_exemption(self, eqvar_pair):
         r1 = solve(eqvar_pair, 1.1)
         r2 = solve(eqvar_pair, 1.4)
-        res = check_monotonicity(eqvar_pair, r1, r2)
-        assert res.holds and res.exempt
+        assert all(r1.has_minimizer(s) for s in (IntervalSet.empty(), IntervalSet.reals()))
+        assert check_monotonicity(eqvar_pair, r1, r2) is True
 
     def test_assumption_unmet_pure_labels(self, deg_pair):
         r1 = solve(deg_pair, 0.05)
@@ -554,6 +555,93 @@ class TestMonotonicity:
         r2 = solve(eqvar_pair, 0.6)
         with pytest.raises(ValueError):
             check_monotonicity(eqvar_pair, r2, r1)
+
+    # On non_uniqueness_single (support [-1, 1]) at eps 0.1 and 0.5 the
+    # dilated supports are I1 = [-1.1, 1.1] and I2 = [-1.5, 1.5].  Each
+    # pair breaks one condition only.
+    @pytest.mark.parametrize("a1, a2", [
+        # components within I1 / I2: 1 < 2; gaps 1 and 1
+        (((0.0, INF),), ((-INF, -1.3), (0.0, INF))),
+        # gaps within I1 / I2: 1 < 2 ([-1.5, -1.3] and [0, 1.5]); components 1 and 1
+        (((-INF, 0.0),), ((-1.3, 0.0),)),
+        # the component (-inf, 0.6) holds the gap [-0.2, 0.2]; counts 2/1 and 2/1
+        (((-INF, 0.6), (0.9, INF)), ((-INF, -0.2), (0.2, INF))),
+        # the gap [-0.5, 0.5] holds the component (-0.2, 0.2); counts 2/3 and 1/2
+        (((-1.05, -0.5), (0.5, 1.05)), ((-0.2, 0.2),)),
+    ], ids=["components-grow", "gaps-grow", "component-holds-gap", "gap-holds-component"])
+    def test_each_violation_fails(self, nus_pair, a1, a2):
+        r1 = _bare_report(0.1, [IntervalSet.of_open(*a1)])
+        r2 = _bare_report(0.5, [IntervalSet.of_open(*a2)])
+        assert check_monotonicity(nus_pair, r1, r2) is False
+        assert oracles.literal_monotonicity(nus_pair, r1, r2) is False
+        # the eps1 representative itself passes at eps2
+        assert check_monotonicity(nus_pair, r1, _bare_report(0.5, [r1.classes[0].representative]))
+
+    def test_exemption_fails(self, nus_pair):
+        """∅ and ℝ both optimal at eps1 but only ℝ at eps2: false, whatever
+        the representatives."""
+        empty, reals = IntervalSet.empty(), IntervalSet.reals()
+        r1 = _bare_report(0.1, [empty, reals])
+        r2 = _bare_report(0.5, [reals])
+        assert check_monotonicity(nus_pair, r1, r2) is False
+        assert oracles.literal_monotonicity(nus_pair, r1, r2) is False
+        assert check_monotonicity(nus_pair, r1, _bare_report(0.5, [reals], [empty])) is True
+
+
+def _bare_report(eps: float, reps: list[IntervalSet], others: tuple = ()) -> SolveReport:
+    """A solve report holding one class per representative; ``others`` are
+    further minimizers outside the classes.  Only what the structure check
+    reads is filled in."""
+    def member(s):
+        return CandidateClassifier(s, RiskBreakdown(0.0, 0.0, 0.0), True)
+
+    classes = [EquivalenceClass(s, [member(s)], DegenerateReport(IntervalSet.empty(), True))
+               for s in reps]
+    minimizers = [member(s) for s in [*reps, *others]]
+    return SolveReport(eps, minimizers, classes, len(classes) == 1, 0.0, [])
+
+
+_MONO_RADII = ((0.1, 0.2), (0.1, 0.3), (0.2, 0.5), (0.05, 0.1))
+# Endpoints shared by both reports, including each dilated support end of
+# the [-1, 1]-supported pairs.
+_MONO_GRID = sorted({0.0, 0.5, -0.5, 1.0, -1.0} | {s * (1.0 + e) for pair in _MONO_RADII
+                                                   for e in pair for s in (1.0, -1.0)})
+
+
+@st.composite
+def grid_sets(draw) -> IntervalSet:
+    """A union of intervals with ends on ``_MONO_GRID`` and random flags;
+    point pieces, half-infinite pieces, ∅ and ℝ all occur."""
+    ends = sorted(draw(st.lists(st.sampled_from(_MONO_GRID), max_size=6)))
+    ends = [-INF] * draw(st.booleans()) + ends
+    ends += [INF] * (len(ends) % 2)
+    pieces = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        lo_closed = lo > -INF and (lo == hi or draw(st.booleans()))
+        hi_closed = hi < INF and (lo == hi or draw(st.booleans()))
+        pieces.append(Interval(lo, hi, lo_closed, hi_closed))
+    return IntervalSet(pieces)
+
+
+@st.composite
+def bare_reports(draw, eps: float) -> SolveReport:
+    reps = draw(st.lists(grid_sets(), min_size=1, max_size=3))
+    others = [s for s in (IntervalSet.empty(), IntervalSet.reals()) if draw(st.booleans())]
+    return _bare_report(eps, reps, others)
+
+
+_MONO_PAIRS = (examples.gaussians_equal_variances(), examples.non_uniqueness_single(),
+               examples.non_uniqueness_all())
+
+
+@given(st.sampled_from(_MONO_PAIRS), st.sampled_from(_MONO_RADII), st.data())
+@settings(max_examples=500, deadline=None)
+def test_monotonicity_matches_literal_check(pair, radii, data):
+    """The structure check agrees with the literal per-piece version on
+    reports built from shared endpoints."""
+    r1 = data.draw(bare_reports(radii[0]))
+    r2 = data.draw(bare_reports(radii[1]))
+    assert check_monotonicity(pair, r1, r2) is oracles.literal_monotonicity(pair, r1, r2)
 
 
 class TestAgainstGridOracle:
