@@ -136,7 +136,6 @@ class DualCertificate:
 @dataclass
 class GapReport:
     primal: float
-    dual: float
     gap: float
     argmin: IntervalSet
     certificate: DualCertificate
@@ -230,7 +229,7 @@ def dual_value(
     stretch lengths, the mass the stretches cover; the certificate keeps
     each stretch and expands the pairs only when ``matching`` is read.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     radius = 2.0 * eps + grid_h
     pos0, pos1 = class0.positions, class1.positions
@@ -420,7 +419,7 @@ def primal_bruteforce(
     window: tuple[float, float] | None = None,
 ) -> tuple[float, IntervalSet]:
     """Minimum adversarial risk over unions of <= max_k grid-endpoint intervals."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
@@ -455,7 +454,6 @@ def duality_gap(
     cert = dual_value(atoms0, atoms1, eps, grid_h)
     return GapReport(
         primal=primal,
-        dual=cert.dual_value,
         gap=primal - cert.dual_value,
         argmin=argmin,
         certificate=cert,

@@ -1,16 +1,18 @@
 """Command-line front end: solve, sweep, certify, examples.
 
-``solve``, ``sweep`` and ``certify`` read a source and a ``run`` block.  The
-source is ``--example NAME`` or a ``--config`` JSON file that holds
-``example``, ``atoms``, or ``class0`` and ``class1``, plus an optional
-``run`` object.  The run keys are ``epsilon`` (a number or {min, max,
-steps}), ``grid_h``, ``max_k``, ``tolerance``, ``out`` and ``csv``; any
-other key is an error, and so is an ``epsilon``, ``min``, ``max``,
-``grid_h`` or ``tolerance`` that is not a JSON number (a bool or a string
-is never coerced), or a ``max_k`` or ``steps`` that is not an integer.
+``solve``, ``sweep`` and ``certify`` read one source and a ``run`` block.
+The source is ``--example NAME`` or a ``--config`` JSON file that holds one
+of ``example``, ``atoms``, or ``class0`` and ``class1``, plus an optional
+``run`` object; two sources are an error.  The run keys are ``epsilon`` (a
+number or {min, max, steps}), ``grid_h``, ``max_k``, ``tolerance``, ``out``
+and ``csv``; any other key is an error, and so is an ``epsilon``, ``min``,
+``max``, ``grid_h`` or ``tolerance`` that is not a JSON number (a bool or a
+string is never coerced), or a ``max_k`` or ``steps`` that is not an
+integer.
 The flags (``--eps`` or ``--eps-min``/``--eps-max``/``--steps``,
 ``--grid-h``, ``--max-k``, ``--tol``, ``--out``, ``--csv``) are written
-over the run block, and the merged config is validated once.
+over the run block, and the merged config is validated once.  ``--eps``
+and the range flags both set the radius, so giving both is an error.
 
 Exit codes: 0 success, 1 usage or validation error, 2 completed with
 warnings (e.g. a widened endpoint window), 3 grid-search budget exceeded.
@@ -79,8 +81,8 @@ def _json_object(text: str) -> dict:
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a config object (a source plus a ``run`` block) into a RunConfig.
 
-    The source is ``example`` (a built-in name, or ``non_equiv`` for the
-    atomic pair), ``atoms``, or ``class0`` and ``class1``.  A built-in that
+    The source is one of ``example`` (a built-in name, or ``non_equiv`` for
+    the atomic pair), ``atoms``, or ``class0`` and ``class1``.  A built-in that
     depends on the radius is built at ``run.epsilon`` when that is a single
     number, and at its default radius otherwise.
     """
@@ -109,6 +111,13 @@ def config_from_dict(data: dict) -> RunConfig:
 
     cfg = RunConfig(distribution=None, eps_values=eps_values)
     example = data.get("example")
+    sources = [name for name, given in (
+        ("'example'", example is not None),
+        ("'atoms'", "atoms" in data),
+        ("'class0'/'class1'", "class0" in data or "class1" in data),
+    ) if given]
+    if len(sources) > 1:
+        raise ParseError(f"config holds {' and '.join(sources)}; give one source")
     if example == "non_equiv":
         if eps0 is None:
             raise ValidationError("the atomic example needs a single epsilon")
@@ -232,6 +241,8 @@ def _build_parser() -> _Parser:
 def _config_from_args(args) -> RunConfig:
     """The config file's object, or ``{"example": NAME}``, with the flags
     written over its ``run`` block."""
+    if args.config and args.example:
+        raise CliUsageError("--config and --example are both sources; give one")
     if args.config:
         with open(args.config) as fh:
             try:
@@ -250,6 +261,9 @@ def _config_from_args(args) -> RunConfig:
     if args.eps_min is not None or args.eps_max is not None or args.steps is not None:
         if args.eps_min is None or args.eps_max is None or args.steps is None:
             raise CliUsageError("--eps-min, --eps-max and --steps go together")
+        if args.eps is not None:
+            raise CliUsageError("--eps and --eps-min/--eps-max/--steps both set the radius; "
+                                "give one")
         flags["epsilon"] = {"min": args.eps_min, "max": args.eps_max, "steps": args.steps}
     for key, value in (("grid_h", args.grid_h), ("max_k", args.max_k),
                        ("tolerance", args.tol), ("out", args.out), ("csv", args.csv)):

@@ -23,8 +23,7 @@ Gaussian the defect reads.  The segments of a scan kind are sampled as one
 array, so each class density is read once per kind, and one pass over the
 non-plateau samples finds every bracket.  At eps = 0 the a-kind defect is
 ``p1 - p0``, so the same segment samples give the boundary of the Bayes
-classifier {p1 > p0}; ``bayes_boundary_proximity`` measures how far the
-endpoint candidates at a radius lie from it.
+classifier {p1 > p0}.
 """
 
 from __future__ import annotations
@@ -453,32 +452,3 @@ def _positive_set(pair: DistributionPair, pts: list[float],
         else:
             joined.append(iv)
     return IntervalSet(joined)
-
-
-def bayes_boundary_proximity(pair: DistributionPair, eps: float,
-                             candidates: list[CandidatePoint]) -> list[dict]:
-    """Distance from each candidate location to the Bayes decision boundary.
-
-    Boundary points of {p1 > p0} are restricted to the interior of the
-    support, which for distributions with eta in {0, 1} coincides with the
-    boundary of the region where class 1 is certain.
-    """
-    support = pair.support()
-    bayes = bayes_classifier(pair)
-    boundary = [p for p in bayes.boundary_points() if support.interior_contains(p)]
-    records: list[dict] = []
-    for cand in candidates:
-        for x in cand.enumeration_points():
-            if boundary:
-                dist = min(abs(x - z) for z in boundary)
-                nearest = min(boundary, key=lambda z: abs(x - z))
-            else:
-                dist, nearest = INF, None
-            records.append({
-                "candidate": cand,
-                "location": x,
-                "nearest_boundary": nearest,
-                "distance": dist,
-                "within_eps": dist <= eps + 1e-12,
-            })
-    return records

@@ -470,7 +470,10 @@ class DistributionPair:
         asked for, so it grows with the endpoint pools of all radii solved
         on the pair: at most 302 points per class over a built-in's
         40-radius sweep (``degenerate``), 129 for a 64-bump solve and 513
-        for a 256-bump one.
+        for a 256-bump one.  ``certify._quantile`` fills it too: the root
+        finder's iterates on the class CDFs, 29-173 points per
+        ``_tight_window`` on a fresh built-in (33-177 evaluations; each
+        quantile search reads its bracket's two ends again).
         """
         components = self._components(which)
         memo = self._cdf_memo[which]

@@ -237,7 +237,7 @@ class IntervalSet:
 
     def expand(self, eps: float) -> "IntervalSet":
         """Minkowski sum with the closed ball of radius ``eps``."""
-        if eps < 0:
+        if not eps >= 0:
             raise ValueError("eps must be nonnegative")
         if eps == 0 or self.is_empty:
             return self

@@ -41,7 +41,7 @@ class RiskBreakdown:
 
 def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> RiskBreakdown:
     """Risk when every point within ``eps`` of the decision boundary is lost."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     fn = pair.mass_set(1, a.complement().expand(eps))
     fp = pair.mass_set(0, a.expand(eps))
@@ -52,22 +52,16 @@ def adversarial_risk(pair: DistributionPair, a: IntervalSet, eps: float) -> Risk
 
 
 def risk_gap_bound(
-    pair: DistributionPair,
-    a: IntervalSet,
-    b: IntervalSet,
-    eps: float,
-    density_bound: float,
-    n_components: int,
+    pair: DistributionPair, a: IntervalSet, b: IntervalSet, eps: float
 ) -> tuple[float, float, bool]:
     """Bound the standard-risk gap of ``a`` over ``b`` by 2*eps*M*K.
 
-    Requires the two classifiers to have ``n_components`` components whose
-    endpoints pair up within ``eps``; raises EndpointMismatch otherwise.
+    M is the larger class density bound and K is ``a``'s component count.
+    Requires ``b`` to have K components whose endpoints pair up with ``a``'s
+    within ``eps``; raises EndpointMismatch otherwise.
     """
-    if a.n_components != n_components or b.n_components != n_components:
-        raise EndpointMismatch(
-            f"component counts {a.n_components}/{b.n_components} != {n_components}"
-        )
+    if a.n_components != b.n_components:
+        raise EndpointMismatch(f"component counts {a.n_components} != {b.n_components}")
     tol = 1e-12
     for ia, ib in zip(a.intervals, b.intervals):
         for ea, eb in ((ia.lo, ib.lo), (ia.hi, ib.hi)):
@@ -77,5 +71,6 @@ def risk_gap_bound(
             elif abs(ea - eb) > eps + tol:
                 raise EndpointMismatch(f"|{ea} - {eb}| > eps={eps}")
     gap = adversarial_risk(pair, a, 0.0).total - adversarial_risk(pair, b, 0.0).total
-    bound = 2.0 * eps * n_components * density_bound
+    density_bound = max(pair.sup_density(0), pair.sup_density(1))
+    bound = 2.0 * eps * a.n_components * density_bound
     return gap, bound, gap <= bound + 1e-12

@@ -255,7 +255,7 @@ def degenerate_report(
 
 def solve(pair: DistributionPair, eps: float) -> SolveReport:
     """Find every minimizer at one radius and group them into equivalence classes."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     warnings: list[str] = []
     scan: FirstOrderScan | None = None

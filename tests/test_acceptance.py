@@ -149,8 +149,8 @@ def test_criterion_5_strong_duality():
     for pair, eps in cases:
         gap = duality_gap(pair, eps, grid_h=1e-3, max_k=2)
         rep = solve(pair, eps)
-        ok = ok and abs(gap.primal - gap.dual) <= 5e-3
-        ok = ok and abs(rep.min_risk - gap.dual) <= 5e-3
+        ok = ok and abs(gap.primal - gap.certificate.dual_value) <= 5e-3
+        ok = ok and abs(rep.min_risk - gap.certificate.dual_value) <= 5e-3
         details.append(f"{gap.gap:+.1e}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
@@ -312,14 +312,13 @@ def test_criterion_10_accuracy_robustness_bound():
     k = max(pair.sup_density(0), pair.sup_density(1))
     for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
         rep = solve(pair, eps).classes[0].representative
-        gap, bound, holds = risk_gap_bound(pair, rep, bayes, eps, k, 1)
+        gap, bound, holds = risk_gap_bound(pair, rep, bayes, eps)
         ok = ok and holds and gap <= 2 * eps * 1 * k + 1e-12
 
     pair = examples.gaussians_equal_means()
     bayes = bayes_classifier(pair)
-    k = max(pair.sup_density(0), pair.sup_density(1))
     rep0 = solve(pair, 0.0).classes[0].representative
-    gap, bound, holds = risk_gap_bound(pair, rep0, bayes, 0.0, k, 1)
+    gap, bound, holds = risk_gap_bound(pair, rep0, bayes, 0.0)
     ok = ok and holds and abs(gap) <= 1e-9
     # at positive radii the endpoints move farther than eps: the
     # matched-components hypothesis genuinely fails for this distribution
@@ -328,7 +327,7 @@ def test_criterion_10_accuracy_robustness_bound():
         from advbayes.risk import EndpointMismatch
 
         try:
-            risk_gap_bound(pair, rep, bayes, eps, k, 1)
+            risk_gap_bound(pair, rep, bayes, eps)
             matched = True
         except EndpointMismatch:
             matched = False

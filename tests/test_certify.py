@@ -317,12 +317,12 @@ class TestDualityGap:
         pair = uniform_half_pair()
         gap = duality_gap(pair, 0.0, 1e-3, 1)
         assert gap.primal == pytest.approx(0.5, abs=1e-9)
-        assert gap.dual == pytest.approx(0.5, abs=1e-9)
+        assert gap.certificate.dual_value == pytest.approx(0.5, abs=1e-9)
 
     def test_non_uniqueness_all(self, nua_pair):
         gap = duality_gap(nua_pair, 0.2, 1e-3, 2)
         assert abs(gap.gap) <= 1e-2
-        assert gap.dual == pytest.approx(0.4, abs=5e-3)
+        assert gap.certificate.dual_value == pytest.approx(0.4, abs=5e-3)
 
     def test_equal_means(self, eqmeans_pair):
         gap = duality_gap(eqmeans_pair, 0.5, 1e-3, 2)

@@ -101,6 +101,43 @@ class TestExitCodes:
     def test_missing_source(self):
         assert main(["solve", "--eps", "0.5"]) == 1
 
+    def test_config_and_example_flag(self, tmp_path, capsys):
+        """Two sources exit 1 naming both, not the config's pair solved
+        with the flag dropped."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"example": "degenerate"}))
+        assert main(["solve", "--config", str(cfg), "--example", "non_uniqueness_all",
+                     "--eps", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --config and --example are both sources; give one\n"
+
+    def test_eps_and_range_flags(self, capsys):
+        """A single radius with a full range exits 1, not a sweep of the range."""
+        assert main(["sweep", "--example", "degenerate", "--eps", "0.05", "--eps-min", "0.1",
+                     "--eps-max", "0.2", "--steps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --eps and --eps-min/--eps-max/--steps both set the "
+                                "radius; give one\n")
+
+    @pytest.mark.parametrize("config, named", [
+        ({"example": "degenerate", "class0": [], "class1": []}, "'example' and 'class0'/'class1'"),
+        ({"example": "degenerate", "atoms": {"class0": [], "class1": []}}, "'example' and 'atoms'"),
+        ({"atoms": {"class0": [[0.0, 0.5]], "class1": [[0.1, 0.5]]},
+          "class1": [{"type": "gaussian", "weight": 0.5, "mu": 2.0, "sigma": 1.0}]},
+         "'atoms' and 'class0'/'class1'"),
+    ], ids=["example_classes", "example_atoms", "atoms_class1"])
+    def test_config_with_two_sources(self, tmp_path, capsys, config, named):
+        """A config holding two sources exits 1 naming both, not the first
+        of them in a fixed order."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, "run": {"epsilon": 0.05}}))
+        assert main(["certify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config holds {named}; give one source\n"
+
     def test_solve_success(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(
@@ -458,7 +495,7 @@ class TestCertifyCommand:
         ``solver_vs_primal``."""
         real = certify.duality_gap
         monkeypatch.setattr(certify, "duality_gap", lambda *args: dataclasses.replace(
-            real(*args), primal=0.3, dual=0.3, gap=0.0))
+            real(*args), primal=0.3, gap=0.0))
         assert main(["certify", "--example", "non_uniqueness_all", "--eps", "0.2"]) == 1
         out, err = capsys.readouterr()
         value = json.loads(out)["solver_vs_primal"]

@@ -17,13 +17,12 @@ from advbayes.conditions import (
     INCONCLUSIVE,
     PASS,
     WindowEmpty,
-    bayes_boundary_proximity,
     bayes_classifier,
     defect,
     scan_window,
     solve_first_order,
 )
-from advbayes.intervals import INF
+from advbayes.intervals import INF, IntervalSet
 from advbayes.risk import TAU_RISK, adversarial_risk
 from advbayes.solver import solve
 
@@ -33,6 +32,20 @@ def locations(cands):
     for c in cands:
         out.extend(c.enumeration_points())
     return sorted(out)
+
+
+def interior_bayes_boundary(pair):
+    """Boundary points of the Bayes set {p1 > p0} inside the support.
+
+    For a pair with eta in {0, 1} these are the boundary points of the region
+    where class 1 is certain."""
+    support = pair.support()
+    return [z for z in bayes_classifier(pair).boundary_points() if support.interior_contains(z)]
+
+
+def boundary_distance(boundary, x):
+    """Distance from ``x`` to the nearest point of ``boundary``."""
+    return min(abs(x - z) for z in boundary)
 
 
 def verify_no_missed_sign_changes(pair, eps, kind, cands, lo, hi, n=20480):
@@ -242,32 +255,56 @@ class TestSecondOrder:
 
 class TestProximity:
     def test_equal_variance_zero_distance(self, eqvar_pair):
-        scan = solve_first_order(eqvar_pair, 0.5)
-        recs = bayes_boundary_proximity(eqvar_pair, 0.5, scan.a_candidates)
-        assert all(r["within_eps"] for r in recs)
-        assert recs[0]["distance"] <= 1e-9
+        eps = 0.5
+        boundary = interior_bayes_boundary(eqvar_pair)
+        dists = [boundary_distance(boundary, x)
+                 for x in locations(solve_first_order(eqvar_pair, eps).a_candidates)]
+        assert max(dists) <= eps + 1e-12
+        assert dists[0] <= 1e-9
 
     def test_plateau_ends_at_eps_distance(self, nua_pair):
         eps = 0.2
-        scan = solve_first_order(nua_pair, eps)
-        recs = bayes_boundary_proximity(nua_pair, eps, scan.a_candidates)
-        dists = sorted(r["distance"] for r in recs)
-        assert dists[-1] == pytest.approx(eps, abs=1e-9)
-        assert all(r["within_eps"] for r in recs)
+        boundary = interior_bayes_boundary(nua_pair)
+        dists = [boundary_distance(boundary, x)
+                 for x in locations(solve_first_order(nua_pair, eps).a_candidates)]
+        assert max(dists) == pytest.approx(eps, abs=1e-9)
+        assert max(dists) <= eps + 1e-12
 
     def test_pure_label_boundary(self, deg_pair):
         eps = 0.05
-        scan = solve_first_order(deg_pair, eps)
-        inner = [
-            r
-            for r in bayes_boundary_proximity(deg_pair, eps, scan.a_candidates)
-            if abs(abs(r["location"]) - (0.25 - eps)) <= 1e-9
-        ]
+        boundary = interior_bayes_boundary(deg_pair)
+        inner = [x for x in locations(solve_first_order(deg_pair, eps).a_candidates)
+                 if abs(abs(x) - (0.25 - eps)) <= 1e-9]
         assert inner
-        for r in inner:
-            assert abs(r["nearest_boundary"]) == pytest.approx(0.25, abs=1e-9)
-            assert r["distance"] == pytest.approx(eps, abs=1e-9)
-            assert r["within_eps"]
+        for x in inner:
+            nearest = min(boundary, key=lambda z: abs(x - z))
+            assert abs(nearest) == pytest.approx(0.25, abs=1e-9)
+            assert boundary_distance(boundary, x) == pytest.approx(eps, abs=1e-9)
+
+    @pytest.mark.parametrize("name, eps, distance", [
+        ("gaussians_equal_variances", 0.5, 0.0),
+        ("non_uniqueness_all", 0.2, 0.2),
+        ("degenerate", 0.05, 0.05),
+        ("non_uniqueness_single", 0.1, 0.1 / 3),  # b = (1 + eps)/3 against 1/3
+    ])
+    def test_minimizer_endpoints(self, name, eps, distance):
+        # every finite endpoint of every representative, the minimizers the
+        # paper's claim is about, lies the same distance from the boundary
+        pair = examples.example_pair(name)
+        boundary = interior_bayes_boundary(pair)
+        ends = [x for c in solve(pair, eps).classes for x in c.representative.boundary_points()]
+        assert ends
+        for x in ends:
+            assert boundary_distance(boundary, x) == pytest.approx(distance, abs=1e-9)
+        assert distance <= eps
+
+    def test_minimizer_without_interior_boundary(self):
+        # eta is 0 or 1 wherever a density is positive: the Bayes boundary
+        # lies on the support's boundary, and the minimizer is all of R
+        eps = 0.1
+        pair = examples.deg_eta_0_1_counterexample(eps)
+        assert interior_bayes_boundary(pair) == []
+        assert [c.representative for c in solve(pair, eps).classes] == [IntervalSet.reals()]
 
     def test_soln_within_eps_of_crossing(self, eqvar_pair):
         # opposed monotone densities around the crossing: some candidate

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
-from advbayes import examples
+from advbayes import certify, examples
 from advbayes.conditions import (
     DegenerateTie,
-    bayes_boundary_proximity,
     bayes_classifier,
     solve_first_order,
 )
@@ -21,6 +20,7 @@ from advbayes.risk import (
     adversarial_risk,
     risk_gap_bound,
 )
+from advbayes.solver import solve
 from strategies import (NARROW_GAP_PAIR, gaussian_mixture_pairs, mixed_pairs,
                         piecewise_poly_pairs, wide_sigma_pairs)
 
@@ -182,6 +182,23 @@ def test_adversarial_risk_matches_oracle(index, sets, eps):
 def test_adversarial_risk_rejects_negative_eps(nua_pair):
     with pytest.raises(ValueError):
         adversarial_risk(nua_pair, IntervalSet.reals(), -0.1)
+
+
+def _atoms(klass):
+    return certify.AtomList(positions=np.array([0.0]), masses=np.array([0.5]), klass=klass)
+
+
+@pytest.mark.parametrize("guard", [
+    lambda pair, eps: solve(pair, eps),
+    lambda pair, eps: adversarial_risk(pair, IntervalSet.reals(), eps),
+    lambda pair, eps: certify.dual_value(_atoms(0), _atoms(1), eps),
+    lambda pair, eps: certify.primal_bruteforce(pair, eps, 1e-2),
+    lambda pair, eps: IntervalSet.open(0.0, 1.0).expand(eps),
+], ids=["solve", "adversarial_risk", "dual_value", "primal_bruteforce", "expand"])
+def test_radius_guards_reject_nan(nua_pair, guard):
+    # NaN fails every comparison, so a guard written as eps < 0 let it through
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        guard(nua_pair, math.nan)
 
 
 @pytest.mark.parametrize("which", [-1, 2])
@@ -360,10 +377,12 @@ class TestBayesLiteralSign:
         assert bayes.n_components == len(expected) == 3
         assert not any(iv.lo_closed or iv.hi_closed for iv in bayes)
         assert np.max(np.abs(np.array(bayes.boundary_points()) - np.ravel(expected))) <= 1e-12
-        # every Bayes boundary point is on the boundary of the support
+        # every Bayes boundary point is on the boundary of the support, so
+        # no endpoint candidate has an interior boundary point to lie near
         scan = solve_first_order(pair, eps)
-        records = bayes_boundary_proximity(pair, eps, scan.a_candidates + scan.b_candidates)
-        assert records and all(r["nearest_boundary"] is None for r in records)
+        assert scan.a_candidates + scan.b_candidates
+        support = pair.support()
+        assert not any(support.interior_contains(z) for z in bayes.boundary_points())
 
     def test_touch_point_at_piece_midpoint(self):
         # p1 - p0 = 48x^2 on (-0.25, 0.25) touches 0 at the piece's midpoint
@@ -519,14 +538,13 @@ def _bayes_matches_literal_sign(pair):
 class TestRiskGapBound:
     def test_identical_sets(self, eqvar_pair):
         b = IntervalSet.open(1.0, INF)
-        gap, bound, holds = risk_gap_bound(eqvar_pair, b, b, 0.5, 1.0, 1)
+        gap, bound, holds = risk_gap_bound(eqvar_pair, b, b, 0.5)
         assert gap == 0.0 and holds
 
     def test_equal_variance_no_tradeoff(self, eqvar_pair):
         # adversarial and plain optimum coincide: zero gap at any radius
         b = IntervalSet.open(1.0, INF)
-        k = max(eqvar_pair.sup_density(0), eqvar_pair.sup_density(1))
-        gap, bound, holds = risk_gap_bound(eqvar_pair, b, b, 0.9, k, 1)
+        gap, bound, holds = risk_gap_bound(eqvar_pair, b, b, 0.9)
         assert holds and gap == 0.0
 
     def test_equal_means_endpoints_escape(self, eqmeans_pair):
@@ -539,19 +557,28 @@ class TestRiskGapBound:
         adv = IntervalSet.open(-b_eps, b_eps)
         bay = IntervalSet.open(-b_0, b_0)
         with pytest.raises(EndpointMismatch):
-            risk_gap_bound(eqmeans_pair, adv, bay, eps, 1.0, 1)
+            risk_gap_bound(eqmeans_pair, adv, bay, eps)
 
     def test_component_count_mismatch(self, eqvar_pair):
         with pytest.raises(EndpointMismatch):
-            risk_gap_bound(
-                eqvar_pair, IntervalSet.open(1.0, INF), IntervalSet.empty(), 0.5, 1.0, 1
-            )
+            risk_gap_bound(eqvar_pair, IntervalSet.open(1.0, INF), IntervalSet.empty(), 0.5)
 
     def test_bound_holds_when_matched(self, nua_pair):
         eps = 0.2
         adv = IntervalSet.open(eps, INF)
         bay = IntervalSet.open(0.0, INF)
-        k = 0.375
-        gap, bound, holds = risk_gap_bound(nua_pair, adv, bay, eps, k, 1)
+        gap, bound, holds = risk_gap_bound(nua_pair, adv, bay, eps)
         assert holds
-        assert bound == pytest.approx(2 * eps * k, abs=1e-15)
+        # M is the larger density bound, 3/8 for both classes here; K = 1
+        assert bound == pytest.approx(2 * eps * 0.375, abs=1e-15)
+
+    def test_bound_counts_components(self, deg_pair):
+        # the Bayes set (-1, -1/4) u (1/4, 1) against its two-sided widening by
+        # eps: K = 2 and M = 0.6, class 1's density; the gap is the class-0
+        # mass 0.2 * 2 * eps flipped to class 1
+        eps = 0.05
+        adv = IntervalSet.of_open((-1.0, -0.25 + eps), (0.25 - eps, 1.0))
+        gap, bound, holds = risk_gap_bound(deg_pair, adv, bayes_classifier(deg_pair), eps)
+        assert holds
+        assert gap == pytest.approx(0.2 * 2 * eps, abs=1e-15)
+        assert bound == pytest.approx(2 * eps * 2 * 0.6, abs=1e-15)
