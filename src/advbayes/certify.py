@@ -164,8 +164,8 @@ def discretize(pair: DistributionPair, grid_h: float) -> tuple[AtomList, AtomLis
     every Gaussian and the hull of every piecewise component, so it leaves
     out about 1.5e-23 of each component's weight.
     """
-    if grid_h <= 0:
-        raise ValueError("grid_h must be positive")
+    if not 0 < grid_h < math.inf:
+        raise ValueError(f"grid_h must be finite and positive, got {grid_h!r}")
     lo, hi = pair.finite_extent()
     n_cells = max(1, int(math.ceil((hi - lo) / grid_h - 1e-12)))
     edges = np.linspace(lo, hi, n_cells + 1)
@@ -231,6 +231,8 @@ def dual_value(
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+    if not 0 <= grid_h < math.inf:  # 0 is atom mode: reach exactly 2*eps
+        raise ValueError(f"grid_h must be finite and nonnegative, got {grid_h!r}")
     radius = 2.0 * eps + grid_h
     pos0, pos1 = class0.positions, class1.positions
     c1 = np.concatenate([[0.0], np.cumsum(class1.masses)])
@@ -423,8 +425,8 @@ def primal_bruteforce(
         raise ValueError("eps must be nonnegative")
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    if grid_h <= 0:
-        raise ValueError("grid_h must be positive")
+    if not 0 < grid_h < math.inf:
+        raise ValueError(f"grid_h must be finite and positive, got {grid_h!r}")
     if window is None:
         # Finite endpoints never help deep in the tails: a half-infinite
         # piece covers them, so a 1e-7-per-side quantile window is exact to

@@ -5,6 +5,11 @@ lists.  All mass computations go through exact antiderivatives (polynomial
 primitives per cell, the normal CDF for Gaussian components), so risks
 downstream are accurate to the CDF's ~1e-15 relative error and ties can be
 resolved at 1e-9.
+
+The normal CDF and the log-sum-exp of component log-densities are scipy's
+``ndtr`` and ``logsumexp``.  ``scipy.special`` is imported on the first
+Gaussian CDF or ``DistributionPair.logpdf_array`` read, not with this
+module, so a process that reads neither never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .intervals import INF, Interval, IntervalSet
 
@@ -25,6 +29,14 @@ MAX_POLY_DEGREE = 5
 _ROOT_REFINE_TOL = 1e-13
 TINY = np.finfo(float).tiny  # smallest normal float; below it a density is subnormal or 0
 ARRAY_CDF_POINTS = 24  # shortest list that cdf_points sends to cdf_array: 8 to 24 scalar CDFs' cost
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call and kept."""
+    import scipy.special
+
+    return scipy.special
 
 
 class OutsideSupport(ValueError):
@@ -60,10 +72,10 @@ class Gaussian:
         return math.log(self.weight / (self.sigma * math.sqrt(2.0 * math.pi))) - 0.5 * z * z
 
     def cdf(self, x: float) -> float:
-        return self.weight * float(ndtr((x - self.mu) / self.sigma))
+        return self.weight * float(_special().ndtr((x - self.mu) / self.sigma))
 
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
-        return self.weight * ndtr((xs - self.mu) / self.sigma)
+        return self.weight * _special().ndtr((xs - self.mu) / self.sigma)
 
     @property
     def total_mass(self) -> float:
@@ -446,7 +458,7 @@ class DistributionPair:
 
     def logpdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
         """log pdf, finite where a Gaussian tail underflows ``pdf_array`` to 0."""
-        return logsumexp([c.logpdf_array(xs) for c in self._components(which)], axis=0)
+        return _special().logsumexp([c.logpdf_array(xs) for c in self._components(which)], axis=0)
 
     def eta(self, x: float) -> float:
         p0, p1 = self.pdf(0, x), self.pdf(1, x)

@@ -257,6 +257,8 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
     """Find every minimizer at one radius and group them into equivalence classes."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+    if eps == math.inf:
+        raise ValueError(f"eps={eps!r} is not a finite radius")
     warnings: list[str] = []
     scan: FirstOrderScan | None = None
     a_pts: list[float] = []

@@ -64,6 +64,28 @@ class TestDiscretize:
                 AtomList(positions=np.array([pos]), masses=np.array([mass]), klass=0)
 
 
+class TestGridHGuard:
+    """A NaN, negative or infinite grid step is rejected with an error naming grid_h."""
+
+    @pytest.mark.parametrize("grid_h", [math.nan, -1.0, math.inf])
+    def test_dual_value_rejects(self, grid_h):
+        a0 = AtomList(np.array([0.0]), np.array([0.5]), 0)
+        a1 = AtomList(np.array([0.1]), np.array([0.5]), 1)
+        with pytest.raises(ValueError, match="grid_h must be finite and nonnegative"):
+            dual_value(a0, a1, 0.1, grid_h)
+        assert dual_value(a0, a1, 0.1, 0.0).dual_value == 0.5
+
+    @pytest.mark.parametrize("grid_h", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("grid_fn", [
+        lambda pair, h: discretize(pair, h),
+        lambda pair, h: primal_bruteforce(pair, 0.05, h),
+        lambda pair, h: duality_gap(pair, 0.05, h),
+    ], ids=["discretize", "primal_bruteforce", "duality_gap"])
+    def test_grid_functions_reject(self, deg_pair, grid_fn, grid_h):
+        with pytest.raises(ValueError, match="grid_h must be finite and positive"):
+            grid_fn(deg_pair, grid_h)
+
+
 class TestDualValue:
     def test_atomic_pair_exact_half(self):
         for eps in (0.05, 0.3, 1.0):

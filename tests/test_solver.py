@@ -149,6 +149,13 @@ class TestHugeRadius:
         with pytest.raises(ValueError, match=r"eps=1e\+308 is too large"):
             solve(eqvar_pair, 1e308)
 
+    def test_infinite_radius_names_the_radius(self, nua_pair):
+        with pytest.raises(ValueError, match=r"eps=inf is not a finite radius"):
+            solve(nua_pair, math.inf)
+        for eps in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                solve(nua_pair, eps)
+
     def test_finite_scan_range_still_solves(self, eqvar_pair):
         # Beyond eps = 1 both ∅ and ℝ are optimal (risk 1/2).
         rep = solve(eqvar_pair, 1e200)
