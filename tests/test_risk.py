@@ -452,9 +452,9 @@ def test_bayes_matches_literal_sign_wide_sigmas(pair):
     _bayes_matches_literal_sign(pair)
 
 
-# Two pairs whose sign change of p1 - p0 lies between two scan samples
+# Pairs whose sign change of p1 - p0 lies between two scan samples
 # (ROADMAP item 3, "A scan that proves each bracket root-free").  Each test
-# checks the literal sign at one point of the missed stretch; both flip to
+# checks the literal sign at one point of the missed stretch; all flip to
 # passing when the scan proves its brackets root-free.
 _MISSED_P0_STRETCH = DistributionPair(
     class0=[Gaussian(weight=0.1015625, mu=0.0, sigma=0.1),
@@ -476,10 +476,22 @@ def test_bayes_excludes_missed_p0_stretch():
     assert not bayes_classifier(pair).contains_point(x)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: p1 > p0 on about (-1.01661, -1.01400) "
-                   "holds no scan sample")
-def test_bayes_contains_missed_p1_stretch():
-    pair, x = _MISSED_P1_STRETCH, -1.0153
+# A class-1 bump at 28 widens the scanned range, so its evenly spaced
+# samples step over the stretch where p1 > p0 near 0.25.
+_MISSED_P1_STRETCH_WIDE_RANGE = DistributionPair(
+    class0=[Gaussian(weight=0.11519451530612244, mu=0.33203125, sigma=0.33190902290979324),
+            Gaussian(weight=0.21683673469387754, mu=0.0, sigma=0.11889936264364673)],
+    class1=[Gaussian(weight=0.4362244897959184, mu=28.0, sigma=0.5),
+            Gaussian(weight=0.23174426020408162, mu=0.0, sigma=0.205078125)])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: p1 > p0 on a stretch that holds no "
+                   "scan sample")
+@pytest.mark.parametrize("pair, x", [
+    (_MISSED_P1_STRETCH, -1.0153),  # p1 > p0 on about (-1.01661, -1.01400)
+    (_MISSED_P1_STRETCH_WIDE_RANGE, 0.2525),  # p1 > p0 on about (0.24508, 0.25981)
+], ids=["narrow-p0-bump", "wide-range"])
+def test_bayes_contains_missed_p1_stretch(pair, x):
     assert pair.pdf(1, x) > pair.pdf(0, x)
     assert bayes_classifier(pair).contains_point(x)
 
