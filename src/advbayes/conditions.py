@@ -23,12 +23,14 @@ Gaussian the defect reads.  The segments of a scan kind are sampled as one
 array, so each class density is read once per kind, and one pass over the
 non-plateau samples finds every bracket.  At eps = 0 the a-kind defect is
 ``p1 - p0``, so the same segment samples give the boundary of the Bayes
-classifier {p1 > p0}.
+classifier {p1 > p0}; ``bayes_classifier`` also splits each bracket between
+two samples of one sign that it cannot prove root-free.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +48,8 @@ TAU_ROOT = 1e-10
 TAU_PLATEAU = 1e-11
 _BISECT_TOL = 1e-12
 GRID_N = 2048  # defect samples per scan, spread over the scanned range
+_SPLIT_BUDGET = 32  # midpoints read per same-sign bracket bayes_classifier cannot prove root-free
+_LOG_SLACK = 1e-12  # relative rounding slack on log-density bounds
 
 
 def near_sorted(points: list[float], p: float, tol: float, relative: bool = False) -> bool:
@@ -386,10 +390,12 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     their logs tie) are not scanned: such a run is bridged by its
     neighbours, and a crossing inside it is found on the log-density gap.
     The samples hold every Gaussian's mu and mu +- sigma, like the
-    first-order scan's.  The set is literal on the scanned range
-    [lo_ext - 1, hi_ext + 1] of ``finite_extent`` and constant on each side
-    of it: a crossing beyond that range is dropped even where the densities
-    have not underflowed to 0.
+    first-order scan's, and ``_split_same_sign`` adds one inside each
+    bracket of one sign where it finds a stretch of the other: a stretch
+    narrower than the sample step can lie between two samples.  The set is
+    literal on the scanned range [lo_ext - 1, hi_ext + 1] of
+    ``finite_extent`` and constant on each side of it: a crossing beyond that
+    range is dropped even where the densities have not underflowed to 0.
     """
     sign = lambda x: signed_gap(pair, 1, x, 0, x)
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
@@ -411,9 +417,110 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
         n += len(vals)
         ends.append(n)
     if n:
-        pts.update(r for r, _ in _sign_changes(sign, np.concatenate(runs_x),
-                                                np.concatenate(runs_v), ends))
+        xs, vals, ends = _split_same_sign(pair, sign, np.concatenate(runs_x),
+                                          np.concatenate(runs_v), ends)
+        pts.update(r for r, _ in _sign_changes(sign, xs, vals, ends))
     return _positive_set(pair, sorted(pts), plateaus)
+
+
+class _LogRange:
+    """Bounds on one class's log-density over each bracket of sorted points.
+
+    A component is monotone between its ``turning_points``, so on [u, v] it
+    lies between the least and the greatest of its values at u, v and the
+    turning points inside; the class's bounds are the log-sums of the
+    components' bounds.
+    """
+
+    def __init__(self, components):
+        self.parts = []
+        for c in components:
+            tx, tv = np.array(c.turning_points()).T
+            with np.errstate(divide="ignore"):
+                self.parts.append((c, tx, np.log(tv)))
+
+    def bounds(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest log-density on each [xs[i], xs[i+1]]."""
+        lows, highs = [], []
+        for c, tx, tlog in self.parts:
+            with np.errstate(over="ignore", divide="ignore"):
+                v = c.logpdf_array(xs)
+            lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+            i = np.searchsorted(xs, tx) - 1  # xs[i] < tx <= xs[i + 1]
+            inside = (i >= 0) & (i < len(xs) - 1)
+            np.minimum.at(lo, i[inside], tlog[inside])
+            np.maximum.at(hi, i[inside], tlog[inside])
+            lows.append(lo)
+            highs.append(hi)
+        return np.logaddexp.reduce(lows, axis=0), np.logaddexp.reduce(highs, axis=0)
+
+
+def _above(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``lo`` exceeds ``hi`` by more than a rounding slack of 1e-12 relative."""
+    return lo > hi + _LOG_SLACK * (1.0 + np.abs(np.where(np.isfinite(hi), hi, 0.0)))
+
+
+def _root_free(ranges: tuple[_LogRange, _LogRange], xs: np.ndarray,
+               positive: np.ndarray) -> np.ndarray:
+    """Brackets [xs[i], xs[i+1]] where p1 - p0 provably keeps the sign
+    ``positive[i]``: the two classes' log-density ranges there are apart."""
+    lo0, hi0 = ranges[0].bounds(xs)
+    lo1, hi1 = ranges[1].bounds(xs)
+    return np.where(positive, _above(lo1, hi0), _above(lo0, hi1))
+
+
+def _split_same_sign(pair: DistributionPair, sign, xs: np.ndarray, vals: np.ndarray,
+                     ends: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The samples of ``_sign_changes``, with a sample of the other sign (or
+    0) added inside each same-sign bracket that holds one.
+
+    A bracket between two nonzero samples of one sign is root-free where
+    ``_root_free`` says so.  Otherwise it is halved, breadth first, and each
+    midpoint's ``sign`` read, until a midpoint of the other sign or 0 is
+    found, every piece is root-free, or _SPLIT_BUDGET midpoints are spent;
+    the last leaves the bracket as it was, as a touch point (a double root
+    of p1 - p0) always does.
+    """
+    ranges = (_LogRange(pair.class0), _LogRange(pair.class1))
+    pos = vals > 0
+    same = (vals[:-1] != 0.0) & (vals[1:] != 0.0) & (pos[:-1] == pos[1:])
+    last = np.array(ends[:-1], dtype=int) - 1
+    same[last[last >= 0]] = False  # no bracket spans two runs
+    i_same = np.flatnonzero(same)
+    open_ = i_same[~_root_free(ranges, xs, pos[:-1])[i_same]]
+    at, added = [], []
+    for i in open_.tolist():
+        found = _search_bracket(ranges, sign, float(xs[i]), float(xs[i + 1]), bool(pos[i]))
+        if found is not None:
+            at.append(i + 1)
+            added.append(found)
+    if not at:
+        return xs, vals, ends
+    new_x, new_v = np.array(added).T
+    shift = np.searchsorted(at, ends, side="right")
+    return (np.insert(xs, at, new_x), np.insert(vals, at, new_v),
+            [e + k for e, k in zip(ends, shift.tolist())])
+
+
+def _search_bracket(ranges: tuple[_LogRange, _LogRange], sign, u: float, v: float,
+                    positive: bool) -> tuple[float, float] | None:
+    """``(x, sign(x))`` for a midpoint in (u, v) whose sign is not
+    ``positive``'s, or None; see ``_split_same_sign``."""
+    queue = collections.deque([(u, v)])
+    for _ in range(_SPLIT_BUDGET):
+        if not queue:
+            return None
+        a, b = queue.popleft()
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            continue
+        s = sign(m)
+        if s == 0.0 or (s > 0.0) != positive:
+            return m, s
+        pieces = np.array([a, m, b])
+        free = _root_free(ranges, pieces, np.array([positive, positive]))
+        queue.extend(piece for piece, f in zip([(a, m), (m, b)], free.tolist()) if not f)
+    return None
 
 
 def _positive_set(pair: DistributionPair, pts: list[float],

@@ -85,6 +85,10 @@ class Gaussian:
     def sup_density(self) -> float:
         return self.weight / (self.sigma * math.sqrt(2.0 * math.pi))
 
+    def turning_points(self) -> list[tuple[float, float]]:
+        """``(x, value)`` at the mean: the density rises up to it and falls after."""
+        return [(self.mu, self.sup_density)]
+
 
 def _poly_eval(coeffs: Sequence[float], x: float | np.ndarray) -> float | np.ndarray:
     """Horner evaluation; on an ndarray each element gets the scalar's exact bits."""
@@ -230,16 +234,23 @@ class PiecewisePoly:
         return zip(self.breakpoints, self.breakpoints[1:], self.coeffs)
 
     @functools.cached_property
-    def _cell_values(self) -> list[list[float]]:
-        """Per cell the row's values at its ends and inner extrema: its least
-        and greatest values on the cell are among them."""
-        return [[_poly_eval(row, x) for x in [lo, hi] + _cell_extrema(row, lo, hi)]
+    def _cell_points(self) -> list[list[tuple[float, float]]]:
+        """Per cell the row's ``(x, value)`` at its ends and inner extrema: its
+        least and greatest values on the cell are among them."""
+        return [[(x, _poly_eval(row, x)) for x in [lo, hi] + _cell_extrema(row, lo, hi)]
                 for lo, hi, row in self._cells()]
 
     def _check_nonnegative(self) -> None:
-        for (lo, hi, _), values in zip(self._cells(), self._cell_values):
-            if any(v < -1e-12 for v in values):
+        for (lo, hi, _), points in zip(self._cells(), self._cell_points):
+            if any(v < -1e-12 for _, v in points):
                 raise ValueError(f"density is negative on cell [{lo}, {hi}]")
+
+    def turning_points(self) -> list[tuple[float, float]]:
+        """``(x, value)`` at every cell end and inner extremum, read as 0 where
+        the row dips below it; each cell's row takes both its values at its
+        ends, so a jump's two sides are both here.  Between neighbouring
+        points the density is monotone."""
+        return [(x, max(v, 0.0)) for points in self._cell_points for x, v in points]
 
     def _cell_index(self, x: float) -> int | None:
         """Cell holding x, the last one for the last breakpoint; None outside."""
@@ -324,7 +335,7 @@ class PiecewisePoly:
 
     @property
     def sup_density(self) -> float:
-        return max(0.0, *(v for values in self._cell_values for v in values))
+        return max(0.0, *(v for points in self._cell_points for _, v in points))
 
     def discontinuities(self) -> list[float]:
         """Breakpoints where the density value jumps."""

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -704,3 +704,23 @@ def test_bracket_ends_read_with_scalar_sign():
 
     assert conditions._sign_changes(sign, xs, vals, [3]) == [(0.0, 1)]
     assert read == [0.0, 0.5]
+
+
+@given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs(), mixed_pairs()), st.data())
+@settings(deadline=None, max_examples=100)
+def test_log_range_bounds_every_sample(pair, data):
+    """Each class's log-density bounds on a bracket hold its density at 65
+    evenly spaced points of the bracket, up to rounding at the density's scale."""
+    lo_ext, hi_ext = pair.finite_extent()
+    points = data.draw(st.lists(st.floats(lo_ext - 1.0, hi_ext + 1.0), min_size=2, max_size=12))
+    xs = np.unique(np.array(points))
+    assume(len(xs) >= 2)
+    for which in (0, 1):
+        components = pair.class0 if which == 0 else pair.class1
+        low, high = conditions._LogRange(components).bounds(xs)
+        slack = 1e-12 * sum(c.sup_density for c in components)
+        for a, b, lo, hi in zip(xs, xs[1:], np.exp(low), np.exp(high)):
+            vals = pair.pdf_array(which, np.linspace(a, b, 65))
+            assert np.all(vals >= lo * (1.0 - 1e-9) - slack)
+            assert np.all(vals <= hi * (1.0 + 1e-9) + slack)
+

@@ -431,9 +431,35 @@ class TestBayesLiteralSign:
         assert np.max(np.abs(np.array(bayes.boundary_points()) - [crossing, 3.0])) <= 1e-12
 
 
+# Pairs with a stretch of one sign of p1 - p0 that lies between two scan
+# samples, so no sample sees it; bayes_classifier finds each by splitting the
+# same-sign bracket it cannot prove root-free.  Each test checks the literal
+# sign at one point of the stretch.
+_MISSED_P0_STRETCH = DistributionPair(
+    class0=[Gaussian(weight=0.1015625, mu=0.0, sigma=0.1),
+            Gaussian(weight=0.1015625, mu=0.4375, sigma=0.4531583637600818)],
+    class1=[Gaussian(weight=0.3984375, mu=-0.3125, sigma=0.01),
+            Gaussian(weight=0.3984375, mu=2.0, sigma=9.821718891880378)])
+_MISSED_P1_STRETCH = DistributionPair(
+    class0=[Gaussian(weight=0.1, mu=-2.4107589444113144, sigma=2.5152602612031805),
+            Gaussian(weight=0.1, mu=-0.99999, sigma=0.003315527086915029)],
+    class1=[Gaussian(weight=0.4, mu=-0.7729749569038402, sigma=0.076852324198907),
+            Gaussian(weight=0.4, mu=2.7018585604301197, sigma=0.04897573564647099)])
+# A class-1 bump at 28 widens the scanned range, so its evenly spaced
+# samples step over the stretch where p1 > p0 near 0.25.
+_MISSED_P1_STRETCH_WIDE_RANGE = DistributionPair(
+    class0=[Gaussian(weight=0.11519451530612244, mu=0.33203125, sigma=0.33190902290979324),
+            Gaussian(weight=0.21683673469387754, mu=0.0, sigma=0.11889936264364673)],
+    class1=[Gaussian(weight=0.4362244897959184, mu=28.0, sigma=0.5),
+            Gaussian(weight=0.23174426020408162, mu=0.0, sigma=0.205078125)])
+
+
 @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
                  piecewise_poly_pairs()))
 @example(NARROW_GAP_PAIR)
+@example(_MISSED_P0_STRETCH)
+@example(_MISSED_P1_STRETCH)
+@example(_MISSED_P1_STRETCH_WIDE_RANGE)
 # p1 = c (1 + x)^2 on [-1.25, 1.75] touches 0 at -1, inside a stretch where
 # p0 vanishes: a grid point of the literal check, skipped as a touch point
 @example(DistributionPair(
@@ -452,41 +478,12 @@ def test_bayes_matches_literal_sign_wide_sigmas(pair):
     _bayes_matches_literal_sign(pair)
 
 
-# Pairs whose sign change of p1 - p0 lies between two scan samples
-# (ROADMAP item 3, "A scan that proves each bracket root-free").  Each test
-# checks the literal sign at one point of the missed stretch; all flip to
-# passing when the scan proves its brackets root-free.
-_MISSED_P0_STRETCH = DistributionPair(
-    class0=[Gaussian(weight=0.1015625, mu=0.0, sigma=0.1),
-            Gaussian(weight=0.1015625, mu=0.4375, sigma=0.4531583637600818)],
-    class1=[Gaussian(weight=0.3984375, mu=-0.3125, sigma=0.01),
-            Gaussian(weight=0.3984375, mu=2.0, sigma=9.821718891880378)])
-_MISSED_P1_STRETCH = DistributionPair(
-    class0=[Gaussian(weight=0.1, mu=-2.4107589444113144, sigma=2.5152602612031805),
-            Gaussian(weight=0.1, mu=-0.99999, sigma=0.003315527086915029)],
-    class1=[Gaussian(weight=0.4, mu=-0.7729749569038402, sigma=0.076852324198907),
-            Gaussian(weight=0.4, mu=2.7018585604301197, sigma=0.04897573564647099)])
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: p0 > p1 on (-0.40915, -0.35286) "
-                   "holds no scan sample")
 def test_bayes_excludes_missed_p0_stretch():
     pair, x = _MISSED_P0_STRETCH, -0.38
     assert pair.pdf(0, x) > pair.pdf(1, x)
     assert not bayes_classifier(pair).contains_point(x)
 
 
-# A class-1 bump at 28 widens the scanned range, so its evenly spaced
-# samples step over the stretch where p1 > p0 near 0.25.
-_MISSED_P1_STRETCH_WIDE_RANGE = DistributionPair(
-    class0=[Gaussian(weight=0.11519451530612244, mu=0.33203125, sigma=0.33190902290979324),
-            Gaussian(weight=0.21683673469387754, mu=0.0, sigma=0.11889936264364673)],
-    class1=[Gaussian(weight=0.4362244897959184, mu=28.0, sigma=0.5),
-            Gaussian(weight=0.23174426020408162, mu=0.0, sigma=0.205078125)])
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: p1 > p0 on a stretch that holds no "
-                   "scan sample")
 @pytest.mark.parametrize("pair, x", [
     (_MISSED_P1_STRETCH, -1.0153),  # p1 > p0 on about (-1.01661, -1.01400)
     (_MISSED_P1_STRETCH_WIDE_RANGE, 0.2525),  # p1 > p0 on about (0.24508, 0.25981)
@@ -494,6 +491,19 @@ _MISSED_P1_STRETCH_WIDE_RANGE = DistributionPair(
 def test_bayes_contains_missed_p1_stretch(pair, x):
     assert pair.pdf(1, x) > pair.pdf(0, x)
     assert bayes_classifier(pair).contains_point(x)
+
+
+@pytest.mark.parametrize("pair, lo, hi", [
+    (_MISSED_P0_STRETCH, -0.40915, -0.35286),
+    (_MISSED_P1_STRETCH, -1.01661, -1.01400),
+    (_MISSED_P1_STRETCH_WIDE_RANGE, 0.24508, 0.25981),
+], ids=["p0-stretch", "narrow-p0-bump", "wide-range"])
+def test_missed_stretch_ends_are_literal_roots(pair, lo, hi):
+    log_gap = lambda x: oracles.literal_logpdf(pair, 1, x) - oracles.literal_logpdf(pair, 0, x)
+    expected = [brentq(log_gap, z - 1e-4, z + 1e-4, xtol=1e-15) for z in (lo, hi)]
+    got = [z for z in bayes_classifier(pair).boundary_points() if lo - 1e-4 < z < hi + 1e-4]
+    assert len(got) == 2
+    assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
 
 @given(mixed_pairs())
