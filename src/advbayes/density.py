@@ -6,10 +6,9 @@ primitives per cell, the normal CDF for Gaussian components), so risks
 downstream are accurate to the CDF's ~1e-15 relative error and ties can be
 resolved at 1e-9.
 
-The normal CDF and the log-sum-exp of component log-densities are scipy's
-``ndtr`` and ``logsumexp``.  ``scipy.special`` is imported on the first
-Gaussian CDF or ``DistributionPair.logpdf_array`` read, not with this
-module, so a process that reads neither never loads it.
+The normal CDF is scipy's ``ndtr``.  ``scipy.special`` is imported on the
+first Gaussian CDF read, not with this module, so a process that reads no
+Gaussian CDF never loads it.
 """
 
 from __future__ import annotations
@@ -468,8 +467,13 @@ class DistributionPair:
         return out
 
     def logpdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
-        """log pdf, finite where a Gaussian tail underflows ``pdf_array`` to 0."""
-        return _special().logsumexp([c.logpdf_array(xs) for c in self._components(which)], axis=0)
+        """log pdf, finite where a Gaussian tail underflows ``pdf_array`` to 0.
+
+        A one-component class's log density is returned as it is; several
+        are reduced with ``np.logaddexp``, as ``conditions._LogRange`` does.
+        """
+        logs = [c.logpdf_array(xs) for c in self._components(which)]
+        return logs[0] if len(logs) == 1 else np.logaddexp.reduce(logs, axis=0)
 
     def eta(self, x: float) -> float:
         p0, p1 = self.pdf(0, x), self.pdf(1, x)
