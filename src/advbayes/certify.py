@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DistributionPair, itp_root
+from .density import DistributionPair, Gaussian, itp_root
 from .intervals import INF, Interval, IntervalSet
 
 # Float64 values the grid primal may hold at once (400 MB).  Besides its
@@ -43,6 +43,7 @@ from .intervals import INF, Interval, IntervalSet
 # of n values besides the layers on the built-ins at n >= 2,000.
 WORK_BUDGET = 50_000_000
 _DP_SCRATCH = 10
+_QUANTILE_TOL = 1e-12
 
 
 class BudgetExceeded(RuntimeError):
@@ -144,10 +145,28 @@ class GapReport:
 
 
 def _quantile(pair: DistributionPair, which: int, q: float) -> float:
-    """x with cdf(x) = q * total to 1e-12, by ``itp_root`` over the finite extent."""
-    lo, hi = pair.finite_extent()
+    """x with cdf(x) = q * total to ``_QUANTILE_TOL``, by ``itp_root``.
+
+    An all-Gaussian class's q-quantile lies between its components' least
+    and greatest own q-quantiles: below the least each component holds less
+    than q of its weight, above the greatest more.  That bracket is widened,
+    by ``_QUANTILE_TOL`` and then doubling steps, until its ends straddle the
+    target as the class CDF rounds it.  Other classes are searched over the
+    pair's finite extent.
+    """
     target = q * pair.total_mass(which)
-    return itp_root(lambda x: pair.cdf(which, x) - target, lo, hi, 1e-12)
+    f = lambda x: pair.cdf(which, x) - target
+    components = (pair.class0, pair.class1)[which]
+    if not all(isinstance(c, Gaussian) for c in components):
+        return itp_root(f, *pair.finite_extent(), _QUANTILE_TOL)
+    ends = [c.quantile(q) for c in components]
+    lo, step = min(ends), _QUANTILE_TOL
+    while f(lo) > 0.0:
+        lo, step = lo - step, 2.0 * step
+    hi, step = max(ends), _QUANTILE_TOL
+    while f(hi) < 0.0:
+        hi, step = hi + step, 2.0 * step
+    return itp_root(f, lo, hi, _QUANTILE_TOL)
 
 
 def _tight_window(pair: DistributionPair, tail: float = 1e-7) -> tuple[float, float]:

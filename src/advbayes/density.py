@@ -6,9 +6,9 @@ primitives per cell, the normal CDF for Gaussian components), so risks
 downstream are accurate to the CDF's ~1e-15 relative error and ties can be
 resolved at 1e-9.
 
-The normal CDF is scipy's ``ndtr``.  ``scipy.special`` is imported on the
-first Gaussian CDF read, not with this module, so a process that reads no
-Gaussian CDF never loads it.
+The normal CDF and its inverse are scipy's ``ndtr`` and ``ndtri``.
+``scipy.special`` is imported on the first Gaussian CDF or quantile read,
+not with this module, so a process that reads neither never loads it.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class Gaussian:
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         return self.weight * _special().ndtr((xs - self.mu) / self.sigma)
 
+    def quantile(self, q: float) -> float:
+        """x below which the fraction q of this component's weight lies."""
+        return self.mu + self.sigma * float(_special().ndtri(q))
+
     @property
     def total_mass(self) -> float:
         return self.weight
@@ -127,46 +131,89 @@ def _columns(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
 
 
 def itp_root(f, lo: float, hi: float, tol: float) -> float:
-    """Root of ``f`` in [lo, hi] by the ITP method (Oliveira & Takahashi 2021).
+    """Root of ``f`` in [lo, hi]: Brent's steps inside ITP's bisection envelope.
 
     Evaluates ``f(lo)`` and ``f(hi)`` itself.  Unless they have strictly
     opposite signs, returns the endpoint with the smaller ``|f|`` (``lo`` on a
     tie), so a zero endpoint is returned as is.  Otherwise narrows the bracket
     until it is no wider than ``tol`` (up to the rounding of its ends) and
-    returns its midpoint.  Each step takes the regula falsi point, pulled
-    towards the midpoint by kappa1 * width^2 and kept within the radius of
-    the midpoint that allows at most n0 = 1 step more than bisection; on a
-    smooth ``f`` the steps converge superlinearly.
+    returns its midpoint, or returns a point where ``f`` is exactly 0.
+
+    Each step is Brent's (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): inverse quadratic interpolation through the
+    last three points, or the secant through two, taken from the bracket
+    end with the smaller ``|f|`` when it lands within 3/4 of the way to the
+    other end and is shorter than half the step before last; the midpoint
+    otherwise.  A step shorter than ``tol / 2`` is lengthened to ``tol / 2``
+    towards the other end, so a root that close ends the search at once.
+    Infinite or nan interpolants fail the acceptance test and give the
+    midpoint.  The point is then projected, as in ITP (Oliveira & Takahashi,
+    ACM TOMS 47(1), 2021), onto the radius of the midpoint that keeps the
+    bracket after step j no wider than ``tol * 2^(n - j) / 2``, with n
+    bisection's step count plus n0 = 1.
+
+    So the search ends within bisection's steps + 1, whatever ``f``.  Where
+    the early steps cut the bracket well, as on a smooth ``f`` near a simple
+    root, the projection leaves Brent's steps as they are and they converge
+    superlinearly; where they cut it little (a steep one-sided ``f``, such as
+    a CDF far in its tail), the projection takes over and the search runs at
+    bisection's pace.
     """
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         return lo if abs(flo) <= abs(fhi) else hi
-    kappa1 = 0.2 / (hi - lo)  # kappa2 = 2
     n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1  # bisection's steps + n0
     # (tol / 2) * 2^(n_max - j) at step j: no bracket after step j is wider.
     radius = 0.5 * tol * 2.0**n_max
+    least = 0.5 * tol
+    # b and c are the bracket's ends, a the point b held before the last step;
+    # d is the last step and e the one before it.
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc, d = a, fa, b - a
+    e = d
     for _ in range(n_max):
-        width, mid = hi - lo, 0.5 * (lo + hi)
-        if width <= tol or mid == lo or mid == hi:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        width, mid = abs(c - b), 0.5 * (b + c)
+        if width <= tol or mid == b or mid == c:
             break
-        # A nan (infinite values at both ends) falls back to the midpoint.
-        xf = lo + width * (flo / (flo - fhi))
-        toward = 1.0 if xf <= mid else -1.0
-        delta = kappa1 * width * width
-        xt = xf + toward * delta if delta <= abs(mid - xf) else mid
-        r = radius - 0.5 * width
-        x = xt if abs(xt - mid) <= r else mid - toward * r
-        if not lo < x < hi:
+        half = 0.5 * (c - b)
+        step = half
+        if abs(e) >= least and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # Brent's acceptance test; its products may underflow to 0 or be
+            # nan, and then it fails, so p / q never divides by 0.
+            if 2.0 * p < min(3.0 * half * q - abs(least * q), abs(e * q)):
+                step = p / q
+        if abs(step) < least:
+            step = math.copysign(least, half)
+        reach = radius - 0.5 * width
+        x = min(max(b + step, mid - reach), mid + reach)
+        if not min(b, c) < x < max(b, c):
             x = mid
+        if x == b + step and step != half:
+            e, d = d, step
+        else:  # a midpoint or a projected step
+            e = d = x - b
         fx = f(x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
+        a, fa, b, fb = b, fb, x, fx
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            e = d = b - a
         radius *= 0.5
-    return 0.5 * (lo + hi)
+    return 0.5 * (b + c)
 
 
 def _cell_extrema(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
@@ -498,9 +545,10 @@ class DistributionPair:
         on the pair: at most 302 points per class over a built-in's
         40-radius sweep (``degenerate``), 129 for a 64-bump solve and 513
         for a 256-bump one.  ``certify._quantile`` fills it too: the root
-        finder's iterates on the class CDFs, 29-173 points per
-        ``_tight_window`` on a fresh built-in (33-177 evaluations; each
-        quantile search reads its bracket's two ends again).
+        finder's iterates on the class CDFs, 8-94 points per
+        ``_tight_window`` on a fresh built-in (20-98 evaluations; each
+        quantile search reads its bracket's two ends again, after reading
+        them while it widens an all-Gaussian class's bracket).
         """
         components = self._components(which)
         memo = self._cdf_memo[which]

@@ -650,9 +650,10 @@ def test_roots_straddle_literal_sign_change(pair, eps):
 
 
 def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
-    """The 16-bump pair at eps 0.3 has 61 brackets; bisecting each from one
-    sample spacing down to _BISECT_TOL took 36 defect evaluations, two scalar
-    ``pdf`` calls each."""
+    """The 16-bump pair at eps 0.3 has 35 brackets.  Refining each from one
+    sample spacing down to _BISECT_TOL takes 6.6 defect evaluations on
+    average, two scalar ``pdf`` calls each, both ends included; bisection
+    took 36 and ITP's regula falsi steps 10.5."""
     brackets, calls, inside = [0], [0], [False]
     find, pdf = conditions.itp_root, DistributionPair.pdf
 
@@ -672,7 +673,7 @@ def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
     monkeypatch.setattr(DistributionPair, "pdf", counted_pdf)
     solve_first_order(bump_pair(16), 0.3)
     assert brackets[0] > 0
-    assert calls[0] / 2 <= 16 * brackets[0]
+    assert calls[0] / 2 <= 7 * brackets[0]
 
 
 @given(st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0]), max_size=7),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -256,6 +256,39 @@ class TestScalarSums:
             assert [pair.cdf(which, x).hex() for x in xs] == expected
 
 
+@st.composite
+def root_brackets(draw):
+    """``(f, lo, hi, tol, root)``: a bracket with one sign change of ``f`` at
+    ``root``, strictly inside it.  ``f`` is smooth with a simple root (a
+    monotone cubic, a steep exponential, a saturating tanh), a step with
+    lopsided sides, or either with infinite values at the bracket's ends (a
+    log-density gap against a zero density)."""
+    lo = draw(st.floats(-100.0, 100.0))
+    width = 10.0 ** draw(st.floats(-6.0, 3.0))
+    hi = lo + width
+    root = lo + width * draw(st.one_of(st.floats(1e-3, 1.0 - 1e-3),
+                                       st.sampled_from([1e-9, 0.5, 1.0 - 1e-9])))
+    assume(lo < root < hi)
+    tol = 10.0 ** draw(st.floats(-12.0, -2.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    kind = draw(st.sampled_from(["cubic", "exp", "tanh", "step"]))
+    k = 10.0 ** draw(st.floats(-2.0, 3.0))
+    if kind == "cubic":
+        f = lambda x: sign * (x - root) * (1.0 + k * (x - root) ** 2)
+    elif kind == "exp":
+        k = min(k, 500.0 / width)  # no overflow
+        f = lambda x: sign * math.expm1(k * (x - root))
+    elif kind == "tanh":
+        f = lambda x: sign * math.tanh(k * (x - root))
+    else:
+        low, high = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
+        f = lambda x: sign * (-low if x < root else high)
+    if draw(st.booleans()):
+        smooth = f
+        f = lambda x: sign * (-math.inf if x == lo else math.inf) if x in (lo, hi) else smooth(x)
+    return f, lo, hi, tol, root
+
+
 class TestItpRoot:
     """Bracketed root finder: the final bracket is no wider than ``tol`` (up
     to the rounding of its ends)."""
@@ -290,7 +323,26 @@ class TestItpRoot:
     def test_smooth_root_in_few_steps(self):
         g, calls = self.counted(math.cos)
         itp_root(g, 1.0, 2.0, 1e-12)
-        assert len(calls) <= 12  # bisection: 2 + 40
+        assert len(calls) <= 7  # bisection: 2 + 40; brentq: 7
+
+    @given(root_brackets())
+    @settings(deadline=None, max_examples=300)
+    def test_drawn_brackets(self, case):
+        """An exact zero, or the midpoint of a final bracket no wider than
+        ``tol`` whose ends have opposite signs, within bisection's steps + 1."""
+        f, lo, hi, tol, root = case
+        g, calls = self.counted(f)
+        x = itp_root(g, lo, hi, tol)
+        assert calls[:2] == [lo, hi]
+        assert len(calls) <= 2 + max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
+        if f(x) == 0.0:
+            return
+        sign_of = lambda u: (f(u) > 0.0) - (f(u) < 0.0)
+        below = max(u for u in calls if u <= x and sign_of(u) == sign_of(lo))
+        above = min(v for v in calls if v >= x and sign_of(v) == sign_of(hi))
+        assert x == 0.5 * (below + above)
+        assert above - below <= tol + 4.0 * math.ulp(max(abs(below), abs(above)))
+        assert below <= root <= above
 
     def test_end_values_without_sign_change(self):
         # a zero end is returned as is; ends of one sign (a sample within an
