@@ -174,12 +174,11 @@ def itp_root(f, lo: float, hi: float, tol: float) -> float:
     for _ in range(n_max):
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        width, mid = abs(c - b), 0.5 * (b + c)
-        if width <= tol or mid == b or mid == c:
+        half, mid = 0.5 * (c - b), 0.5 * (b + c)
+        if abs(c - b) <= tol or mid == b or mid == c:
             break
-        half = 0.5 * (c - b)
         step = half
-        if abs(e) >= least and abs(fa) > abs(fb):
+        if abs(fa) > abs(fb) and abs(e) >= least:
             s = fb / fa
             if a == c:
                 p, q = 2.0 * half * s, 1.0 - s
@@ -193,13 +192,17 @@ def itp_root(f, lo: float, hi: float, tol: float) -> float:
                 p = -p
             # Brent's acceptance test; its products may underflow to 0 or be
             # nan, and then it fails, so p / q never divides by 0.
-            if 2.0 * p < min(3.0 * half * q - abs(least * q), abs(e * q)):
+            if 2.0 * p < 3.0 * half * q - abs(least * q) and 2.0 * p < abs(e * q):
                 step = p / q
         if abs(step) < least:
-            step = math.copysign(least, half)
-        reach = radius - 0.5 * width
-        x = min(max(b + step, mid - reach), mid + reach)
-        if not min(b, c) < x < max(b, c):
+            step = least if half > 0.0 else -least
+        # ITP's projection onto the bisection envelope.
+        x, reach = b + step, radius - abs(half)
+        if x < mid - reach:
+            x = mid - reach
+        if x > mid + reach:  # also where rounding leaves reach below 0
+            x = mid + reach
+        if not (b < x < c or c < x < b):
             x = mid
         if x == b + step and step != half:
             e, d = d, step

@@ -11,10 +11,13 @@ import oracles
 from advbayes import examples
 from advbayes.cli import main
 from advbayes.certify import (
+    _QUANTILE_TOL,
     WORK_BUDGET,
     AtomList,
     BudgetExceeded,
     _pad_size,
+    _quantile,
+    _tight_window,
     _window_min,
     discretize,
     dp_slots,
@@ -27,6 +30,7 @@ from advbayes.solver import solve
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import IntervalSet
 from advbayes.risk import adversarial_risk
+from strategies import gaussian_mixture_pairs, wide_sigma_pairs
 from test_solver import _key_paths
 
 
@@ -62,6 +66,38 @@ class TestDiscretize:
         for pos, mass in ((0.0, np.nan), (np.nan, 0.5), (0.0, np.inf), (-np.inf, 0.5)):
             with pytest.raises(ValueError):
                 AtomList(positions=np.array([pos]), masses=np.array([mass]), klass=0)
+
+
+class TestQuantile:
+    """The quantile searches that bound the grid primal's window."""
+
+    @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
+                     wide_sigma_pairs()),
+           st.sampled_from([1e-7, 0.25, 0.5, 1.0 - 1e-7]), st.sampled_from([0, 1]))
+    @settings(deadline=None, max_examples=150)
+    def test_gaussian_class_cdf_crosses_the_target_within_tol(self, pair, q, which):
+        """A sum of weighted ``ndtr`` values does not decrease in x, so the
+        final bracket's ends, within tol of the result, straddle the target;
+        the slack allows for a rounding step down in ``ndtr``."""
+        x = _quantile(pair, which, q)
+        target = q * pair.total_mass(which)
+        slack = 4.0 * math.ulp(pair.total_mass(which))
+        assert pair.cdf(which, x - _QUANTILE_TOL) <= target + slack
+        assert pair.cdf(which, x + _QUANTILE_TOL) >= target - slack
+
+    @pytest.mark.parametrize("name, reads", [
+        # 141, 177, 64, 33, 105 and 37 with regula falsi over the finite extent
+        ("gaussians_equal_variances", 20), ("gaussians_equal_means", 20),
+        ("non_uniqueness_single", 47), ("non_uniqueness_all", 25), ("degenerate", 98),
+        ("deg_eta_0_1_counterexample", 20),
+    ])
+    def test_tight_window_cdf_reads(self, name, reads, monkeypatch):
+        calls = []
+        cdf = DistributionPair.cdf
+        monkeypatch.setattr(DistributionPair, "cdf",
+                            lambda self, which, x: calls.append(x) or cdf(self, which, x))
+        _tight_window(examples.example_pair(name, _DEFAULT_EPS[name]))
+        assert len(calls) <= reads
 
 
 class TestGridHGuard:
