@@ -76,6 +76,20 @@ def mixed_class_config() -> dict:
     return config
 
 
+def sparse_clusters_config() -> dict:
+    """Three clusters of bumps about 150 apart, sigmas from 0.3 to 1.5, each
+    class listed out of mean order.  Midway between two clusters every mean
+    lies more than 40 sigma_max away, so no component is within a point's
+    window, both densities underflow to 0, and the log-density gap decides
+    the samples there and the ends of the root brackets between clusters."""
+    rows = {"class0": [(0.06, 152.0, 1.1), (0.1, 2.0, 1.5), (0.07, 301.0, 0.3),
+                       (0.09, 0.0, 0.3), (0.08, 149.0, 0.5), (0.1, 298.5, 1.2)],
+            "class1": [(0.1, 300.0, 0.8), (0.08, 3.5, 0.5), (0.09, 151.0, 1.5),
+                       (0.07, 1.0, 0.8), (0.06, 303.0, 0.4), (0.1, 147.5, 0.7)]}
+    return {name: [{"type": "gaussian", "weight": w, "mu": mu, "sigma": sigma}
+                   for w, mu, sigma in comps] for name, comps in rows.items()}
+
+
 def gap_cells_config(k: int) -> dict:
     """Class 1 uniform on [4i, 4i+1] and class 0 uniform on [4i+2, 4i+3],
     i < k: every class boundary sits in a zero-density gap, so 2^(2k-1)
@@ -151,9 +165,14 @@ def pinned_runs() -> list[dict]:
              ("mixed_class.json", mixed_class_config(), "0.1"))
     # Tie-heavy pools: 32 and 128 minimizers in one class, listed by the walk.
     extra += tuple((f"gap_cells_k{k}.json", gap_cells_config(k), "0.1") for k in (3, 4))
+    extra += tuple(("sparse_clusters.json", sparse_clusters_config(), eps)
+                   for eps in ("0.2", "0.7"))
     for config, content, eps in extra:
         runs.append({"argv": ["solve", "--config", "{dir}/" + config, "--eps", eps],
                      "inputs": {config: content}})
+    runs.append({"argv": ["sweep", "--config", "{dir}/sparse_clusters.json", "--eps-min", "0.1",
+                          "--eps-max", "0.5", "--steps", "3", "--csv", "{dir}/sweep.csv"],
+                 "inputs": {"sparse_clusters.json": sparse_clusters_config()}})
     # Many-cell piecewise classes of mixed degree: array reads gather rows.
     cells = {"many_cells.json": many_cells_config(96)}
     runs.append({"argv": ["solve", "--config", "{dir}/many_cells.json", "--eps", "0.1"],
