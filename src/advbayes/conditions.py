@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -173,34 +175,69 @@ def _scan_bounds(pair: DistributionPair, eps: float, window: Interval) -> tuple[
     return lo, hi
 
 
-def _samples(pair: DistributionPair, eps: float, kind: str, a: float, b: float,
-             m: int) -> np.ndarray:
-    """Sample points of the scan segment [a, b].
+def _gaussian_points(pair: DistributionPair, eps: float, kind: str) -> np.ndarray:
+    """mu - sigma, mu and mu + sigma of every Gaussian the defect reads,
+    shifted by -+eps like the breakpoints, sorted: a narrow bump, or a
+    narrow piece of one sign around a mean, can lie between two evenly
+    spaced samples."""
+    plus, minus = _reads(kind)
+    classes = (pair.class0, pair.class1)
+    return np.array(sorted(c.mu + k * c.sigma + shift
+                           for which, shift in ((plus, -eps), (minus, eps))
+                           for c in classes[which] if isinstance(c, Gaussian)
+                           for k in (-1.0, 0.0, 1.0)), dtype=float)
 
-    ``m`` evenly spaced points just inside the segment, plus mu - sigma, mu
-    and mu + sigma (shifted by -+eps like the breakpoints) of every Gaussian
-    the defect reads: a narrow bump, or a narrow piece of one sign around a
-    mean, can lie between two evenly spaced samples.  Extra points that are
-    not already samples are merged in, so the points stay sorted and distinct.
+
+def _samples(extra: np.ndarray, a: float, b: float, m: int) -> np.ndarray:
+    """Sample points of the scan segment [a, b]: ``m`` evenly spaced points
+    just inside it, and the points of the sorted ``extra``
+    (``_gaussian_points``) strictly between the first and the last of them.
+
+    Each extra point goes where ``searchsorted`` puts it among the evenly
+    spaced ones, and a point equal to the one before it is dropped, so the
+    result is ``np.unique`` of both; with no extra point inside, the evenly
+    spaced points as they are.
     """
     inset = (b - a) * 1e-9
     xs = np.linspace(a + inset, b - inset, m)
+    inside = extra[np.searchsorted(extra, xs[0], side="right"):
+                   np.searchsorted(extra, xs[-1], side="left")]
+    if not len(inside):
+        return xs
+    at = np.searchsorted(xs, inside) + np.arange(len(inside))  # indices in the merged array
+    merged = np.empty(len(xs) + len(inside))
+    merged[at] = inside
+    rest = np.ones(len(merged), dtype=bool)
+    rest[at] = False
+    merged[rest] = xs
+    np.not_equal(merged[1:], merged[:-1], out=rest[1:])
+    rest[0] = True
+    return merged[rest]
+
+
+def _near_defect(pair: DistributionPair, eps: float, kind: str, lo: float,
+                 hi: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """The kind's defect on [lo, hi] as ``(raw, sign)``: ``defect`` and its
+    ``signed_gap``, bit for bit, with each class read through its
+    ``DistributionPair.near`` reader of the shifted interval, so a root
+    finder's reads inside one bracket share one window."""
     plus, minus = _reads(kind)
-    classes = (pair.class0, pair.class1)
-    extra = [c.mu + k * c.sigma + shift
-             for which, shift in ((plus, -eps), (minus, eps))
-             for c in classes[which] if isinstance(c, Gaussian)
-             for k in (-1.0, 0.0, 1.0)]
-    extra = [x for x in extra if xs[0] < x < xs[-1]]
-    return np.unique(np.concatenate([xs, extra])) if extra else xs
+    near = pair.near(plus, lo + eps, hi + eps), pair.near(minus, lo - eps, hi - eps)
+    p_plus, p_minus = near[0].pdf, near[1].pdf
+    return (lambda x: p_plus(x + eps) - p_minus(x - eps),
+            lambda x: signed_gap(pair, plus, x + eps, minus, x - eps, near))
 
 
-def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray,
-                  ends: list[int]) -> list[tuple[float, int]]:
-    """Zero samples, and a root found by ``itp_root`` on ``sign`` between each
-    pair of neighbouring samples of opposite sign; each root with the number
-    of samples up to and including its bracket's left end (a zero sample is
-    its own left end).
+def _sign_changes(near, xs: np.ndarray, vals: np.ndarray,
+                  ends: list[int]) -> list[tuple[float, int, Callable[[float], float]]]:
+    """Zero samples, and a root found by ``itp_root`` between each pair of
+    neighbouring samples of opposite sign; each root with the number of
+    samples up to and including its bracket's left end (a zero sample is its
+    own left end) and the bracket's ``raw`` defect.
+
+    ``near(lo, hi)`` gives ``(raw, sign)`` on [lo, hi] (``_near_defect``);
+    the root finder reads ``sign`` of the bracket, and a zero sample x gets
+    ``near(x, x)``'s ``raw``.
 
     The samples are runs laid end to end, each ending before the index in
     ``ends``.  No bracket spans two runs, and a zero sample is read within its
@@ -225,12 +262,15 @@ def _sign_changes(sign, xs: np.ndarray, vals: np.ndarray,
             else:
                 hits.discard(end - 1)
         start = end
-    roots: list[tuple[float, int]] = []
+    roots: list[tuple[float, int, Callable[[float], float]]] = []
     for i in sorted(hits):
+        lo = float(xs[i])
         if zero[i]:
-            roots.append((float(xs[i]), i + 1))
+            roots.append((lo, i + 1, near(lo, lo)[0]))
         else:
-            roots.append((itp_root(sign, float(xs[i]), float(xs[i + 1]), _BISECT_TOL), i + 1))
+            hi = float(xs[i + 1])
+            raw, sign = near(lo, hi)
+            roots.append((itp_root(sign, lo, hi, _BISECT_TOL), i + 1, raw))
     return roots
 
 
@@ -255,16 +295,18 @@ def _segments(pair: DistributionPair, eps: float, kind: str,
 
     The scanned range ``_scan_bounds`` is cut at the shifted density
     breakpoints, and each segment gets ``_samples`` with a share of GRID_N
-    samples in proportion to its length, and at least 9.  All segments'
-    samples form one array, so the scan reads each class density once; each
-    segment's ``xs`` and ``vals`` are views into it.  ``vals`` is the defect,
-    and a segment is a plateau where |vals| <= TAU_PLATEAU at every sample.
-    Off a plateau, where both shifted densities are subnormal or 0 the value
-    is the log-density gap, which carries the sign.  Only the sign of each
-    sample picks the brackets of ``_sign_changes``; ``itp_root`` evaluates
-    their ends again with the scalar ``signed_gap``, so roots equal a
-    scalar-sampled scan's unless a sample is within rounding of zero
-    (np.exp and math.exp may differ by one ulp).
+    samples in proportion to its length, and at least 9, and the kind's
+    ``_gaussian_points`` (built once) that fall inside it.  All segments'
+    samples form one array, so the scan reads each class density once (an
+    all-Gaussian class only on the points within each component's reach);
+    each segment's ``xs`` and ``vals`` are views into it.  ``vals`` is the
+    defect, and a segment is a plateau where |vals| <= TAU_PLATEAU at every
+    sample.  Off a plateau, where both shifted densities are subnormal or 0
+    the value is the log-density gap, which carries the sign.  Only the sign
+    of each sample picks the brackets of ``_sign_changes``; ``itp_root``
+    evaluates their ends again with the scalar ``signed_gap``'s bits, so
+    roots equal a scalar-sampled scan's unless a sample is within rounding
+    of zero (np.exp and math.exp may differ by one ulp).
 
     Empty when the range is; ``ScanOverflow`` when GRID_N times its width
     overflows.
@@ -276,7 +318,8 @@ def _segments(pair: DistributionPair, eps: float, kind: str,
         raise ScanOverflow(f"eps={eps!r} is too large: the scanned range [{lo!r}, {hi!r}] "
                            "is too wide to sample")
     edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
-    pieces = [_samples(pair, eps, kind, a, b, max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1))
+    extra = _gaussian_points(pair, eps, kind)
+    pieces = [_samples(extra, a, b, max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1))
               for a, b in zip(edges, edges[1:])]
     starts = list(itertools.accumulate(map(len, pieces), initial=0))
     plus, minus = _reads(kind)
@@ -298,17 +341,15 @@ def _segments(pair: DistributionPair, eps: float, kind: str,
 def _scan_kind(pair: DistributionPair, eps: float, kind: str,
                window: Interval) -> list[CandidatePoint]:
     g = lambda x: defect(pair, eps, kind, x)
-    plus, minus = _reads(kind)
-    # Where both shifted densities are subnormal or 0, log-densities give the sign.
-    sign = lambda x: signed_gap(pair, plus, x + eps, minus, x - eps)
     segments = _segments(pair, eps, kind, window)
     if not segments:
         return []
     lo, hi = segments[0][0], segments[-1][1]
 
     # Each root and plateau with the number of non-plateau samples before its
-    # right side: the verdicts read the samples on both sides of it.
-    roots: dict[float, int] = {}
+    # right side: the verdicts read the samples on both sides of it.  A root
+    # also keeps its bracket's defect, which gives its residual.
+    roots: dict[float, tuple[int, Callable[[float], float]]] = {}
     # Maximal plateau runs, reported as closed hulls of their segments.
     plateaus: list[tuple[float, float, int]] = []
     # Sign changes across a defect breakpoint: the endpoint location is
@@ -337,8 +378,9 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
     values = np.zeros(0)
     if runs_v:
         values = np.concatenate(runs_v)
-        for r, k in _sign_changes(sign, np.concatenate(runs_x), values, ends):
-            roots.setdefault(r, k)
+        near = functools.partial(_near_defect, pair, eps, kind)
+        for r, k, raw in _sign_changes(near, np.concatenate(runs_x), values, ends):
+            roots.setdefault(r, (k, raw))
 
     out: list[CandidatePoint] = []
     taken: list[float] = []  # kept sorted
@@ -347,11 +389,11 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
                                   second_order=_verdict(values, k), residual=0.0))
         bisect.insort(taken, p_lo)
         bisect.insort(taken, p_hi)
-    for r, k in sorted(roots.items()):
+    for r, (k, raw) in sorted(roots.items()):
         if near_sorted(taken, r, 1e-11, relative=True):
             continue
         out.append(CandidatePoint(kind=kind, location=r, second_order=_verdict(values, k),
-                                  residual=g(r)))
+                                  residual=raw(r)))
         bisect.insort(taken, r)
     # Jump points, then discontinuity-shifted points: the latter are
     # admissible endpoints regardless of any sign change, since the
@@ -397,7 +439,7 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     ``finite_extent`` and constant on each side of it: a crossing beyond that
     range is dropped even where the densities have not underflowed to 0.
     """
-    sign = lambda x: signed_gap(pair, 1, x, 0, x)
+    near = functools.partial(_near_defect, pair, 0.0, "a")
     pts = set(pair.breakpoints(0)) | set(pair.breakpoints(1))
     plateaus: list[tuple[float, float]] = []
     runs_x: list[np.ndarray] = []
@@ -417,9 +459,9 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
         n += len(vals)
         ends.append(n)
     if n:
-        xs, vals, ends = _split_same_sign(pair, sign, np.concatenate(runs_x),
+        xs, vals, ends = _split_same_sign(pair, near, np.concatenate(runs_x),
                                           np.concatenate(runs_v), ends)
-        pts.update(r for r, _ in _sign_changes(sign, xs, vals, ends))
+        pts.update(r for r, _, _ in _sign_changes(near, xs, vals, ends))
     return _positive_set(pair, sorted(pts), plateaus)
 
 
@@ -469,14 +511,15 @@ def _root_free(ranges: tuple[_LogRange, _LogRange], xs: np.ndarray,
     return np.where(positive, _above(lo1, hi0), _above(lo0, hi1))
 
 
-def _split_same_sign(pair: DistributionPair, sign, xs: np.ndarray, vals: np.ndarray,
+def _split_same_sign(pair: DistributionPair, near, xs: np.ndarray, vals: np.ndarray,
                      ends: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The samples of ``_sign_changes``, with a sample of the other sign (or
     0) added inside each same-sign bracket that holds one.
 
     A bracket between two nonzero samples of one sign is root-free where
     ``_root_free`` says so.  Otherwise it is halved, breadth first, and each
-    midpoint's ``sign`` read, until a midpoint of the other sign or 0 is
+    midpoint's sign read (``near``'s, as in ``_sign_changes``), until a
+    midpoint of the other sign or 0 is
     found, every piece is root-free, or _SPLIT_BUDGET midpoints are spent;
     the last leaves the bracket as it was, as a touch point (a double root
     of p1 - p0) always does.
@@ -490,7 +533,8 @@ def _split_same_sign(pair: DistributionPair, sign, xs: np.ndarray, vals: np.ndar
     open_ = i_same[~_root_free(ranges, xs, pos[:-1])[i_same]]
     at, added = [], []
     for i in open_.tolist():
-        found = _search_bracket(ranges, sign, float(xs[i]), float(xs[i + 1]), bool(pos[i]))
+        u, v = float(xs[i]), float(xs[i + 1])
+        found = _search_bracket(ranges, near(u, v)[1], u, v, bool(pos[i]))
         if found is not None:
             at.append(i + 1)
             added.append(found)

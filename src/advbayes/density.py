@@ -9,6 +9,11 @@ resolved at 1e-9.
 The normal CDF and its inverse are scipy's ``ndtr`` and ``ndtri``.
 ``scipy.special`` is imported on the first Gaussian CDF or quantile read,
 not with this module, so a process that reads neither never loads it.
+
+Scalar sums over components or intervals are written as left folds from
+0, one rounding per term, as the array reads add and as ``sum`` adds up to
+Python 3.11: from 3.12 on ``sum`` compensates float sums, so its bits
+would depend on the version.
 """
 
 from __future__ import annotations
@@ -63,8 +68,15 @@ class Gaussian:
         return self.weight * math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def pdf_array(self, xs: np.ndarray) -> np.ndarray:
-        z = (xs - self.mu) / self.sigma
-        return self.weight * np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        # ``pdf``'s operations in its order, in place on one temporary.
+        z = xs - self.mu
+        z /= self.sigma
+        t = z * -0.5
+        t *= z
+        np.exp(t, out=t)
+        t *= self.weight
+        t /= self.sigma * math.sqrt(2.0 * math.pi)
+        return t
 
     def logpdf_array(self, xs: np.ndarray) -> np.ndarray:
         z = (xs - self.mu) / self.sigma
@@ -409,23 +421,80 @@ DensityComponent = Union[Gaussian, PiecewisePoly]
 
 
 class _ComponentSums:
-    """Density of one class at a point: the sum over its components."""
+    """Density of one class: the sum over its components, in their order."""
 
     def __init__(self, components: tuple[DensityComponent, ...]):
         self.components = components
 
     def pdf(self, x: float) -> float:
-        return sum(c.pdf(x) for c in self.components)
+        acc = 0
+        for c in self.components:
+            acc += c.pdf(x)
+        return acc
+
+    def pdf_array(self, xs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(xs, dtype=float)
+        # Far out on a huge radius's range a Gaussian's z * z overflows to inf,
+        # and its term is then exactly 0, as in the scalar ``pdf``.
+        with np.errstate(over="ignore"):
+            for c in self.components:
+                out += c.pdf_array(xs)
+        return out
+
+    def near(self, lo: float, hi: float) -> _ComponentSums:
+        """A reader whose ``pdf`` gives this class's bits on [lo, hi]: the
+        class itself."""
+        return self
+
+
+_Row = tuple[float, float, float, float]
+
+
+def _row_sum(rows: Sequence[_Row], x: float) -> float:
+    """``Gaussian.pdf`` of each ``(mu, sigma, weight, sigma*sqrt(2*pi))`` row
+    at x, in its operation order, added left to right from 0.0."""
+    acc, exp = 0.0, math.exp
+    for mu, sigma, weight, norm in rows:
+        z = (x - mu) / sigma
+        acc += weight * exp(-0.5 * z * z) / norm
+    return acc
+
+
+class _Near:
+    """The rows of an all-Gaussian class within reach of an interval; its
+    ``pdf`` gives the class's bits at every point of the interval."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[_Row]):
+        self.rows = rows
+
+    def pdf(self, x: float) -> float:
+        return _row_sum(self.rows, x)
 
 
 class _GaussianSums(_ComponentSums):
-    """``_ComponentSums`` of an all-Gaussian class, bit for bit, over a window.
+    """``_ComponentSums`` of an all-Gaussian class, bit for bit, summed only
+    over the components within reach.
 
-    Each term is ``Gaussian.pdf``'s expression in the same operation order,
-    from one precomputed ``(mu, sigma, weight, sigma*sqrt(2*pi))`` row.  A
-    component more than 40·sigma_max from x has ``exp(-0.5*z*z) == 0.0`` (it
-    underflows past z = 38.6), so its term is exactly +0.0, and leaving such
-    a term out changes no bit.  The rest are summed in component order.
+    A component more than 40·sigma_max from x has ``exp(-0.5*z*z) == 0.0``
+    (it underflows past z = 38.6), so its term is exactly +0.0, and leaving
+    such a term out changes no bit.  The rest are added in component order.
+    Three reads use this:
+
+    - ``pdf(x)`` sums the rows of ``_window(x, x)``, each term
+      ``Gaussian.pdf``'s expression in its operation order, from one
+      precomputed ``(mu, sigma, weight, sigma*sqrt(2*pi))`` row;
+    - ``near(lo, hi)`` fixes the rows of ``_window(lo, hi)`` once, for a
+      root finder's many reads inside one bracket: each row left out is
+      beyond reach of every point of [lo, hi], and each row kept that is
+      beyond reach of a point adds +0.0 there;
+    - ``pdf_array`` adds each component's ``Gaussian.pdf_array`` only on
+      the sorted points within its reach, one ``searchsorted`` slice per
+      component, in component order.
+
+    A class whose means all lie within one reach of one another leaves
+    nothing out near them, so it is read as ``_ComponentSums`` reads it.
     """
 
     def __init__(self, components: tuple[Gaussian, ...]):
@@ -440,27 +509,54 @@ class _GaussianSums(_ComponentSums):
         # With every mean within 2^40·sigma of 0, x ± reach rounds by far less
         # than the 40 versus 38.6 sigma margin wherever a mean is that close.
         self._reach = 40.0 * sigma if top <= 2.0**40 * sigma else INF
-        # The window is taken at finite x; at ±inf and nan every component is
-        # summed.  Means that all lie within the reach of one another leave
-        # nothing out near them: no window then.
+        # The window is taken on finite intervals; at ±inf and nan every
+        # component is summed.  Means that all lie within the reach of one
+        # another leave nothing out near them: no window then.
         self._limit = INF if self._mus[-1] - self._mus[0] > self._reach else 0.0
+        # Each component's reach, in component order, for ``pdf_array``.
+        self._spans = np.array([[g.mu - self._reach for g in components],
+                                [g.mu + self._reach for g in components]])
 
-    def _window(self, x: float) -> list[tuple[float, float, float, float]]:
-        if not -self._limit < x < self._limit:
+    def _window(self, lo: float, hi: float) -> Sequence[_Row]:
+        """The rows within reach of [lo, hi], in component order."""
+        if not (-self._limit < lo and hi < self._limit):
             return self._rows
-        lo = bisect.bisect_left(self._mus, x - self._reach)
-        hi = bisect.bisect_right(self._mus, x + self._reach)
+        i = bisect.bisect_left(self._mus, lo - self._reach)
+        j = bisect.bisect_right(self._mus, hi + self._reach)
         if self._in_order:
-            return self._rows[lo:hi]
+            return self._rows[i:j]
         rows = self._rows
-        return [rows[i] for i in sorted(self._order[lo:hi])]
+        return [rows[k] for k in sorted(self._order[i:j])]
 
     def pdf(self, x: float) -> float:
-        acc, exp = 0.0, math.exp
-        for mu, sigma, weight, norm in self._window(x):
-            z = (x - mu) / sigma
-            acc += weight * exp(-0.5 * z * z) / norm
-        return acc
+        return _row_sum(self._window(x, x), x)
+
+    def near(self, lo: float, hi: float) -> _Near:
+        return _Near(self._window(lo, hi))
+
+    def pdf_array(self, xs: np.ndarray) -> np.ndarray:
+        if not self._limit:
+            return super().pdf_array(xs)
+        xs = np.asarray(xs, dtype=float)
+        flat = xs.ravel()
+        order = None
+        if not (flat[:-1] <= flat[1:]).all():  # unsorted, or holding nan
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+        out = np.zeros_like(flat)
+        # nan sorts last and lies in no slice; it reads every component below.
+        starts = np.searchsorted(flat, self._spans[0], side="left").tolist()
+        stops = np.searchsorted(flat, self._spans[1], side="right").tolist()
+        with np.errstate(over="ignore"):  # as in ``_ComponentSums.pdf_array``
+            for g, i, j in zip(self.components, starts, stops):
+                if i < j:
+                    out[i:j] += g.pdf_array(flat[i:j])
+        n = int(np.searchsorted(flat, INF, side="right"))
+        if n < len(flat):
+            out[n:] = super().pdf_array(flat[n:])
+        if order is not None:
+            out[order] = out.copy()
+        return out.reshape(xs.shape)
 
 
 def _class_index_error(which: int) -> ValueError:
@@ -508,13 +604,21 @@ class DistributionPair:
         raise _class_index_error(which)
 
     def pdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(xs, dtype=float)
-        # Far out on a huge radius's range a Gaussian's z * z overflows to inf,
-        # and its term is then exactly 0, as in the scalar ``pdf``.
-        with np.errstate(over="ignore"):
-            for c in self._components(which):
-                out += c.pdf_array(xs)
-        return out
+        """``pdf`` at every point of ``xs``, with its bits: an all-Gaussian
+        class whose means spread beyond one reach adds each component only on
+        the points within its reach (``_GaussianSums``), any other class every
+        component on every point."""
+        if which == 0 or which == 1:
+            return self._class_sums[which].pdf_array(xs)
+        raise _class_index_error(which)
+
+    def near(self, which: int, lo: float, hi: float) -> _ComponentSums | _Near:
+        """A reader of class ``which`` whose ``pdf(x)`` equals ``pdf(which, x)``
+        bit for bit at every x in [lo, hi]: an all-Gaussian class's rows within
+        reach of the interval, fixed once, or the whole class."""
+        if which == 0 or which == 1:
+            return self._class_sums[which].near(lo, hi)
+        raise _class_index_error(which)
 
     def logpdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
         """log pdf, finite where a Gaussian tail underflows ``pdf_array`` to 0.
@@ -557,7 +661,10 @@ class DistributionPair:
         memo = self._cdf_memo[which]
         v = memo.get(x)
         if v is None:
-            v = memo[x] = sum(c.cdf(x) for c in components)
+            v = 0
+            for c in components:
+                v += c.cdf(x)
+            memo[x] = v
         return v
 
     def cdf_array(self, which: int, xs: np.ndarray) -> np.ndarray:
@@ -589,10 +696,16 @@ class DistributionPair:
         return self.cdf(which, interval.hi) - self.cdf(which, interval.lo)
 
     def mass_set(self, which: int, s: IntervalSet) -> float:
-        return sum(self.mass(which, iv) for iv in s)
+        acc = 0
+        for iv in s:
+            acc += self.mass(which, iv)
+        return acc
 
     def total_mass(self, which: int) -> float:
-        return sum(c.total_mass for c in self._components(which))
+        acc = 0
+        for c in self._components(which):
+            acc += c.total_mass
+        return acc
 
     # -- structure ----------------------------------------------------------
 
@@ -628,7 +741,10 @@ class DistributionPair:
         return any(isinstance(c, Gaussian) for c in self._components(which))
 
     def sup_density(self, which: int) -> float:
-        return sum(c.sup_density for c in self._components(which))
+        acc = 0
+        for c in self._components(which):
+            acc += c.sup_density
+        return acc
 
     @functools.cached_property
     def eta_degenerate_on_support(self) -> bool:
@@ -676,10 +792,18 @@ def log_gap(pair: DistributionPair, plus: int, xp: np.ndarray, minus: int,
     return np.where(np.isnan(gap), 0.0, gap)
 
 
-def signed_gap(pair: DistributionPair, plus: int, xp: float, minus: int, xm: float) -> float:
+def signed_gap(pair: DistributionPair, plus: int, xp: float, minus: int, xm: float,
+               near: tuple | None = None) -> float:
     """p_plus(xp) - p_minus(xm), or ``log_gap`` where both densities are below the
-    normal range: there the difference of subnormals loses the sign."""
-    hi, lo = pair.pdf(plus, xp), pair.pdf(minus, xm)
+    normal range: there the difference of subnormals loses the sign.
+
+    ``near``, the two classes' ``DistributionPair.near`` readers of intervals
+    holding xp and xm, reads the densities with the same bits and less work.
+    """
+    if near is None:
+        hi, lo = pair.pdf(plus, xp), pair.pdf(minus, xm)
+    else:
+        hi, lo = near[0].pdf(xp), near[1].pdf(xm)
     if hi < TINY and lo < TINY:
         return float(log_gap(pair, plus, np.array([xp]), minus, np.array([xm]))[0])
     return hi - lo

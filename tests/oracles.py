@@ -181,9 +181,18 @@ def oracle_adv_risk(ref, pairs: list[tuple[float, float]], eps: float) -> float:
     return fn + fp
 
 
+def left_fold(values) -> float:
+    """``values`` added left to right from 0, as ``sum`` adds them up to
+    Python 3.11 (from 3.12 on it compensates float sums)."""
+    acc = 0
+    for v in values:
+        acc += v
+    return acc
+
+
 def class_cdf(pair, which: int, x: float) -> float:
     """Class CDF summed from the component CDFs, without the pair's memo."""
-    return sum(c.cdf(x) for c in (pair.class0, pair.class1)[which])
+    return left_fold(c.cdf(x) for c in (pair.class0, pair.class1)[which])
 
 
 def mass_set_risk(pair, s, eps: float):
@@ -193,7 +202,7 @@ def mass_set_risk(pair, s, eps: float):
     algebra, with class CDFs from ``class_cdf`` rather than the pair's memo.
     """
     def mass_set(which, t):
-        return sum(class_cdf(pair, which, iv.hi) - class_cdf(pair, which, iv.lo)
+        return left_fold(class_cdf(pair, which, iv.hi) - class_cdf(pair, which, iv.lo)
                    if iv.lo < iv.hi else 0.0 for iv in t)
 
     fn = mass_set(1, s.complement().expand(eps))
@@ -448,7 +457,7 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
     starts, brackets = [], {}  # len(flat) at each segment; ITP roots' bracket ends
     for a, b in zip(edges, edges[1:]):
         m = max(9, int(round(grid_n * (b - a) / total)) + 1)
-        xs = fo._samples(pair, eps, kind, a, b, m)
+        xs = unique_samples(pair, eps, kind, a, b, m)
         vals = [g(float(x)) for x in xs]
         is_plateau = max(abs(v) for v in vals) <= fo.TAU_PLATEAU
         if not is_plateau:
@@ -531,9 +540,30 @@ def _literal_scan_kind(pair, eps, kind, grid_n, window):
     return out
 
 
+def unique_samples(pair, eps: float, kind: str, a: float, b: float, m: int) -> np.ndarray:
+    """The points ``conditions._samples`` must give on the scan segment [a, b]:
+    ``m`` evenly spaced points just inside it, and mu - sigma, mu and
+    mu + sigma (shifted by -+eps) of every Gaussian the defect reads that lie
+    strictly between the first and the last of them, merged by ``np.unique``
+    over all the points; the evenly spaced points as they are when no extra
+    point lies inside."""
+    from advbayes.density import Gaussian
+
+    inset = (b - a) * 1e-9
+    xs = np.linspace(a + inset, b - inset, m)
+    plus, minus = (1, 0) if kind == "a" else (0, 1)
+    classes = (pair.class0, pair.class1)
+    extra = [c.mu + k * c.sigma + shift
+             for which, shift in ((plus, -eps), (minus, eps))
+             for c in classes[which] if isinstance(c, Gaussian)
+             for k in (-1.0, 0.0, 1.0)]
+    extra = [x for x in extra if xs[0] < x < xs[-1]]
+    return np.unique(np.concatenate([xs, extra])) if extra else xs
+
+
 def per_segment_reading(pair, eps: float, kind: str, window):
     """The first-order scan's segments read one at a time, as ``(a, b, xs,
-    vals, is_plateau)``: each segment's points from ``conditions._samples``,
+    vals, is_plateau)``: each segment's points from ``unique_samples``,
     each class density read on them with its own ``pdf_array`` call, and off
     a plateau the log-density gap where both densities are subnormal or 0.
     ``conditions._segments`` reads all segments of a kind at once and must
@@ -549,7 +579,7 @@ def per_segment_reading(pair, eps: float, kind: str, window):
     out = []
     for a, b in zip(edges, edges[1:]):
         m = max(9, int(round(fo.GRID_N * (b - a) / (hi - lo))) + 1)
-        xs = fo._samples(pair, eps, kind, a, b, m)
+        xs = unique_samples(pair, eps, kind, a, b, m)
         p_plus, p_minus = pair.pdf_array(plus, xs + eps), pair.pdf_array(minus, xs - eps)
         vals = p_plus - p_minus
         is_plateau = bool(np.max(np.abs(vals)) <= fo.TAU_PLATEAU)

@@ -11,7 +11,7 @@ import oracles
 from strategies import (NARROW_GAP_PAIR, gaussian_mixture_pairs, mixed_pairs,
                         piecewise_poly_pairs, wide_sigma_pairs)
 from advbayes import conditions, examples
-from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
+from advbayes.density import TINY, DistributionPair, Gaussian, PiecewisePoly, log_gap
 from advbayes.conditions import (
     FAIL,
     INCONCLUSIVE,
@@ -652,28 +652,100 @@ def test_roots_straddle_literal_sign_change(pair, eps):
 def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
     """The 16-bump pair at eps 0.3 has 35 brackets.  Refining each from one
     sample spacing down to _BISECT_TOL takes 6.6 defect evaluations on
-    average, two scalar ``pdf`` calls each, both ends included; bisection
-    took 36 and ITP's regula falsi steps 10.5."""
-    brackets, calls, inside = [0], [0], [False]
-    find, pdf = conditions.itp_root, DistributionPair.pdf
+    average, both ends included; bisection took 36 and ITP's regula falsi
+    steps 10.5.  Each evaluation is counted where the root finder makes it,
+    whichever density reader serves it."""
+    brackets, calls = [0], [0]
+    find = conditions.itp_root
 
-    def counted_find(*args):
+    def counted_find(f, *args):
         brackets[0] += 1
-        inside[0] = True
-        try:
-            return find(*args)
-        finally:
-            inside[0] = False
 
-    def counted_pdf(self, which, x):
-        calls[0] += inside[0]
-        return pdf(self, which, x)
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        return find(counted, *args)
 
     monkeypatch.setattr(conditions, "itp_root", counted_find)
-    monkeypatch.setattr(DistributionPair, "pdf", counted_pdf)
     solve_first_order(bump_pair(16), 0.3)
     assert brackets[0] > 0
-    assert calls[0] / 2 <= 7 * brackets[0]
+    assert calls[0] <= 7 * brackets[0]
+
+
+# Two clusters 150 apart: midway both densities underflow to 0 and no
+# component is within reach, so the log-density gap signs the defect there.
+_GAP_CLUSTERS_PAIR = DistributionPair(
+    class0=[Gaussian(weight=0.3, mu=150.0, sigma=1.5), Gaussian(weight=0.2, mu=0.0, sigma=0.3)],
+    class1=[Gaussian(weight=0.25, mu=2.0, sigma=1.5), Gaussian(weight=0.25, mu=148.0, sigma=0.5)])
+
+
+@given(st.one_of(gaussian_mixture_pairs(mu=60.0, sigma=(0.1, 0.5)), gaussian_mixture_pairs(),
+                 mixed_pairs(), wide_sigma_pairs()),
+       st.floats(0.0, 1.0), st.sampled_from("ab"), st.data())
+@example(_GAP_CLUSTERS_PAIR, 0.2, "a", None)
+@settings(deadline=None, max_examples=150)
+def test_near_defect_bits(pair, eps, kind, data):
+    """A bracket's ``_near_defect`` reads the kind's defect and its
+    ``signed_gap`` bit for bit at points inside the bracket, though each
+    class is summed only over its components within reach of the bracket:
+    the reference sums every component."""
+    if data is None:  # the pinned example: a bracket midway between the clusters
+        lo, hi, inner = 74.0, 76.5, [74.9, 75.25, 76.0]
+    else:
+        lo_ext, hi_ext = pair.finite_extent()
+        # Out to 50 sigmas past the extent: across every component's reach.
+        far = 50.0 * max([c.sigma for c in pair.class0 + pair.class1
+                          if isinstance(c, Gaussian)], default=1.0)
+        lo = data.draw(st.floats(lo_ext - far, hi_ext + far))
+        hi = lo + 10.0 ** data.draw(st.floats(-6.0, 1.5))
+        inner = [min(hi, lo + (hi - lo) * u) for u in data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))]
+    raw, sign = conditions._near_defect(pair, eps, kind, lo, hi)
+    plus, minus = conditions._reads(kind)
+    classes = (pair.class0, pair.class1)
+    for x in [lo, hi] + inner:
+        # Every component of each class, added in order.
+        p, m = (oracles.left_fold(c.pdf(y) for c in classes[which])
+                for which, y in ((plus, x + eps), (minus, x - eps)))
+        assert raw(x).hex() == (p - m).hex(), x
+        if p < TINY and m < TINY:
+            gap = log_gap(pair, plus, np.array([x + eps]), minus, np.array([x - eps]))[0]
+            assert sign(x).hex() == float(gap).hex(), x
+        else:
+            assert sign(x).hex() == (p - m).hex(), x
+
+
+@st.composite
+def segments_with_extras(draw):
+    """``(extra, a, b, m)``: a segment and sorted extra points, some repeated,
+    some on the segment's evenly spaced points, some outside it."""
+    a = draw(st.floats(-100.0, 100.0))
+    b = a + 10.0 ** draw(st.floats(-14.0, 2.0))
+    assume(a < b)
+    m = draw(st.integers(2, 40))
+    inset = (b - a) * 1e-9
+    grid = np.linspace(a + inset, b - inset, m).tolist()
+    extra = draw(st.lists(st.one_of(st.floats(a - 1.0, b + 1.0), st.sampled_from(grid)),
+                          max_size=12))
+    extra += draw(st.lists(st.sampled_from(extra), max_size=4)) if extra else []
+    return np.array(sorted(extra), dtype=float), a, b, m
+
+
+@given(segments_with_extras())
+@example((np.array([]), 0.0, 1.0, 9))
+@example((np.array([0.0, 1.0, 2.0]), 0.0, 1.0, 9))  # the extras lie on the segment's ends
+@example((np.array([0.5, 0.5, 0.5]), 0.0, 1.0, 9))  # one repeated extra on a grid point
+def test_samples_equal_unique_merge(case):
+    """``_samples`` merges the extra points strictly inside its evenly
+    spaced points by ``searchsorted``; the result is ``np.unique`` of both,
+    or the evenly spaced points as they are when no extra point is inside."""
+    extra, a, b, m = case
+    inset = (b - a) * 1e-9
+    xs = np.linspace(a + inset, b - inset, m)
+    inside = [x for x in extra.tolist() if xs[0] < x < xs[-1]]
+    expected = np.unique(np.concatenate([xs, inside])) if inside else xs
+    assert conditions._samples(extra, a, b, m).tobytes() == expected.tobytes()
 
 
 @given(st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0]), max_size=7),
@@ -689,7 +761,8 @@ def test_sign_changes_read_run_by_run(runs):
     starts = [0] + ends[:-1]
     expected = oracles.per_run_sign_changes(
         sign, [(xs[s:e], vals[s:e]) for s, e in zip(starts, ends)])
-    assert conditions._sign_changes(sign, xs, vals, ends) == expected
+    got = conditions._sign_changes(lambda lo, hi: (sign, sign), xs, vals, ends)
+    assert [(r, k) for r, k, _ in got] == expected
 
 
 def test_bracket_ends_read_with_scalar_sign():
@@ -703,7 +776,8 @@ def test_bracket_ends_read_with_scalar_sign():
         read.append(x)
         return 1e-300 + x
 
-    assert conditions._sign_changes(sign, xs, vals, [3]) == [(0.0, 1)]
+    got = conditions._sign_changes(lambda lo, hi: (sign, sign), xs, vals, [3])
+    assert [(r, k) for r, k, _ in got] == [(0.0, 1)]
     assert read == [0.0, 0.5]
 
 

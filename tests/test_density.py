@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import left_fold
 from advbayes import examples
 from advbayes.density import (
     ARRAY_CDF_POINTS,
@@ -14,6 +16,7 @@ from advbayes.density import (
     OutsideSupport,
     PiecewisePoly,
     _cell_extrema,
+    _GaussianSums,
     _poly_eval,
     itp_root,
     pair_from_dict,
@@ -238,7 +241,7 @@ class TestScalarSums:
     def test_pdf_bits(self, pair, data):
         for x in probe_points(data.draw, pair) + [INF, -INF]:
             for which, comps in ((0, pair.class0), (1, pair.class1)):
-                assert pair.pdf(which, x).hex() == sum(c.pdf(x) for c in comps).hex(), x
+                assert pair.pdf(which, x).hex() == left_fold(c.pdf(x) for c in comps).hex(), x
 
     @given(wide_classes(), st.data(), st.floats(0.0, 2.0))
     @settings(deadline=None, max_examples=50)
@@ -251,9 +254,108 @@ class TestScalarSums:
         pts += np.linspace(lo, hi, ARRAY_CDF_POINTS).tolist()
         for which, comps in ((0, pair.class0), (1, pair.class1)):
             xs = [p + data.draw(st.sampled_from([-eps, eps])) for p in pts]
-            expected = [sum(c.cdf(x) for c in comps).hex() for x in xs]
+            expected = [left_fold(c.cdf(x) for c in comps).hex() for x in xs]
             assert [v.hex() for v in pair.cdf_points(which, xs)] == expected
             assert [pair.cdf(which, x).hex() for x in xs] == expected
+
+
+class TestLeftFolds:
+    """The scalar reads add components (or intervals) left to right from 0,
+    as the array reads do, on every Python version.  The class holds three
+    uniform cells whose values 0.5, 2^-54 and 2^-54 sum to 0.5 left to
+    right, but to 0.5 + 2^-53 rounded once (``math.fsum``) or compensated,
+    as ``sum`` adds floats from Python 3.12 on."""
+
+    TINY_ROW = 2.0**-54
+    PAIR = DistributionPair([PiecewisePoly((0.0, 1.0), ((v,),)) for v in (0.5, TINY_ROW, TINY_ROW)],
+                            [PiecewisePoly((2.0, 3.0), ((0.5,),))])
+
+    def check(self, got: float, terms: list[float], array: float | None = None) -> None:
+        assert math.fsum(terms) != left_fold(terms)  # the values tell the sums apart
+        assert got.hex() == left_fold(terms).hex()
+        if array is not None:
+            assert got.hex() == array.hex()
+
+    def test_pdf(self):
+        comps = self.PAIR.class0
+        self.check(self.PAIR.pdf(0, 0.5), [c.pdf(0.5) for c in comps],
+                   float(self.PAIR.pdf_array(0, np.array([0.5]))[0]))
+
+    def test_cdf(self):
+        comps = self.PAIR.class0
+        pair = DistributionPair(self.PAIR.class0, self.PAIR.class1)  # an empty memo
+        self.check(pair.cdf(0, 0.5), [c.cdf(0.5) for c in comps],
+                   float(pair.cdf_array(0, np.array([0.5]))[0]))
+
+    def test_total_mass(self):
+        comps = self.PAIR.class0
+        self.check(self.PAIR.total_mass(0), [c.total_mass for c in comps],
+                   float(self.PAIR.cdf_array(0, np.array([INF]))[0]))
+
+    def test_sup_density(self):
+        self.check(self.PAIR.sup_density(0), [c.sup_density for c in self.PAIR.class0])
+
+    def test_mass_set(self):
+        s = IntervalSet.of_open((0.0, 0.1), (0.2, 0.6), (0.7, 0.9))
+        masses = [self.PAIR.mass(0, iv) for iv in s]
+        los, his = (np.array([getattr(iv, end) for iv in s]) for end in ("lo", "hi"))
+        by_array = (self.PAIR.cdf_array(0, his) - self.PAIR.cdf_array(0, los)).tolist()
+        self.check(self.PAIR.mass_set(0, s), masses, left_fold(by_array))
+
+
+@st.composite
+def spread_classes(draw):
+    """2-8 Gaussians listed in any order, with sigmas from 0.3 to 1.5 and
+    means within ±10 or ±1e3, at least one pair of them beyond one reach
+    (40 sigma_max) of each other: the windowed array read."""
+    n = draw(st.integers(2, 8))
+    spread = draw(st.sampled_from([10.0, 1e3]))
+    comps = [Gaussian(weight=1.0 / n, mu=draw(st.floats(-spread, spread)),
+                      sigma=draw(st.floats(0.3, 1.5))) for _ in range(n)]
+    if max(g.mu for g in comps) - min(g.mu for g in comps) <= 40.0 * max(g.sigma for g in comps):
+        comps[0] = Gaussian(weight=1.0 / n, mu=comps[1].mu + 61.0, sigma=comps[0].sigma)
+    return comps
+
+
+def plain_sum(comps, xs: np.ndarray) -> np.ndarray:
+    """Every component on every point, added in component order."""
+    out = np.zeros_like(xs)
+    with np.errstate(over="ignore"):
+        for c in comps:
+            out += c.pdf_array(xs)
+    return out
+
+
+class TestWindowedPdfArray:
+    """An all-Gaussian class whose means spread beyond one reach adds each
+    component only on the points within it, with the plain sum's bits."""
+
+    @given(spread_classes(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_equals_plain_sum(self, comps, data):
+        sums = _GaussianSums(tuple(comps))
+        assert sums._limit == INF  # the windowed read, not the plain one
+        pts = probe_points(data.draw, SimpleNamespace(class0=tuple(comps), class1=())) + [INF, -INF]
+        pts += [g.mu + k * 40.0 * g.sigma for g in comps for k in (-1.0, 1.0)]
+        xs = np.array(data.draw(st.one_of(st.permutations(pts), st.just(sorted(pts)))))
+        assert sums.pdf_array(xs).tobytes() == plain_sum(comps, xs).tobytes()
+
+    def test_nan_reads_every_component(self):
+        comps = (Gaussian(0.5, 0.0, 0.5), Gaussian(0.5, 100.0, 1.5))
+        xs = np.array([100.0, np.nan, 0.0, -INF])
+        got = _GaussianSums(comps).pdf_array(xs)
+        assert got.tobytes() == plain_sum(comps, xs).tobytes() and math.isnan(got[1])
+
+    def test_pair_reads_windowed(self, monkeypatch):
+        """``DistributionPair.pdf_array`` goes through the class's sums, and a
+        class whose means lie within one reach takes the plain loop."""
+        wide = (Gaussian(0.25, 0.0, 0.5), Gaussian(0.25, 100.0, 1.5))
+        close = (Gaussian(0.25, 0.0, 0.5), Gaussian(0.25, 10.0, 1.5))
+        pair = DistributionPair(wide, close)
+        assert pair._class_sums[0]._limit == INF and pair._class_sums[1]._limit == 0.0
+        xs = np.linspace(-50.0, 150.0, 401)
+        for which, comps in ((0, wide), (1, close)):
+            assert pair.pdf_array(which, xs).tobytes() == plain_sum(comps, xs).tobytes()
 
 
 @st.composite
