@@ -525,9 +525,9 @@ def test_scan_matches_scalar_oracle_piecewise_pairs(pair, eps):
 @pytest.mark.parametrize("name, eps", [
     ("gaussians_equal_variances", 0.5), ("non_uniqueness_all", 0.2), ("degenerate", 0.05)])
 def test_scan_samples_without_scalar_pdf(monkeypatch, name, eps):
-    """Samples go through ``pdf_array``; scalar ``pdf`` serves only the
-    root finder, residuals and jump points.  Sampling with scalar ``pdf``
-    takes about 8,200 calls on each of these."""
+    """Samples go through ``pdf_array``; scalar ``pdf`` serves only jump
+    points (the root finder and residuals read ``DistributionPair.near``).
+    Sampling with scalar ``pdf`` takes about 8,200 calls on each of these."""
     calls = []
     pdf = DistributionPair.pdf
 
