@@ -519,10 +519,9 @@ def _split_same_sign(pair: DistributionPair, near, xs: np.ndarray, vals: np.ndar
     A bracket between two nonzero samples of one sign is root-free where
     ``_root_free`` says so.  Otherwise it is halved, breadth first, and each
     midpoint's sign read (``near``'s, as in ``_sign_changes``), until a
-    midpoint of the other sign or 0 is
-    found, every piece is root-free, or _SPLIT_BUDGET midpoints are spent;
-    the last leaves the bracket as it was, as a touch point (a double root
-    of p1 - p0) always does.
+    midpoint of the other sign or 0 is found, every piece is root-free, or
+    _SPLIT_BUDGET midpoints are spent; the last leaves the bracket as it
+    was, as a touch point (a double root of p1 - p0) always does.
     """
     ranges = (_LogRange(pair.class0), _LogRange(pair.class1))
     pos = vals > 0

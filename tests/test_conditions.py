@@ -673,39 +673,14 @@ def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
     assert calls[0] <= 7 * brackets[0]
 
 
-# Two clusters 150 apart: midway both densities underflow to 0 and no
-# component is within reach, so the log-density gap signs the defect there.
-_GAP_CLUSTERS_PAIR = DistributionPair(
-    class0=[Gaussian(weight=0.3, mu=150.0, sigma=1.5), Gaussian(weight=0.2, mu=0.0, sigma=0.3)],
-    class1=[Gaussian(weight=0.25, mu=2.0, sigma=1.5), Gaussian(weight=0.25, mu=148.0, sigma=0.5)])
-
-
-@given(st.one_of(gaussian_mixture_pairs(mu=60.0, sigma=(0.1, 0.5)), gaussian_mixture_pairs(),
-                 mixed_pairs(), wide_sigma_pairs()),
-       st.floats(0.0, 1.0), st.sampled_from("ab"), st.data())
-@example(_GAP_CLUSTERS_PAIR, 0.2, "a", None)
-@settings(deadline=None, max_examples=150)
-def test_near_defect_bits(pair, eps, kind, data):
-    """A bracket's ``_near_defect`` reads the kind's defect and its
-    ``signed_gap`` bit for bit at points inside the bracket, though each
-    class is summed only over its components within reach of the bracket:
-    the reference sums every component."""
-    if data is None:  # the pinned example: a bracket midway between the clusters
-        lo, hi, inner = 74.0, 76.5, [74.9, 75.25, 76.0]
-    else:
-        lo_ext, hi_ext = pair.finite_extent()
-        # Out to 50 sigmas past the extent: across every component's reach.
-        far = 50.0 * max([c.sigma for c in pair.class0 + pair.class1
-                          if isinstance(c, Gaussian)], default=1.0)
-        lo = data.draw(st.floats(lo_ext - far, hi_ext + far))
-        hi = lo + 10.0 ** data.draw(st.floats(-6.0, 1.5))
-        inner = [min(hi, lo + (hi - lo) * u) for u in data.draw(
-            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))]
+def _near_defect_matches_full_sums(pair, eps, kind, lo, hi, inner):
+    """``_near_defect`` on [lo, hi] reads, at lo, hi and each inner point,
+    the bits of the kind's defect and of its ``signed_gap`` summed over every
+    component of each class."""
     raw, sign = conditions._near_defect(pair, eps, kind, lo, hi)
     plus, minus = conditions._reads(kind)
     classes = (pair.class0, pair.class1)
     for x in [lo, hi] + inner:
-        # Every component of each class, added in order.
         p, m = (oracles.left_fold(c.pdf(y) for c in classes[which])
                 for which, y in ((plus, x + eps), (minus, x - eps)))
         assert raw(x).hex() == (p - m).hex(), x
@@ -714,6 +689,35 @@ def test_near_defect_bits(pair, eps, kind, data):
             assert sign(x).hex() == float(gap).hex(), x
         else:
             assert sign(x).hex() == (p - m).hex(), x
+
+
+@given(st.one_of(gaussian_mixture_pairs(mu=60.0, sigma=(0.1, 0.5)), gaussian_mixture_pairs(),
+                 mixed_pairs(), wide_sigma_pairs()),
+       st.floats(0.0, 1.0), st.sampled_from("ab"), st.data())
+@settings(deadline=None, max_examples=150)
+def test_near_defect_bits(pair, eps, kind, data):
+    """A bracket's ``_near_defect`` sums each class only over its components
+    within reach of the bracket, with the full sums' bits inside it."""
+    lo_ext, hi_ext = pair.finite_extent()
+    # Out to 50 sigmas past the extent: across every component's reach.
+    far = 50.0 * max([c.sigma for c in pair.class0 + pair.class1
+                      if isinstance(c, Gaussian)], default=1.0)
+    lo = data.draw(st.floats(lo_ext - far, hi_ext + far))
+    hi = lo + 10.0 ** data.draw(st.floats(-6.0, 1.5))
+    inner = [min(hi, lo + (hi - lo) * u)
+             for u in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))]
+    _near_defect_matches_full_sums(pair, eps, kind, lo, hi, inner)
+
+
+def test_near_defect_bits_between_clusters():
+    """Two clusters 150 apart: midway both densities underflow to 0 and no
+    component is within reach of the bracket, so the log-density gap signs
+    the defect there."""
+    pair = DistributionPair(
+        class0=[Gaussian(weight=0.3, mu=150.0, sigma=1.5), Gaussian(weight=0.2, mu=0.0, sigma=0.3)],
+        class1=[Gaussian(weight=0.25, mu=2.0, sigma=1.5), Gaussian(weight=0.25, mu=148.0, sigma=0.5)])
+    for kind in "ab":
+        _near_defect_matches_full_sums(pair, 0.2, kind, 74.0, 76.5, [74.9, 75.25, 76.0])
 
 
 @st.composite
