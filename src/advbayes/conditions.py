@@ -19,12 +19,14 @@ its bracket's ends), and PASS otherwise.  Jump points stay INCONCLUSIVE.
 
 The scan cuts its range at the shifted density breakpoints and samples each
 segment at evenly spaced points plus mu - sigma, mu and mu + sigma of every
-Gaussian the defect reads.  The segments of a scan kind are sampled as one
-array, so each class density is read once per kind, and one pass over the
-non-plateau samples finds every bracket.  At eps = 0 the a-kind defect is
-``p1 - p0``, so the same segment samples give the boundary of the Bayes
-classifier {p1 > p0}; ``bayes_classifier`` also splits each bracket between
-two samples of one sign that it cannot prove root-free.
+Gaussian the defect reads.  The segments of both scan kinds are sampled as
+one array, so each class density is read once per scan (the a-kind reads
+class 1 at x + eps, the b-kind at x - eps, and class 0 the other way round),
+and one pass over each kind's non-plateau samples finds its brackets.  At
+eps = 0 the a-kind defect is ``p1 - p0``, so the same segment samples give
+the boundary of the Bayes classifier {p1 > p0}; ``bayes_classifier`` reads
+the a-kind segments only, and also splits each bracket between two samples
+of one sign that it cannot prove root-free.
 """
 
 from __future__ import annotations
@@ -289,59 +291,82 @@ def _verdict(vals: np.ndarray, k: int) -> str:
     return FAIL if i >= 0 and j < len(vals) and vals[i] > 0.0 > vals[j] else PASS
 
 
-def _segments(pair: DistributionPair, eps: float, kind: str,
-              window: Interval) -> list[tuple[float, float, np.ndarray, np.ndarray, bool]]:
-    """The scan's segments as ``(a, b, xs, vals, is_plateau)``, left to right.
+def _segments(pair: DistributionPair, eps: float, kinds: str,
+              window: Interval) -> list[list[tuple[float, float, np.ndarray, np.ndarray, bool]]]:
+    """The scan's segments of each kind in ``kinds`` ("ab" or "a"), each as
+    ``(a, b, xs, vals, is_plateau)``, left to right.
 
-    The scanned range ``_scan_bounds`` is cut at the shifted density
+    The scanned range ``_scan_bounds`` is cut at the kind's shifted density
     breakpoints, and each segment gets ``_samples`` with a share of GRID_N
     samples in proportion to its length, and at least 9, and the kind's
-    ``_gaussian_points`` (built once) that fall inside it.  All segments'
-    samples form one array, so the scan reads each class density once (an
-    all-Gaussian class only on the points within each component's reach);
-    each segment's ``xs`` and ``vals`` are views into it.  ``vals`` is the
-    defect, and a segment is a plateau where |vals| <= TAU_PLATEAU at every
-    sample.  Off a plateau, where both shifted densities are subnormal or 0
-    the value is the log-density gap, which carries the sign.  Only the sign
-    of each sample picks the brackets of ``_sign_changes``; ``itp_root``
-    evaluates their ends again with the scalar ``signed_gap``'s bits, so
-    roots equal a scalar-sampled scan's unless a sample is within rounding
-    of zero (np.exp and math.exp may differ by one ulp).
+    ``_gaussian_points`` (built once per kind) that fall inside it.  The
+    samples of every segment of every kind form one array, so the scan reads
+    each class density once: class 1 at x + eps for the a-kind and at x - eps
+    for the b-kind, class 0 the other way round (an all-Gaussian class only on
+    the points within each component's reach, which ``_GaussianSums`` finds
+    after sorting the kinds' two sorted runs into one).  Each segment's ``xs`` and
+    ``vals`` are views into it.  ``vals`` is the defect, and a segment is a
+    plateau where |vals| <= TAU_PLATEAU at every sample.  Off a plateau, where
+    both shifted densities are subnormal or 0 the value is the log-density
+    gap of the kind, which carries the sign.  Only the sign of each sample
+    picks the brackets of ``_sign_changes``; ``itp_root`` evaluates their
+    ends again with the scalar ``signed_gap``'s bits, so roots equal a
+    scalar-sampled scan's unless a sample is within rounding of zero (np.exp
+    and math.exp may differ by one ulp).
 
-    Empty when the range is; ``ScanOverflow`` when GRID_N times its width
-    overflows.
+    Empty lists when the range is empty; ``ScanOverflow`` when GRID_N times
+    its width overflows.
     """
     lo, hi = _scan_bounds(pair, eps, window)
     if not lo < hi:
-        return []
+        return [[] for _ in kinds]
     if math.isinf(GRID_N * (hi - lo)):
         raise ScanOverflow(f"eps={eps!r} is too large: the scanned range [{lo!r}, {hi!r}] "
                            "is too wide to sample")
-    edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
-    extra = _gaussian_points(pair, eps, kind)
-    pieces = [_samples(extra, a, b, max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1))
-              for a, b in zip(edges, edges[1:])]
+    spans, pieces = [], []  # per kind: (kind, edges, index of its first segment)
+    for kind in kinds:
+        edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
+        extra = _gaussian_points(pair, eps, kind)
+        spans.append((kind, edges, len(pieces)))
+        pieces += [_samples(extra, a, b, max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1))
+                   for a, b in zip(edges, edges[1:])]
     starts = list(itertools.accumulate(map(len, pieces), initial=0))
-    plus, minus = _reads(kind)
     xs = np.concatenate(pieces)
-    xp, xm = xs + eps, xs - eps
-    p_plus, p_minus = pair.pdf_array(plus, xp), pair.pdf_array(minus, xm)
-    vals = p_plus - p_minus
+    # Each kind's samples, end to end, as a slice of xs: the a-kind reads
+    # class 1 at x + eps and class 0 at x - eps, the b-kind the other way round.
+    reads = [(slice(starts[first], starts[first + len(edges) - 1]), _reads(kind))
+             for kind, edges, first in spans]
+    at = np.empty_like(xs)
+    p = []  # each class's density at its read points
+    for c in (0, 1):
+        for part, (plus, _) in reads:
+            (np.add if c == plus else np.subtract)(xs[part], eps, out=at[part])
+        p.append(pair.pdf_array(c, at))
+    vals, under = np.empty_like(xs), np.empty(len(xs), dtype=bool)
+    for part, (plus, minus) in reads:
+        np.subtract(p[plus][part], p[minus][part], out=vals[part])
+        np.logical_and(p[plus][part] < TINY, p[minus][part] < TINY, out=under[part])
     flat = (np.maximum.reduceat(np.abs(vals), starts[:-1]) <= TAU_PLATEAU).tolist()
-    under = (p_plus < TINY) & (p_minus < TINY)
     for s, e, is_plateau in zip(starts, starts[1:], flat):
         if is_plateau:
             under[s:e] = False
-    if under.any():
-        vals[under] = log_gap(pair, plus, xp[under], minus, xm[under])
-    return [(a, b, xs[s:e], vals[s:e], is_plateau)
-            for a, b, s, e, is_plateau in zip(edges, edges[1:], starts, starts[1:], flat)]
+    out = []
+    for (kind, edges, first), (part, (plus, minus)) in zip(spans, reads):
+        u = under[part]
+        if u.any():
+            x = xs[part][u]
+            vals[part][u] = log_gap(pair, plus, x + eps, minus, x - eps)
+        bounds = starts[first:first + len(edges)]
+        out.append([(a, b, xs[s:e], vals[s:e], is_plateau) for a, b, s, e, is_plateau
+                    in zip(edges, edges[1:], bounds, bounds[1:], flat[first:])])
+    return out
 
 
 def _scan_kind(pair: DistributionPair, eps: float, kind: str,
-               window: Interval) -> list[CandidatePoint]:
+               segments: list[tuple[float, float, np.ndarray, np.ndarray, bool]]
+               ) -> list[CandidatePoint]:
+    """The kind's candidates, read off its ``_segments``."""
     g = lambda x: defect(pair, eps, kind, x)
-    segments = _segments(pair, eps, kind, window)
     if not segments:
         return []
     lo, hi = segments[0][0], segments[-1][1]
@@ -414,8 +439,9 @@ def solve_first_order(pair: DistributionPair, eps: float) -> FirstOrderScan:
     window, widened = scan_window(pair, eps)
     if window is None:
         raise WindowEmpty(f"endpoint window has empty interior at eps={eps}")
-    return FirstOrderScan(a_candidates=_scan_kind(pair, eps, "a", window),
-                          b_candidates=_scan_kind(pair, eps, "b", window),
+    a_segments, b_segments = _segments(pair, eps, "ab", window)
+    return FirstOrderScan(a_candidates=_scan_kind(pair, eps, "a", a_segments),
+                          b_candidates=_scan_kind(pair, eps, "b", b_segments),
                           window=window, window_widened=widened)
 
 
@@ -446,7 +472,8 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     runs_v: list[np.ndarray] = []
     ends: list[int] = []
     n = 0
-    for a, b, xs, vals, is_plateau in _segments(pair, 0.0, "a", scan_window(pair, 0.0)[0]):
+    [segments] = _segments(pair, 0.0, "a", scan_window(pair, 0.0)[0])
+    for a, b, xs, vals, is_plateau in segments:
         if is_plateau:
             plateaus.append((a, b))
             zero = vals == 0.0

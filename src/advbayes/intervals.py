@@ -11,6 +11,19 @@ identities that hold only up to measure zero, and the contraction of a
 closed interval of length exactly ``2*eps`` is a single point.
 
 Merging uses exact float equality (tolerance zero).
+
+The public ``Interval`` and ``IntervalSet`` constructors check and
+canonicalize what they are given.  ``complement``, ``intersect``,
+``expand``, ``union`` with an empty side and ``boundary_points`` instead
+build their results directly (``_canonical``), because a canonical input
+already orders their pieces: the complement's pieces are the gaps between
+consecutive components, each separated from the next by a component; the
+intersection's pieces come out of one left-to-right sweep, each inside a
+different pair of components, so two of them are apart wherever those
+components are; and a dilation keeps the components' order (x - eps and
+x + eps are monotone in x), so ``expand`` only merges, left to right, the
+dilated pieces that now overlap or touch.  ``contract``, ``difference`` and
+``sym_diff`` are built from these.
 """
 
 from __future__ import annotations
@@ -171,13 +184,15 @@ class IntervalSet:
         return other.intersect(self.complement()).is_empty
 
     def boundary_points(self) -> list[float]:
-        pts: set[float] = set()
+        """The finite endpoints in increasing order, each once: the
+        components' endpoints are already in order, and only an open one
+        shared by two components, or a point's two ends, repeat."""
+        pts: list[float] = []
         for iv in self.intervals:
-            if not math.isinf(iv.lo):
-                pts.add(iv.lo)
-            if not math.isinf(iv.hi):
-                pts.add(iv.hi)
-        return sorted(pts)
+            for p in (iv.lo, iv.hi):
+                if not math.isinf(p) and not (pts and pts[-1] == p):
+                    pts.append(p)
+        return pts
 
     def lebesgue_length(self) -> float:
         total = 0.0
@@ -190,22 +205,22 @@ class IntervalSet:
     # -- set operations ----------------------------------------------------
 
     def complement(self) -> "IntervalSet":
-        pieces: list[Interval] = []
+        pieces: list[tuple] = []
         cursor = -INF
         cursor_closed = False  # whether `cursor` itself belongs to the complement
         for iv in self.intervals:
             if cursor < iv.lo or (cursor == iv.lo and cursor_closed and not iv.lo_closed):
-                pieces.append(Interval(cursor, iv.lo, cursor_closed, not iv.lo_closed))
+                pieces.append((cursor, iv.lo, cursor_closed, not iv.lo_closed))
             cursor = iv.hi
             cursor_closed = not iv.hi_closed
         if cursor < INF:
-            pieces.append(Interval(cursor, INF, cursor_closed, False))
+            pieces.append((cursor, INF, cursor_closed, False))
         elif not self.intervals:
-            pieces.append(Interval(-INF, INF))
-        return IntervalSet(pieces)
+            pieces.append((-INF, INF, False, False))
+        return _canonical(pieces)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
+        out: list[tuple] = []
         i = j = 0
         a, b = self.intervals, other.intervals
         while i < len(a) and j < len(b):
@@ -217,14 +232,18 @@ class IntervalSet:
                 (u.hi, u.hi_closed), (v.hi, v.hi_closed), key=lambda t: (t[0], t[1])
             )
             if lo < hi or (lo == hi and lo_closed and hi_closed):
-                out.append(Interval(lo, hi, lo_closed, hi_closed))
+                out.append((lo, hi, lo_closed, hi_closed))
             if _hi_key(u) < _hi_key(v):
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return _canonical(out)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
+        if not other.intervals:
+            return self
+        if not self.intervals:
+            return other
         return IntervalSet(self.intervals + other.intervals)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
@@ -236,17 +255,32 @@ class IntervalSet:
     # -- dilation / erosion -------------------------------------------------
 
     def expand(self, eps: float) -> "IntervalSet":
-        """Minkowski sum with the closed ball of radius ``eps``."""
+        """Minkowski sum with the closed ball of radius ``eps``.
+
+        The dilated pieces keep the components' order, so each one either
+        starts a new piece or merges into the one before it, as
+        ``IntervalSet.__init__`` would merge them: where two start at the same
+        point (rounding can make them), the closed start wins.
+        """
         if not eps >= 0:
             raise ValueError("eps must be nonnegative")
         if eps == 0 or self.is_empty:
             return self
-        out = []
+        out: list[tuple] = []
         for iv in self.intervals:
             lo = iv.lo if math.isinf(iv.lo) else iv.lo - eps
             hi = iv.hi if math.isinf(iv.hi) else iv.hi + eps
-            out.append(Interval(lo, hi, iv.lo_closed, iv.hi_closed))
-        return IntervalSet(out)
+            lo_closed, hi_closed = iv.lo_closed, iv.hi_closed
+            if (lo_closed and lo == -INF) or (hi_closed and hi == INF):
+                raise ValueError(f"eps={eps!r} moves a closed endpoint past the float range")
+            if out:
+                p_lo, p_hi, p_lo_closed, p_hi_closed = out[-1]
+                if lo < p_hi or (lo == p_hi and (p_hi_closed or lo_closed)):
+                    hi, hi_closed = max((p_hi, p_hi_closed), (hi, hi_closed))
+                    out[-1] = (p_lo, hi, p_lo_closed or (lo == p_lo and lo_closed), hi_closed)
+                    continue
+            out.append((lo, hi, lo_closed, hi_closed))
+        return _canonical(out)
 
     def contract(self, eps: float) -> "IntervalSet":
         """Points whose closed ``eps``-ball lies inside the set."""
@@ -280,3 +314,22 @@ class IntervalSet:
             hi_f = INF if hi == "inf" else float(hi)
             out.append(Interval(lo_f, hi_f, bool(lc), bool(hc)))
         return cls(out)
+
+
+def _canonical(rows: Iterable[tuple[float, float, bool, bool]]) -> IntervalSet:
+    """The set whose components are the ``(lo, hi, lo_closed, hi_closed)``
+    ``rows`` as they are.
+
+    The set operations above call this with pieces that are valid intervals,
+    sorted, disjoint and non-adjacent, so neither ``Interval``'s checks nor
+    ``IntervalSet.__init__``'s sort and merge run: each ``Interval`` gets its
+    fields directly (a frozen dataclass keeps them in its ``__dict__``).
+    """
+    out = []
+    for lo, hi, lo_closed, hi_closed in rows:
+        iv = object.__new__(Interval)
+        iv.__dict__.update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
+        out.append(iv)
+    s = object.__new__(IntervalSet)
+    s.intervals = tuple(out)
+    return s

@@ -3,13 +3,17 @@
 JSON output sorts every object's keys and prints floats with 17 significant
 digits, so identical runs produce byte-identical files.  Interval sets
 serialize as rows ``[lo, hi, lo_closed, hi_closed]`` with "-inf"/"inf"
-sentinels.
+sentinels.  Strings and keys are escaped as JSON requires: a backslash, a
+double quote and every control character U+0000-U+001F (``\\n``, ``\\t`` and
+the other short forms where JSON has one, ``\\u00XX`` otherwise); any other
+character is written as it is.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from json.encoder import encode_basestring as _quote
 from typing import Any, Iterable
 
 from .certify import DualCertificate, GapReport
@@ -29,31 +33,74 @@ def fmt_float(x: float) -> str:
 
 
 def dumps(obj: Any, indent: int = 0) -> str:
-    pad = " " * indent
-    child = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        rows = [f'{child}"{k}": {dumps(v, indent + 2)}' for k, v in items]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    """``obj`` as indented JSON text; ``indent`` spaces before its closing
+    bracket.
+
+    One pass appends the pieces of text to one list, and each object's
+    pieces are joined into one string when it is complete, so the pieces
+    held at once are those of the objects being written plus one string per
+    finished one."""
+    parts: list[str] = []
+    _write(parts, obj, " " * indent)
+    return "".join(parts)
+
+
+def _kind(obj: Any) -> type:
+    """The JSON kind of an instance of a subclass, such as ``numpy.float64``
+    (a float); bool is tested before int, as bool subclasses int."""
+    for kind in (bool, int, float, str, dict):
+        if isinstance(obj, kind):
+            return kind
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{child}{dumps(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        return list
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write(parts: list[str], obj: Any, pad: str, kind: type | None = None) -> None:
+    """Append ``obj``'s text to ``parts``, dispatching on its exact type, or
+    on ``kind`` (``_kind``'s) for an instance of a subclass."""
+    write = parts.append
+    if kind is None:
+        kind = type(obj)
+        if kind is float and obj - obj == 0.0:  # finite: x - x is nan for nan and +-inf
+            write(format(obj, ".17g"))
+            return
+    if kind is float:
+        write(fmt_float(obj))
+    elif kind is str:
+        write(_quote(obj))
+    elif kind is dict:
+        if not obj:
+            write("{}")
+            return
+        mark = len(parts)
+        child = pad + "  "
+        sep = "{\n"
+        for key in sorted(obj):
+            write(f"{sep}{child}{_quote(f'{key}')}: ")
+            _write(parts, obj[key], child)
+            sep = ",\n"
+        write(f"\n{pad}}}")
+        parts[mark:] = ["".join(parts[mark:])]
+    elif kind is list or kind is tuple:
+        if not obj:
+            write("[]")
+            return
+        child = pad + "  "
+        sep = "[\n"
+        for item in obj:
+            write(sep + child)
+            _write(parts, item, child)
+            sep = ",\n"
+        write(f"\n{pad}]")
+    elif kind is bool:
+        write("true" if obj else "false")
+    elif kind is int:
+        write(str(obj))
+    elif obj is None:
+        write("null")
+    else:
+        _write(parts, obj, pad, _kind(obj))
 
 
 def class_to_dict(c: EquivalenceClass) -> dict:

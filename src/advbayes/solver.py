@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import conditions
 from .conditions import FAIL, PASS, CandidatePoint, FirstOrderScan, WindowEmpty, near_sorted
 from .density import DistributionPair
-from .intervals import INF, Interval, IntervalSet
+from .intervals import INF, Interval, IntervalSet, _canonical
 from .risk import TAU_RISK, RiskBreakdown, adversarial_risk
 
 
@@ -84,9 +84,13 @@ class SolveReport:
 
 
 def _set_from_sequence(points: list[float], kinds: list[str]) -> IntervalSet:
-    """Open set encoded by an alternating endpoint sequence."""
+    """Open set encoded by an alternating endpoint sequence.
+
+    Consecutive points of a sequence are more than 2*eps apart, so its open
+    pieces are already sorted, nonempty and apart: they go to ``_canonical``
+    as they are."""
     ends = [-INF] * (kinds[0] == "b") + points + [INF] * (kinds[-1] == "a")
-    return IntervalSet(Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]))
+    return _canonical((lo, hi, False, False) for lo, hi in zip(ends[::2], ends[1::2]))
 
 
 # The walk's prefilter compares onward[j] = up[j] + best[j] with

@@ -670,3 +670,49 @@ def literal_monotonicity(pair, report1, report2) -> bool:
                     if not c.is_empty and holder.contains_set(c):
                         violations.append(f"gap {gap!r} contains a component of A2")
     return not violations
+
+
+# -- report writer ---------------------------------------------------------------
+
+
+def _literal_fmt_float(x: float) -> str:
+    if math.isnan(x):
+        raise ValueError("NaN is not serializable")
+    if x == math.inf:
+        return '"inf"'
+    if x == -math.inf:
+        return '"-inf"'
+    return format(float(x), ".17g")
+
+
+def literal_dumps(obj, indent: int = 0) -> str:
+    """``reportio.dumps`` as it once was, verbatim: recursive, building each
+    nested object's text as a string, and escaping only backslashes and
+    double quotes in values (keys not at all).  On text without control
+    characters, quotes or backslashes in keys, the one-pass writer must give
+    the same bytes."""
+    pad = " " * indent
+    child = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _literal_fmt_float(obj)
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{out}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        rows = [f'{child}"{k}": {literal_dumps(v, indent + 2)}' for k, v in items]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{child}{literal_dumps(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -413,8 +413,8 @@ class TestFirstOrderSubnormal:
 
     def test_samples_signed_by_log_densities(self):
         pair, eps = self.pair(), self.EPS
-        [(_, _, xs, vals, is_plateau)] = conditions._segments(pair, eps, "a",
-                                                               scan_window(pair, eps)[0])
+        [[(_, _, xs, vals, is_plateau)]] = conditions._segments(pair, eps, "a",
+                                                                 scan_window(pair, eps)[0])
         assert not is_plateau
         near = (xs > 14.1) & (xs < 14.3)
         assert np.array_equal(np.sign(vals[near]), np.sign([self.log_gap(x) for x in xs[near]]))
@@ -544,11 +544,12 @@ def test_scan_samples_without_scalar_pdf(monkeypatch, name, eps):
     ("gaussians_equal_variances", 0.5), ("gaussians_equal_means", 0.5),
     ("non_uniqueness_single", 0.1), ("non_uniqueness_all", 0.2), ("degenerate", 0.05),
     ("deg_eta_0_1_counterexample", 0.1)])
-def test_scan_reads_each_class_once_per_kind(monkeypatch, name, eps):
-    """Every segment of a scan kind is sampled as one array, so a scan makes
-    one ``pdf_array`` call per class and kind.  Reading each segment on its
-    own made 40 calls on ``deg_eta_0_1_counterexample``, 20 on
-    ``degenerate`` and 12 on ``non_uniqueness_all``."""
+def test_scan_reads_each_class_once(monkeypatch, name, eps):
+    """Every segment of both scan kinds is sampled as one array, so a scan
+    makes one ``pdf_array`` call per class.  Reading each kind on its own
+    made 4 calls; reading each segment on its own made 40 on
+    ``deg_eta_0_1_counterexample``, 20 on ``degenerate`` and 12 on
+    ``non_uniqueness_all``."""
     calls = [0]
     pdf_array = DistributionPair.pdf_array
 
@@ -559,15 +560,14 @@ def test_scan_reads_each_class_once_per_kind(monkeypatch, name, eps):
     pair = examples.example_pair(name, eps)
     monkeypatch.setattr(DistributionPair, "pdf_array", counted)
     solve_first_order(pair, eps)
-    assert calls[0] == 4
+    assert calls[0] == 2
 
 
 def _segments_match_per_segment_reading(pair, eps):
     window, _ = scan_window(pair, eps)
     if window is None:
         return
-    for kind in "ab":
-        got = conditions._segments(pair, eps, kind, window)
+    for kind, got in zip("ab", conditions._segments(pair, eps, "ab", window)):
         want = oracles.per_segment_reading(pair, eps, kind, window)
         assert [(a, b, flat) for a, b, _, _, flat in got] == \
             [(a, b, flat) for a, b, _, _, flat in want]

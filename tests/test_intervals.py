@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,3 +234,104 @@ def test_expansion_matches_ball_characterization():
         for x in rng.integers(-2200, 2200, size=30) / 64.0:
             ball_hits = not s.intersect(IntervalSet.closed(x - eps, x + eps)).is_empty
             assert e.contains_point(x) == ball_hits
+
+
+# -- canonical results of the set operations --------------------------------------
+
+
+@st.composite
+def touching_sets(draw):
+    """Sets built by the public constructor from lattice pieces that may
+    share endpoints, be points, or run to -inf or +inf."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    pts = sorted(draw(st.lists(finite_points, min_size=2 * n, max_size=2 * n)))
+    ivs = []
+    for i in range(n):
+        lo, hi = pts[2 * i], pts[2 * i + 1]
+        closed = draw(st.tuples(st.booleans(), st.booleans()))
+        ivs.append(Interval(lo, hi, *closed) if lo < hi else Interval(lo, lo, True, True))
+    if ivs and draw(st.booleans()):
+        ivs[0] = Interval(-INF, ivs[0].hi, False, ivs[0].hi_closed)
+    if ivs and draw(st.booleans()) and ivs[-1].lo > -INF:
+        ivs[-1] = Interval(ivs[-1].lo, INF, ivs[-1].lo_closed, False)
+    return IntervalSet(ivs)
+
+
+def _ball_meets(s, x, eps):
+    """The closed ball of radius eps around x meets s, read exactly."""
+    lo, hi = Fraction(x) - Fraction(eps), Fraction(x) + Fraction(eps)
+    for iv in s:
+        left = iv.lo == -INF or Fraction(iv.lo) < hi or (Fraction(iv.lo) == hi and iv.lo_closed)
+        right = iv.hi == INF or Fraction(iv.hi) > lo or (Fraction(iv.hi) == lo and iv.hi_closed)
+        if left and right:
+            return True
+    return False
+
+
+def _ball_inside(s, x, eps):
+    """The closed ball of radius eps around x lies inside s, read exactly: a
+    ball is connected, so it lies inside one component."""
+    lo, hi = Fraction(x) - Fraction(eps), Fraction(x) + Fraction(eps)
+    for iv in s:
+        left = iv.lo == -INF or Fraction(iv.lo) < lo or (Fraction(iv.lo) == lo and iv.lo_closed)
+        right = iv.hi == INF or Fraction(iv.hi) > hi or (Fraction(iv.hi) == hi and iv.hi_closed)
+        if left and right:
+            return True
+    return False
+
+
+def _probes(*sets):
+    """Every finite endpoint of the sets, its two float neighbours, the
+    midpoints between consecutive endpoints and a point beyond each end."""
+    ends = sorted({p for s in sets for p in s.boundary_points()})
+    if not ends:
+        return [0.0]
+    probes = [ends[0] - 1.0, ends[-1] + 1.0]
+    probes += [0.5 * (u + v) for u, v in zip(ends, ends[1:])]
+    for p in ends:
+        probes += [p, math.nextafter(p, -INF), math.nextafter(p, INF)]
+    return probes
+
+
+@given(touching_sets(), touching_sets(), st.one_of(st.just(0.0), lattice_eps))
+@settings(deadline=None, max_examples=300)
+def test_operation_results_are_canonical(a, b, eps):
+    """Each operation's result is what the public constructor makes of its
+    pieces, and holds exactly the points its definition names."""
+    results = {
+        "complement": (a.complement(), lambda x: not a.contains_point(x)),
+        "intersect": (a.intersect(b), lambda x: a.contains_point(x) and b.contains_point(x)),
+        "union": (a.union(b), lambda x: a.contains_point(x) or b.contains_point(x)),
+        "difference": (a.difference(b),
+                       lambda x: a.contains_point(x) and not b.contains_point(x)),
+        "sym_diff": (a.sym_diff(b), lambda x: a.contains_point(x) != b.contains_point(x)),
+        "expand": (a.expand(eps), lambda x: _ball_meets(a, x, eps)),
+        "contract": (a.contract(eps), lambda x: _ball_inside(a, x, eps)),
+    }
+    for name, (result, member) in results.items():
+        rows = [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in result.intervals]
+        again = IntervalSet(result.intervals)
+        assert rows == [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in again], name
+        for x in _probes(a, b, result):
+            assert result.contains_point(x) == member(x), (name, x)
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 1.0), (0.0, math.nan), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0, True, False),
+    (0.0, 0.0, False, True), (-INF, 0.0, True, False), (0.0, INF, False, True), (INF, INF)])
+def test_public_constructors_still_check(args):
+    with pytest.raises(ValueError):
+        Interval(*args)
+    lo, hi = args[:2]
+    with pytest.raises(ValueError):
+        IntervalSet.from_rows([[lo, hi, *(args[2:] or (False, False))]])
+
+
+def test_expand_past_the_float_range_raises():
+    """A closed endpoint cannot dilate to -inf or +inf, which are never
+    members of a set; an open one can."""
+    with pytest.raises(ValueError):
+        IntervalSet.closed(-1e308, 0.0).expand(1e308)
+    with pytest.raises(ValueError):
+        IntervalSet.closed(0.0, 1e308).expand(1e308)
+    assert IntervalSet.open(0.0, 1e308).expand(1e308) == IntervalSet.open(-1e308, INF)

@@ -50,3 +50,19 @@ def test_run_certificates(run_script, tmp_path):
         assert abs(report["solver_vs_primal"]) <= report["tolerance"]
     atomic = json.loads((tmp_path / "certificate_atomic.json").read_text())
     assert atomic["mode"] == "atoms"
+
+
+def test_ab_compare_same_tree(capsys):
+    """An A/A run: the same source tree under both package names gives the
+    same report bytes, and the script prints each case's medians."""
+    module = load("ab_compare")
+    src = SCRIPTS.parent / "src"
+    argv = [str(src), str(src), "--workload", "radius_sweep", "--rounds", "2",
+            "--case", "sweep:gaussians_equal_variances"]
+    assert module.main(argv) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert list(result["cases"]) == ["sweep:gaussians_equal_variances"]
+    case = result["cases"]["sweep:gaussians_equal_variances"]
+    assert case["old_ms"] > 0 and case["new_ms"] > 0
+    assert result["geomean_ratio"] == pytest.approx(case["ratio"])
+    assert {"ab_old.cli", "ab_new.cli"} <= set(sys.modules)
