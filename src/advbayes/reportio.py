@@ -36,10 +36,10 @@ def dumps(obj: Any, indent: int = 0) -> str:
     """``obj`` as indented JSON text; ``indent`` spaces before its closing
     bracket.
 
-    One pass appends the pieces of text to one list, and each object's
-    pieces are joined into one string when it is complete, so the pieces
-    held at once are those of the objects being written plus one string per
-    finished one."""
+    One pass appends the pieces of text to one list and joins it once.
+    Each object's pieces are joined into one string as soon as the object
+    is complete, so the list holds the pieces of the objects still open and
+    one string per finished object."""
     parts: list[str] = []
     _write(parts, obj, " " * indent)
     return "".join(parts)
