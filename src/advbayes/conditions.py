@@ -22,8 +22,20 @@ segment at evenly spaced points plus mu - sigma, mu and mu + sigma of every
 Gaussian the defect reads.  The segments of both scan kinds are sampled as
 one array, so each class density is read once per scan (the a-kind reads
 class 1 at x + eps, the b-kind at x - eps, and class 0 the other way round),
-and one pass over each kind's non-plateau samples finds its brackets.  At
-eps = 0 the a-kind defect is ``p1 - p0``, so the same segment samples give
+and one pass over each kind's non-plateau samples finds its brackets.
+
+On a pair with no Gaussian component, a segment where each component reads
+one constant or linear row, nowhere clamped at 0, has a defect within a
+rounding bound of a line, so its ends fix the sign of most samples: such a
+segment reads its two ends, and on a sloped line also the samples around a
+root that the ends cannot sign (``_undecided``).  A sample left unread has
+the value of both read neighbours on a constant segment, and on a sloped
+one their strict sign and |value| > TAU_PLATEAU, so the brackets, the
+verdicts, the jumps and the plateau flags are those of the dense read.
+Rows of degree 2 or more, clamped rows and Gaussian pairs read every
+sample.
+
+At eps = 0 the a-kind defect is ``p1 - p0``, so the same segment samples give
 the boundary of the Bayes classifier {p1 > p0}; ``bayes_classifier`` reads
 the a-kind segments only, and also splits each bracket between two samples
 of one sign that it cannot prove root-free.
@@ -41,7 +53,8 @@ from typing import Callable
 
 import numpy as np
 
-from .density import TINY, DistributionPair, Gaussian, itp_root, log_gap, signed_gap
+from .density import (TINY, DistributionPair, Gaussian, PiecewisePoly, itp_root, log_gap,
+                      signed_gap)
 from .intervals import INF, Interval, IntervalSet
 
 PASS = "PASS"
@@ -217,6 +230,128 @@ def _samples(extra: np.ndarray, a: float, b: float, m: int) -> np.ndarray:
     return merged[rest]
 
 
+def _fixed_row(poly: PiecewisePoly, y0: float, y1: float) -> tuple[float, float] | None:
+    """``(c0, c1)`` of the line ``poly`` reads at every point of [y0, y1],
+    ``(0.0, 0.0)`` where all of them lie outside its cells, or None: the
+    ends lie in different cells, the cell's row has degree 2 or more, or its
+    value at an end is below 0, where ``pdf`` clamps it."""
+    j = poly._cell_index(y0)
+    if j != poly._cell_index(y1):
+        return None
+    if j is None:  # outside the cells at both ends: on one side of them, or around them
+        return (0.0, 0.0) if y1 < poly.breakpoints[0] or y0 > poly.breakpoints[-1] else None
+    row = poly.coeffs[j]
+    if any(row[2:]):
+        return None
+    c0, c1 = row[0], (row[1] if len(row) > 1 else 0.0)
+    if c1 * y0 + c0 < 0.0 or c1 * y1 + c0 < 0.0:
+        return None
+    return c0, c1
+
+
+def _undecided(classes, eps: float, kind: str, a: float, b: float, m: int) -> np.ndarray | None:
+    """The samples of ``_samples(extra, a, b, m)`` that ``_segments`` reads
+    on a pair with no Gaussian component, or None where it reads all ``m``.
+
+    Sample k of ``np.linspace(start, stop, m)`` is ``k*step + start`` and
+    the last is ``stop``, so any of them can be placed alone, with its
+    bits; where the step rounds to 0 numpy takes another formula, and all
+    are read.  Every class component is a ``PiecewisePoly``, and
+    ``fl(x ± eps)`` is monotone in x, so where each component reads the same
+    cell at the shifted first and last sample (``_fixed_row``) it reads that
+    cell at every sample between.  If each such row is a line whose
+    computed value is >= 0 at both ends, the computed rows are monotone and
+    never clamped, and the computed defect is within ``delta`` of the exact
+    line f(x) = sum of c0 + c1*(x ± eps) at every sample: ``delta`` bounds
+    the rounding of x ± eps times each slope, of Horner's two steps
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, ch. 5), of the class sums and of their difference.
+
+    - With every slope 0 each sample reads the same constants, so every
+      value equals the two ends' bit for bit: only the ends are read.
+    - Otherwise the value v(k) of a sample with |v(k)| > t = TAU_PLATEAU +
+      2*delta has |f| > TAU_PLATEAU + delta there.  Between two such samples
+      of one sign the line f keeps that bound, so every value there has
+      their sign and |value| > TAU_PLATEAU, and is not read.  The ends are
+      read, and where the first end is beyond t, a search over the indices
+      finds a sample on its side beyond t whose next sample is not (where
+      the last end is, one whose previous sample is not); the samples from
+      the one found to the other are read.  Each search first reads the two
+      samples around where the line through the ends' values meets its
+      level, then bisects.  No sample whose value is near 0, subnormal or
+      log-gap signed is skipped.
+    - An end beyond t has |value| > TAU_PLATEAU, so the segment is no
+      plateau, read densely or not.  Where neither end is beyond t, all
+      samples are read.
+    """
+    inset = (b - a) * 1e-9
+    start, stop = a + inset, b - inset
+    step = (stop - start) / (m - 1)
+    if step == 0.0:
+        return None
+    last = m - 1
+    plus, minus = _reads(kind)
+    terms = ([], [])  # per side, each component's (c0, c1) at x + eps and at x - eps
+    scale = 0.0  # sum of |c0| + |c1|*|y| over the components, y the larger end
+    for side, which, shift in ((0, plus, eps), (1, minus, -eps)):
+        y0, y1 = start + shift, stop + shift
+        for poly in classes[which]:
+            row = _fixed_row(poly, y0, y1)
+            if row is None:
+                return None
+            terms[side].append(row)
+            scale += abs(row[0]) + abs(row[1]) * max(abs(y0), abs(y1))
+    if not any(c1 for rows in terms for _, c1 in rows):
+        return np.array([start, stop])
+    n = len(terms[0]) + len(terms[1])
+    delta = (n + 4) * 2.0**-52 * scale + n * TINY
+
+    def value(k: int) -> float:
+        """The computed defect at sample k, read as ``pdf_array`` reads it."""
+        x = k * step + start if k < last else stop
+        sums = []
+        for rows, y in zip(terms, (x + eps, x - eps)):
+            acc = 0.0
+            for c0, c1 in rows:
+                acc += c1 * y + c0
+            sums.append(acc)
+        return sums[0] - sums[1]
+
+    ends = value(0), value(last)
+    t = TAU_PLATEAU + 2.0 * delta
+    side = lambda v: 1 if v > t else -1 if v < -t else 0
+    first, final = map(side, ends)
+    if not (first or final):
+        return None
+    if first == final:
+        return np.array([start, stop])
+
+    def split(holds, lo: int, hi: int, level: float) -> tuple[int, int]:
+        """Neighbours lo, lo + 1 between the given lo and hi where ``holds``
+        is true at lo and false at hi: first at the two samples around where
+        the line through the ends meets ``level``, then by bisection."""
+        at = (level - ends[0]) / (ends[1] - ends[0])
+        guess = math.floor(at * last) if 0.0 <= at <= 1.0 else -1
+        probes = [guess + 1, guess]
+        while hi - lo > 1:
+            k = probes.pop() if probes else -1
+            if not lo < k < hi:
+                k = (lo + hi) // 2
+            if holds(k):
+                lo = k
+            else:
+                hi = k
+        return lo, hi
+
+    i, j = 0, last
+    if first:
+        i = split(lambda k: side(value(k)) == first, 0, last, first * t)[0]
+    if final:
+        j = split(lambda k: side(value(k)) != final, i, last, final * t)[1]
+    kept = ([0] if i else []) + list(range(i, min(j, last - 1) + 1))
+    return np.array([k * step + start for k in kept] + [stop])
+
+
 def _near_defect(pair: DistributionPair, eps: float, kind: str, lo: float,
                  hi: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """The kind's defect on [lo, hi] as ``(raw, sign)``: ``defect`` and its
@@ -299,7 +434,13 @@ def _segments(pair: DistributionPair, eps: float, kinds: str,
     The scanned range ``_scan_bounds`` is cut at the kind's shifted density
     breakpoints, and each segment gets ``_samples`` with a share of GRID_N
     samples in proportion to its length, and at least 9, and the kind's
-    ``_gaussian_points`` (built once per kind) that fall inside it.  The
+    ``_gaussian_points`` (built once per kind) that fall inside it.  On a
+    pair with no Gaussian component a segment of constant or linear rows
+    reads only the ``_undecided`` ones of those samples: its ends, and the
+    samples around a root whose sign a rounding bound cannot fix.  A sample
+    it leaves out has the value of the read samples on both sides, or their
+    strict sign with |value| > TAU_PLATEAU (so never a log-gap value), and
+    the ends decide the plateau flag as all samples would.  The
     samples of every segment of every kind form one array, so the scan reads
     each class density once: class 1 at x + eps for the a-kind and at x - eps
     for the b-kind, class 0 the other way round (an all-Gaussian class only on
@@ -323,13 +464,17 @@ def _segments(pair: DistributionPair, eps: float, kinds: str,
     if math.isinf(GRID_N * (hi - lo)):
         raise ScanOverflow(f"eps={eps!r} is too large: the scanned range [{lo!r}, {hi!r}] "
                            "is too wide to sample")
+    # With no Gaussian component every segment may read a subset of its samples.
+    classes = None if pair.has_gaussian(0) or pair.has_gaussian(1) else (pair.class0, pair.class1)
     spans, pieces = [], []  # per kind: (kind, edges, index of its first segment)
     for kind in kinds:
         edges = [lo] + [s for s in _shifted(pair.breakpoints, eps, kind) if lo < s < hi] + [hi]
         extra = _gaussian_points(pair, eps, kind)
         spans.append((kind, edges, len(pieces)))
-        pieces += [_samples(extra, a, b, max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1))
-                   for a, b in zip(edges, edges[1:])]
+        for a, b in zip(edges, edges[1:]):
+            m = max(9, int(round(GRID_N * (b - a) / (hi - lo))) + 1)
+            xs = None if classes is None else _undecided(classes, eps, kind, a, b, m)
+            pieces.append(_samples(extra, a, b, m) if xs is None else xs)
     starts = list(itertools.accumulate(map(len, pieces), initial=0))
     xs = np.concatenate(pieces)
     # Each kind's samples, end to end, as a slice of xs: the a-kind reads

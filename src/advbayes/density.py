@@ -723,19 +723,31 @@ class DistributionPair:
         """Where either density may be nonzero; built once per pair."""
         return self._support
 
+    @functools.cached_property
+    def _breakpoints(self) -> tuple[list[float], list[float]]:
+        return tuple(sorted({x for c in comps if isinstance(c, PiecewisePoly)
+                             for x in c.breakpoints})
+                     for comps in (self.class0, self.class1))
+
+    @functools.cached_property
+    def _discontinuities(self) -> tuple[list[float], list[float]]:
+        return tuple(sorted({x for c in comps if isinstance(c, PiecewisePoly)
+                             for x in c.discontinuities()})
+                     for comps in (self.class0, self.class1))
+
     def breakpoints(self, which: int) -> list[float]:
-        pts: set[float] = set()
-        for c in self._components(which):
-            if isinstance(c, PiecewisePoly):
-                pts.update(c.breakpoints)
-        return sorted(pts)
+        """Sorted cell ends of the class's piecewise components; built once
+        per pair and shared, so callers must not mutate it."""
+        if which == 0 or which == 1:
+            return self._breakpoints[which]
+        raise _class_index_error(which)
 
     def discontinuities(self, which: int) -> list[float]:
-        pts: set[float] = set()
-        for c in self._components(which):
-            if isinstance(c, PiecewisePoly):
-                pts.update(c.discontinuities())
-        return sorted(pts)
+        """Sorted points where a piecewise component of the class jumps;
+        built once per pair and shared, so callers must not mutate it."""
+        if which == 0 or which == 1:
+            return self._discontinuities[which]
+        raise _class_index_error(which)
 
     def has_gaussian(self, which: int) -> bool:
         return any(isinstance(c, Gaussian) for c in self._components(which))
@@ -768,7 +780,12 @@ class DistributionPair:
         return False
 
     def finite_extent(self) -> tuple[float, float]:
-        """Finite range holding everything that matters numerically."""
+        """Finite range holding everything that matters numerically; built
+        once per pair."""
+        return self._finite_extent
+
+    @functools.cached_property
+    def _finite_extent(self) -> tuple[float, float]:
         los, his = [], []
         for which in (0, 1):
             for c in self._components(which):

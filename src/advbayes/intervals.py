@@ -225,15 +225,19 @@ class IntervalSet:
         a, b = self.intervals, other.intervals
         while i < len(a) and j < len(b):
             u, v = a[i], b[j]
-            lo, lo_closed = max(
-                (u.lo, u.lo_closed), (v.lo, v.lo_closed), key=lambda t: (t[0], not t[1])
-            )
-            hi, hi_closed = min(
-                (u.hi, u.hi_closed), (v.hi, v.hi_closed), key=lambda t: (t[0], t[1])
-            )
+            # The later start and the earlier end, an open end winning a tie;
+            # on a full tie u's, as max and min keep the first of equal keys.
+            if u.lo > v.lo or (u.lo == v.lo and (v.lo_closed or not u.lo_closed)):
+                lo, lo_closed = u.lo, u.lo_closed
+            else:
+                lo, lo_closed = v.lo, v.lo_closed
+            if u.hi < v.hi or (u.hi == v.hi and (v.hi_closed or not u.hi_closed)):
+                hi, hi_closed = u.hi, u.hi_closed
+            else:
+                hi, hi_closed = v.hi, v.hi_closed
             if lo < hi or (lo == hi and lo_closed and hi_closed):
                 out.append((lo, hi, lo_closed, hi_closed))
-            if _hi_key(u) < _hi_key(v):
+            if u.hi < v.hi or (u.hi == v.hi and v.hi_closed and not u.hi_closed):
                 i += 1
             else:
                 j += 1

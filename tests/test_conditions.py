@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import oracles
-from strategies import (NARROW_GAP_PAIR, gaussian_mixture_pairs, mixed_pairs,
-                        piecewise_poly_pairs, wide_sigma_pairs)
+from strategies import (NARROW_GAP_PAIR, gaussian_mixture_pairs, linear_piecewise_pairs,
+                        mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs)
 from advbayes import conditions, examples
 from advbayes.density import TINY, DistributionPair, Gaussian, PiecewisePoly, log_gap
 from advbayes.conditions import (
@@ -563,17 +563,54 @@ def test_scan_reads_each_class_once(monkeypatch, name, eps):
     assert calls[0] == 2
 
 
+def _read_indices(xs, ref_xs):
+    """The index in ``ref_xs`` of each sample of ``xs``, matched in order by
+    its bits: ``xs`` must be a subsequence of ``ref_xs`` holding its ends.
+    Samples that round to one float are matched to the first unmatched."""
+    ref = [x.hex() for x in ref_xs.tolist()]
+    *inner, last = xs.tolist()
+    at, i = [], 0
+    for x in inner:
+        while i < len(ref) - 1 and ref[i] != x.hex():
+            i += 1
+        assert i < len(ref) - 1, (x, ref_xs)
+        at.append(i)
+        i += 1
+    assert at[:1] == [0] and ref[-1] == last.hex()
+    return at + [len(ref) - 1]
+
+
 def _segments_match_per_segment_reading(pair, eps):
+    """Each segment of ``_segments`` reads a subset of the dense reference's
+    samples, its ends included: each read sample's position and value have
+    the reference's bits at its index, and the plateau flags are equal.  A
+    sample left unread has the value of both read neighbours on a plateau;
+    off one, it has their strict sign, |value| > TAU_PLATEAU, and is not
+    where both densities are below TINY (a log-gap signed sample)."""
     window, _ = scan_window(pair, eps)
     if window is None:
         return
     for kind, got in zip("ab", conditions._segments(pair, eps, "ab", window)):
+        plus, minus = conditions._reads(kind)
         want = oracles.per_segment_reading(pair, eps, kind, window)
         assert [(a, b, flat) for a, b, _, _, flat in got] == \
             [(a, b, flat) for a, b, _, _, flat in want]
-        for (_, _, xs, vals, _), (_, _, ref_xs, ref_vals, _) in zip(got, want):
-            assert xs.tobytes() == ref_xs.tobytes()
-            assert vals.tobytes() == ref_vals.tobytes()
+        for (_, _, xs, vals, flat), (_, _, ref_xs, ref_vals, _) in zip(got, want):
+            at = _read_indices(xs, ref_xs)
+            assert vals.tobytes() == ref_vals[at].tobytes()
+            if len(at) == len(ref_xs):
+                continue
+            under = ((pair.pdf_array(plus, ref_xs + eps) < TINY)
+                     & (pair.pdf_array(minus, ref_xs - eps) < TINY))
+            for i, j in zip(at, at[1:]):
+                for k in range(i + 1, j):
+                    v = ref_vals[k]
+                    if flat:
+                        assert v.tobytes() == ref_vals[i].tobytes() == ref_vals[j].tobytes()
+                    else:
+                        assert min(v, ref_vals[i], ref_vals[j]) > 0.0 or \
+                            max(v, ref_vals[i], ref_vals[j]) < 0.0, (k, v)
+                        assert abs(v) > conditions.TAU_PLATEAU and not under[k], (k, v)
 
 
 # On (11 + eps, 20 - eps) both Gaussian tails underflow to 0, so the a-kind
@@ -599,6 +636,45 @@ def test_builtin_segments_match_per_segment_reading(name, eps):
     # deg_eta_0_1_counterexample is built for its own radius, 0.1 at eps 0.
     pair = examples.example_pair(name, eps or 0.1)
     _segments_match_per_segment_reading(pair, eps)
+
+
+@given(linear_piecewise_pairs(),
+       st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.0, 1.0)))
+@settings(deadline=None, max_examples=60)
+def test_linear_segments_match_both_oracles(pair, eps):
+    """On pairs of constant and linear rows most segments read only some of
+    their samples; the scan's candidates still equal the literal scalar
+    scan's bit for bit, and the samples read equal the dense reference's."""
+    _segments_match_per_segment_reading(pair, eps)
+    _scan_matches_oracle(pair, eps)
+
+
+def _reads_per_segment(pair, eps):
+    window, _ = scan_window(pair, eps)
+    return [[(b - a, len(xs)) for a, b, xs, _, _ in segments]
+            for segments in conditions._segments(pair, eps, "ab", window)]
+
+
+@pytest.mark.parametrize("name", ["non_uniqueness_all", "degenerate",
+                                  "deg_eta_0_1_counterexample"])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2, 0.45])
+def test_constant_rows_read_segment_ends(name, eps):
+    """Where every row is a constant each segment reads its first and last
+    sample only; the densely read scan read 9 to 2,049 per segment.  A
+    segment a few ulps wide can read two cells of a density at its ends,
+    and reads all of its samples."""
+    pair = examples.example_pair(name, eps or 0.1)
+    for kind in _reads_per_segment(pair, eps):
+        assert kind and all(n == 2 for width, n in kind if width > 1e-12), kind
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45])
+def test_opposing_ramps_read_few_samples(eps):
+    """``non_uniqueness_single``'s two ramps give one linear segment per
+    kind, with one root: the scan reads its ends and the samples around the
+    root, where the densely read scan read 2,049."""
+    for kind in _reads_per_segment(examples.non_uniqueness_single(), eps):
+        assert 0 < sum(n for _, n in kind) <= 64, kind
 
 
 # -- root refinement ------------------------------------------------------------
