@@ -226,7 +226,7 @@ class IntervalSet:
         while i < len(a) and j < len(b):
             u, v = a[i], b[j]
             # The later start and the earlier end, an open end winning a tie;
-            # on a full tie u's, as max and min keep the first of equal keys.
+            # on a full tie u's, which may differ from v's bits (-0.0 and 0.0).
             if u.lo > v.lo or (u.lo == v.lo and (v.lo_closed or not u.lo_closed)):
                 lo, lo_closed = u.lo, u.lo_closed
             else:
