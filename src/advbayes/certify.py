@@ -2,7 +2,9 @@
 
 The primal side minimizes the adversarial risk over every classifier that
 is a union of at most ``maxK`` intervals with endpoints on a uniform grid
-(plus ∅ and ℝ).  The minimum is computed by a layered shortest-path pass
+(plus ∅ and ℝ).  By default the grid is the lattice ``k * h - eps`` over
+the pair's 5.2-sigma extent widened by eps, read off the components with
+no CDF search.  The minimum is computed by a layered shortest-path pass
 that is value-equivalent to literally enumerating all such unions: risk
 contributions are local to consecutive endpoints, including the exact
 mass corrections when nearby pieces' dilations overlap.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DistributionPair, Gaussian, itp_root
+from .density import DistributionPair
 from .intervals import INF, Interval, IntervalSet
 
 # Float64 values the grid primal may hold at once (400 MB).  Besides its
@@ -43,7 +45,6 @@ from .intervals import INF, Interval, IntervalSet
 # of n values besides the layers on the built-ins at n >= 2,000.
 WORK_BUDGET = 50_000_000
 _DP_SCRATCH = 10
-_QUANTILE_TOL = 1e-12
 
 
 class BudgetExceeded(RuntimeError):
@@ -142,38 +143,6 @@ class GapReport:
     certificate: DualCertificate
     grid_h: float
     max_k: int
-
-
-def _quantile(pair: DistributionPair, which: int, q: float) -> float:
-    """x with cdf(x) = q * total to ``_QUANTILE_TOL``, by ``itp_root``.
-
-    An all-Gaussian class's q-quantile lies between its components' least
-    and greatest own q-quantiles: below the least each component holds less
-    than q of its weight, above the greatest more.  That bracket is widened,
-    by ``_QUANTILE_TOL`` and then doubling steps, until its ends straddle the
-    target as the class CDF rounds it.  Other classes are searched over the
-    pair's finite extent.
-    """
-    target = q * pair.total_mass(which)
-    f = lambda x: pair.cdf(which, x) - target
-    components = (pair.class0, pair.class1)[which]
-    if not all(isinstance(c, Gaussian) for c in components):
-        return itp_root(f, *pair.finite_extent(), _QUANTILE_TOL)
-    ends = [c.quantile(q) for c in components]
-    lo, step = min(ends), _QUANTILE_TOL
-    while f(lo) > 0.0:
-        lo, step = lo - step, 2.0 * step
-    hi, step = max(ends), _QUANTILE_TOL
-    while f(hi) < 0.0:
-        hi, step = hi + step, 2.0 * step
-    return itp_root(f, lo, hi, _QUANTILE_TOL)
-
-
-def _tight_window(pair: DistributionPair, tail: float = 1e-7) -> tuple[float, float]:
-    """Window leaving at most ``tail`` of each class's mass per side."""
-    lo = min(_quantile(pair, 0, tail), _quantile(pair, 1, tail))
-    hi = max(_quantile(pair, 0, 1.0 - tail), _quantile(pair, 1, 1.0 - tail))
-    return lo, hi
 
 
 def discretize(pair: DistributionPair, grid_h: float) -> tuple[AtomList, AtomList]:
@@ -439,7 +408,13 @@ def primal_bruteforce(
     max_k: int = 2,
     window: tuple[float, float] | None = None,
 ) -> tuple[float, IntervalSet]:
-    """Minimum adversarial risk over unions of <= max_k grid-endpoint intervals."""
+    """Minimum adversarial risk over unions of <= max_k grid-endpoint intervals.
+
+    The grid steps by ``grid_h`` from the lower end of ``window``, which is
+    taken as given.  The default window is ``pair.extent(5.2)`` widened by
+    eps, its lower end moved down onto the lattice ``k * grid_h - eps``: the
+    window decides where the grid stops, never where its points sit.
+    """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if max_k < 1:
@@ -448,10 +423,12 @@ def primal_bruteforce(
         raise ValueError(f"grid_h must be finite and positive, got {grid_h!r}")
     if window is None:
         # Finite endpoints never help deep in the tails: a half-infinite
-        # piece covers them, so a 1e-7-per-side quantile window is exact to
-        # well below the certification tolerance.
-        lo, hi = _tight_window(pair)
-        lo, hi = lo - eps, hi + eps
+        # piece covers them.  Past 5.2 sigma a Gaussian leaves ndtr(-5.2) =
+        # 9.96e-8 of its weight, so each class leaves at most 1e-7 of its
+        # mass per side.  np.floor keeps a tiny grid_h's infinite k for the
+        # budget check below.
+        lo, hi = pair.extent(5.2)
+        lo, hi = grid_h * float(np.floor(lo / grid_h)) - eps, hi + eps
     else:
         lo, hi = window
     n = round((hi - lo) / grid_h, 0) + 1  # a float: a tiny grid_h makes it huge or inf

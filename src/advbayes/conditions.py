@@ -61,7 +61,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-TAU_ROOT = 1e-10
 TAU_PLATEAU = 1e-11
 _BISECT_TOL = 1e-12
 GRID_N = 2048  # defect samples per scan, spread over the scanned range

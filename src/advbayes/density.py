@@ -6,9 +6,9 @@ primitives per cell, the normal CDF for Gaussian components), so risks
 downstream are accurate to the CDF's ~1e-15 relative error and ties can be
 resolved at 1e-9.
 
-The normal CDF and its inverse are scipy's ``ndtr`` and ``ndtri``.
-``scipy.special`` is imported on the first Gaussian CDF or quantile read,
-not with this module, so a process that reads neither never loads it.
+The normal CDF is scipy's ``ndtr``.  ``scipy.special`` is imported on the
+first Gaussian CDF read, not with this module, so a process that reads
+none never loads it.
 
 Scalar sums over components or intervals are written as left folds from
 0, one rounding per term, as the array reads add and as ``sum`` adds up to
@@ -87,10 +87,6 @@ class Gaussian:
 
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         return self.weight * _special().ndtr((xs - self.mu) / self.sigma)
-
-    def quantile(self, q: float) -> float:
-        """x below which the fraction q of this component's weight lies."""
-        return self.mu + self.sigma * float(_special().ndtri(q))
 
     @property
     def total_mass(self) -> float:
@@ -651,11 +647,7 @@ class DistributionPair:
         asked for, so it grows with the endpoint pools of all radii solved
         on the pair: at most 302 points per class over a built-in's
         40-radius sweep (``degenerate``), 129 for a 64-bump solve and 513
-        for a 256-bump one.  ``certify._quantile`` fills it too: the root
-        finder's iterates on the class CDFs, 8-94 points per
-        ``_tight_window`` on a fresh built-in (20-98 evaluations; each
-        quantile search reads its bracket's two ends again, after reading
-        them while it widens an all-Gaussian class's bracket).
+        for a 256-bump one.
         """
         components = self._components(which)
         memo = self._cdf_memo[which]
@@ -779,23 +771,28 @@ class DistributionPair:
                     return True
         return False
 
-    def finite_extent(self) -> tuple[float, float]:
-        """Finite range holding everything that matters numerically; built
-        once per pair."""
-        return self._finite_extent
-
-    @functools.cached_property
-    def _finite_extent(self) -> tuple[float, float]:
+    def extent(self, sigmas: float) -> tuple[float, float]:
+        """Range spanning ``mu +- sigmas * sigma`` of every Gaussian component
+        and the first to last breakpoint of every piecewise one."""
         los, his = [], []
         for which in (0, 1):
             for c in self._components(which):
                 if isinstance(c, Gaussian):
-                    los.append(c.mu - 10.0 * c.sigma)
-                    his.append(c.mu + 10.0 * c.sigma)
+                    los.append(c.mu - sigmas * c.sigma)
+                    his.append(c.mu + sigmas * c.sigma)
                 else:
                     los.append(c.breakpoints[0])
                     his.append(c.breakpoints[-1])
         return min(los), max(his)
+
+    def finite_extent(self) -> tuple[float, float]:
+        """``extent(10.0)``, the range holding everything that matters
+        numerically; built once per pair."""
+        return self._finite_extent
+
+    @functools.cached_property
+    def _finite_extent(self) -> tuple[float, float]:
+        return self.extent(10.0)
 
 
 # -- signed density differences -------------------------------------------------

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import oracles
 from advbayes import examples
 from advbayes.cli import main
 from advbayes.certify import (
-    _QUANTILE_TOL,
     WORK_BUDGET,
     AtomList,
     BudgetExceeded,
     _pad_size,
-    _quantile,
-    _tight_window,
     _window_min,
     discretize,
     dp_slots,
@@ -30,7 +28,8 @@ from advbayes.solver import solve
 from advbayes.density import DistributionPair, PiecewisePoly
 from advbayes.intervals import IntervalSet
 from advbayes.risk import adversarial_risk
-from strategies import gaussian_mixture_pairs, wide_sigma_pairs
+from strategies import (gaussian_mixture_pairs, linear_piecewise_pairs, mixed_pairs,
+                        piecewise_poly_pairs, wide_sigma_pairs)
 from test_solver import _key_paths
 
 
@@ -68,36 +67,67 @@ class TestDiscretize:
                 AtomList(positions=np.array([pos]), masses=np.array([mass]), klass=0)
 
 
-class TestQuantile:
-    """The quantile searches that bound the grid primal's window."""
+class TestDefaultWindow:
+    """The grid primal's default window: ``pair.extent(5.2)`` widened by eps,
+    its lower end moved down onto the lattice ``k * grid_h - eps``."""
 
     @given(st.one_of(gaussian_mixture_pairs(), gaussian_mixture_pairs(60.0, (0.1, 0.5)),
-                     wide_sigma_pairs()),
-           st.sampled_from([1e-7, 0.25, 0.5, 1.0 - 1e-7]), st.sampled_from([0, 1]))
+                     wide_sigma_pairs(), piecewise_poly_pairs(), linear_piecewise_pairs(),
+                     mixed_pairs()),
+           st.sampled_from([0, 1]))
     @settings(deadline=None, max_examples=150)
-    def test_gaussian_class_cdf_crosses_the_target_within_tol(self, pair, q, which):
-        """A sum of weighted ``ndtr`` values does not decrease in x, so the
-        final bracket's ends, within tol of the result, straddle the target;
-        the slack allows for a rounding step down in ``ndtr``."""
-        x = _quantile(pair, which, q)
-        target = q * pair.total_mass(which)
-        slack = 4.0 * math.ulp(pair.total_mass(which))
-        assert pair.cdf(which, x - _QUANTILE_TOL) <= target + slack
-        assert pair.cdf(which, x + _QUANTILE_TOL) >= target - slack
+    def test_tail_mass_outside_window(self, pair, which):
+        """Each class leaves at most ndtr(-5.2) of its mass on each side of
+        ``extent(5.2)``, which every default window contains; the slack
+        allows for rounding in the sums of component CDFs."""
+        lo, hi = pair.extent(5.2)
+        total = pair.total_mass(which)
+        n = len(pair.class0 if which == 0 else pair.class1)
+        bound = float(ndtr(-5.2)) * total * (1.0 + 1e-12) + 4.0 * n * math.ulp(total)
+        assert pair.cdf(which, lo) <= bound
+        assert total - pair.cdf(which, hi) <= bound
 
-    @pytest.mark.parametrize("name, reads", [
-        # 141, 177, 64, 33, 105 and 37 with regula falsi over the finite extent
-        ("gaussians_equal_variances", 20), ("gaussians_equal_means", 20),
-        ("non_uniqueness_single", 47), ("non_uniqueness_all", 25), ("degenerate", 98),
-        ("deg_eta_0_1_counterexample", 20),
-    ])
-    def test_tight_window_cdf_reads(self, name, reads, monkeypatch):
+    @pytest.mark.parametrize("name", list(_DEFAULT_EPS))
+    def test_primal_reads_no_scalar_cdf(self, name, monkeypatch):
         calls = []
         cdf = DistributionPair.cdf
         monkeypatch.setattr(DistributionPair, "cdf",
                             lambda self, which, x: calls.append(x) or cdf(self, which, x))
-        _tight_window(examples.example_pair(name, _DEFAULT_EPS[name]))
-        assert len(calls) <= reads
+        primal_bruteforce(examples.example_pair(name, _DEFAULT_EPS[name]), _DEFAULT_EPS[name],
+                          1e-3)
+        assert calls == []
+
+    @pytest.mark.parametrize("grid_h", [1e-3, 3e-4])
+    def test_argmin_endpoints_on_lattice(self, bump_pair, grid_h):
+        """Every finite endpoint x has (x + eps) / grid_h an integer, up to
+        the few roundings that place x."""
+        cases = [(examples.example_pair(name, eps), eps) for name, eps in _DEFAULT_EPS.items()]
+        cases += [(bump_pair(3), 0.3), (bump_pair(2, True), 0.17)]
+        ends = 0
+        for pair, eps in cases:
+            _, argmin = primal_bruteforce(pair, eps, grid_h)
+            reach = abs(pair.extent(5.2)[0]) + eps + grid_h  # bounds the grid's first point
+            for x in argmin.boundary_points():
+                ends += 1
+                k = (x + eps) / grid_h
+                assert abs(k - round(k)) <= 8.0 * math.ulp(abs(x) + reach) / grid_h
+        assert ends >= 12
+
+    def test_tiny_grid_h_exceeds_budget(self, eqvar_pair):
+        """A grid_h so small that the lattice index overflows is refused by
+        the budget, not by an overflow in the window."""
+        with pytest.raises(BudgetExceeded, match="n = inf"):
+            primal_bruteforce(eqvar_pair, 1.0, 1e-320)
+
+    @pytest.mark.parametrize("grid_h", [1e-3, 1e-4])
+    def test_lattice_holds_the_exact_minimizers(self, eqvar_pair, deg_pair, grid_h):
+        """The minimizers' endpoints x have x + eps on the lattice, so the
+        grid holds them and the primal meets the continuous minimum:
+        Phi(-0.5) for the equal variances at eps 0.5, 4 * eps / 5 for
+        ``degenerate`` at eps 0.05."""
+        phi = 0.5 * math.erfc(0.5 / math.sqrt(2.0))
+        assert primal_bruteforce(eqvar_pair, 0.5, grid_h)[0] == pytest.approx(phi, abs=1e-15)
+        assert primal_bruteforce(deg_pair, 0.05, grid_h)[0] == pytest.approx(0.04, abs=1e-15)
 
 
 class TestGridHGuard:

@@ -26,6 +26,8 @@ from advbayes.intervals import INF, IntervalSet
 from advbayes.risk import TAU_RISK, adversarial_risk
 from advbayes.solver import solve
 
+TAU_ROOT = 1e-10  # largest residual a located first-order root may leave
+
 
 def locations(cands):
     out = []
@@ -170,7 +172,7 @@ class TestFirstOrder:
             scan = solve_first_order(pair, eps)
             for c in scan.a_candidates + scan.b_candidates:
                 if c.location is not None and not c.at_jump:
-                    assert abs(c.residual) <= conditions.TAU_ROOT
+                    assert abs(c.residual) <= TAU_ROOT
 
     def test_root_completeness_fine_grid(self, eqvar_pair, eqmeans_pair, deg_pair):
         cases = [(eqvar_pair, 0.5, -4, 6), (eqmeans_pair, 0.5, -8, 8), (deg_pair, 0.05, -0.95, 0.95)]
