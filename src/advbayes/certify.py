@@ -3,11 +3,11 @@
 The primal side minimizes the adversarial risk over every classifier that
 is a union of at most ``maxK`` intervals with endpoints on a uniform grid
 (plus ∅ and ℝ).  By default the grid is the lattice ``k * h - eps`` over
-the pair's 5.2-sigma extent widened by eps, read off the components with
-no CDF search.  The minimum is computed by a layered shortest-path pass
-that is value-equivalent to literally enumerating all such unions: risk
-contributions are local to consecutive endpoints, including the exact
-mass corrections when nearby pieces' dilations overlap.
+the pair's 5.2-sigma extent widened by eps.  The minimum is computed by a
+layered shortest-path pass that is value-equivalent to literally
+enumerating all such unions: risk contributions are local to consecutive
+endpoints, including the exact mass corrections when nearby pieces'
+dilations overlap.
 
 The dual side places one atom per grid cell at the cell midpoint and
 matches class-0 against class-1 atom mass at midpoint distance at most
