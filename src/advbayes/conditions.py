@@ -352,28 +352,24 @@ def _undecided(classes, eps: float, kind: str, a: float, b: float, m: int) -> np
 
 
 def _near_defect(pair: DistributionPair, eps: float, kind: str, lo: float,
-                 hi: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """The kind's defect on [lo, hi] as ``(raw, sign)``: ``defect`` and its
-    ``signed_gap``, bit for bit, with each class read through its
-    ``DistributionPair.near`` reader of the shifted interval, so a root
-    finder's reads inside one bracket share one window."""
+                 hi: float) -> Callable[[float], float]:
+    """The kind's ``signed_gap`` on [lo, hi], bit for bit, with each class
+    read through its ``DistributionPair.near`` callable of the shifted
+    interval, so a root finder's reads inside one bracket share one window."""
     plus, minus = _reads(kind)
     near = pair.near(plus, lo + eps, hi + eps), pair.near(minus, lo - eps, hi - eps)
-    p_plus, p_minus = near[0].pdf, near[1].pdf
-    return (lambda x: p_plus(x + eps) - p_minus(x - eps),
-            lambda x: signed_gap(pair, plus, x + eps, minus, x - eps, near))
+    return lambda x: signed_gap(pair, plus, x + eps, minus, x - eps, near)
 
 
 def _sign_changes(near, xs: np.ndarray, vals: np.ndarray,
-                  ends: list[int]) -> list[tuple[float, int, Callable[[float], float]]]:
+                  ends: list[int]) -> list[tuple[float, int]]:
     """Zero samples, and a root found by ``itp_root`` between each pair of
     neighbouring samples of opposite sign; each root with the number of
     samples up to and including its bracket's left end (a zero sample is its
-    own left end) and the bracket's ``raw`` defect.
+    own left end).
 
-    ``near(lo, hi)`` gives ``(raw, sign)`` on [lo, hi] (``_near_defect``);
-    the root finder reads ``sign`` of the bracket, and a zero sample x gets
-    ``near(x, x)``'s ``raw``.
+    ``near(lo, hi)`` gives the sign closure on [lo, hi] (``_near_defect``)
+    that the root finder reads.
 
     The samples are runs laid end to end, each ending before the index in
     ``ends``.  No bracket spans two runs, and a zero sample is read within its
@@ -398,15 +394,14 @@ def _sign_changes(near, xs: np.ndarray, vals: np.ndarray,
             else:
                 hits.discard(end - 1)
         start = end
-    roots: list[tuple[float, int, Callable[[float], float]]] = []
+    roots: list[tuple[float, int]] = []
     for i in sorted(hits):
         lo = float(xs[i])
         if zero[i]:
-            roots.append((lo, i + 1, near(lo, lo)[0]))
+            roots.append((lo, i + 1))
         else:
             hi = float(xs[i + 1])
-            raw, sign = near(lo, hi)
-            roots.append((itp_root(sign, lo, hi, _BISECT_TOL), i + 1, raw))
+            roots.append((itp_root(near(lo, hi), lo, hi, _BISECT_TOL), i + 1))
     return roots
 
 
@@ -516,9 +511,8 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
     lo, hi = segments[0][0], segments[-1][1]
 
     # Each root and plateau with the number of non-plateau samples before its
-    # right side: the verdicts read the samples on both sides of it.  A root
-    # also keeps its bracket's defect, which gives its residual.
-    roots: dict[float, tuple[int, Callable[[float], float]]] = {}
+    # right side: the verdicts read the samples on both sides of it.
+    roots: dict[float, int] = {}
     # Maximal plateau runs, reported as closed hulls of their segments.
     plateaus: list[tuple[float, float, int]] = []
     # Sign changes across a defect breakpoint: the endpoint location is
@@ -548,8 +542,8 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
     if runs_v:
         values = np.concatenate(runs_v)
         near = functools.partial(_near_defect, pair, eps, kind)
-        for r, k, raw in _sign_changes(near, np.concatenate(runs_x), values, ends):
-            roots.setdefault(r, (k, raw))
+        for r, k in _sign_changes(near, np.concatenate(runs_x), values, ends):
+            roots.setdefault(r, k)
 
     out: list[CandidatePoint] = []
     taken: list[float] = []  # kept sorted
@@ -558,11 +552,11 @@ def _scan_kind(pair: DistributionPair, eps: float, kind: str,
                                   second_order=_verdict(values, k), residual=0.0))
         bisect.insort(taken, p_lo)
         bisect.insort(taken, p_hi)
-    for r, (k, raw) in sorted(roots.items()):
+    for r, k in sorted(roots.items()):
         if near_sorted(taken, r, 1e-11, relative=True):
             continue
         out.append(CandidatePoint(kind=kind, location=r, second_order=_verdict(values, k),
-                                  residual=raw(r)))
+                                  residual=g(r)))
         bisect.insort(taken, r)
     # Jump points, then discontinuity-shifted points: the latter are
     # admissible endpoints regardless of any sign change, since the
@@ -632,7 +626,7 @@ def bayes_classifier(pair: DistributionPair) -> IntervalSet:
     if n:
         xs, vals, ends = _split_same_sign(pair, near, np.concatenate(runs_x),
                                           np.concatenate(runs_v), ends)
-        pts.update(r for r, _, _ in _sign_changes(near, xs, vals, ends))
+        pts.update(r for r, _ in _sign_changes(near, xs, vals, ends))
     return _positive_set(pair, sorted(pts), plateaus)
 
 
@@ -704,7 +698,7 @@ def _split_same_sign(pair: DistributionPair, near, xs: np.ndarray, vals: np.ndar
     at, added = [], []
     for i in open_.tolist():
         u, v = float(xs[i]), float(xs[i + 1])
-        found = _search_bracket(ranges, near(u, v)[1], u, v, bool(pos[i]))
+        found = _search_bracket(ranges, near(u, v), u, v, bool(pos[i]))
         if found is not None:
             at.append(i + 1)
             added.append(found)

@@ -22,7 +22,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -437,10 +437,9 @@ class _ComponentSums:
                 out += c.pdf_array(xs)
         return out
 
-    def near(self, lo: float, hi: float) -> _ComponentSums:
-        """A reader whose ``pdf`` gives this class's bits on [lo, hi]: the
-        class itself."""
-        return self
+    def near(self, lo: float, hi: float) -> Callable[[float], float]:
+        """A density callable with this class's bits on [lo, hi]: ``pdf``."""
+        return self.pdf
 
 
 _Row = tuple[float, float, float, float]
@@ -454,19 +453,6 @@ def _row_sum(rows: Sequence[_Row], x: float) -> float:
         z = (x - mu) / sigma
         acc += weight * exp(-0.5 * z * z) / norm
     return acc
-
-
-class _Near:
-    """The rows of an all-Gaussian class within reach of an interval; its
-    ``pdf`` gives the class's bits at every point of the interval."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[_Row]):
-        self.rows = rows
-
-    def pdf(self, x: float) -> float:
-        return _row_sum(self.rows, x)
 
 
 class _GaussianSums(_ComponentSums):
@@ -527,8 +513,8 @@ class _GaussianSums(_ComponentSums):
     def pdf(self, x: float) -> float:
         return _row_sum(self._window(x, x), x)
 
-    def near(self, lo: float, hi: float) -> _Near:
-        return _Near(self._window(lo, hi))
+    def near(self, lo: float, hi: float) -> Callable[[float], float]:
+        return functools.partial(_row_sum, self._window(lo, hi))
 
     def pdf_array(self, xs: np.ndarray) -> np.ndarray:
         if not self._limit:
@@ -608,10 +594,10 @@ class DistributionPair:
             return self._class_sums[which].pdf_array(xs)
         raise _class_index_error(which)
 
-    def near(self, which: int, lo: float, hi: float) -> _ComponentSums | _Near:
-        """A reader of class ``which`` whose ``pdf(x)`` equals ``pdf(which, x)``
-        bit for bit at every x in [lo, hi]: an all-Gaussian class's rows within
-        reach of the interval, fixed once, or the whole class."""
+    def near(self, which: int, lo: float, hi: float) -> Callable[[float], float]:
+        """A density callable of class ``which`` that equals ``pdf(which, x)``
+        bit for bit at every x in [lo, hi]: the sum over an all-Gaussian class's
+        rows within reach of the interval, fixed once, or the class's ``pdf``."""
         if which == 0 or which == 1:
             return self._class_sums[which].near(lo, hi)
         raise _class_index_error(which)
@@ -811,13 +797,13 @@ def signed_gap(pair: DistributionPair, plus: int, xp: float, minus: int, xm: flo
     """p_plus(xp) - p_minus(xm), or ``log_gap`` where both densities are below the
     normal range: there the difference of subnormals loses the sign.
 
-    ``near``, the two classes' ``DistributionPair.near`` readers of intervals
+    ``near``, the two classes' ``DistributionPair.near`` callables of intervals
     holding xp and xm, reads the densities with the same bits and less work.
     """
     if near is None:
         hi, lo = pair.pdf(plus, xp), pair.pdf(minus, xm)
     else:
-        hi, lo = near[0].pdf(xp), near[1].pdf(xm)
+        hi, lo = near[0](xp), near[1](xm)
     if hi < TINY and lo < TINY:
         return float(log_gap(pair, plus, np.array([xp]), minus, np.array([xm]))[0])
     return hi - lo

@@ -752,16 +752,21 @@ def test_root_finder_evaluations_per_bracket(bump_pair, monkeypatch):
 
 
 def _near_defect_matches_full_sums(pair, eps, kind, lo, hi, inner):
-    """``_near_defect`` on [lo, hi] reads, at lo, hi and each inner point,
-    the bits of the kind's defect and of its ``signed_gap`` summed over every
-    component of each class."""
-    raw, sign = conditions._near_defect(pair, eps, kind, lo, hi)
+    """At lo, hi and each inner point of [lo, hi], both classes'
+    ``DistributionPair.near`` callables of the shifted interval, ``defect``
+    and ``_near_defect``'s ``signed_gap`` read the bits of the sums over
+    every component of each class."""
+    sign = conditions._near_defect(pair, eps, kind, lo, hi)
     plus, minus = conditions._reads(kind)
+    near_plus = pair.near(plus, lo + eps, hi + eps)
+    near_minus = pair.near(minus, lo - eps, hi - eps)
     classes = (pair.class0, pair.class1)
     for x in [lo, hi] + inner:
         p, m = (oracles.left_fold(c.pdf(y) for c in classes[which])
                 for which, y in ((plus, x + eps), (minus, x - eps)))
-        assert raw(x).hex() == (p - m).hex(), x
+        assert near_plus(x + eps).hex() == p.hex(), x
+        assert near_minus(x - eps).hex() == m.hex(), x
+        assert conditions.defect(pair, eps, kind, x).hex() == (p - m).hex(), x
         if p < TINY and m < TINY:
             gap = log_gap(pair, plus, np.array([x + eps]), minus, np.array([x - eps]))[0]
             assert sign(x).hex() == float(gap).hex(), x
@@ -843,8 +848,7 @@ def test_sign_changes_read_run_by_run(runs):
     starts = [0] + ends[:-1]
     expected = oracles.per_run_sign_changes(
         sign, [(xs[s:e], vals[s:e]) for s, e in zip(starts, ends)])
-    got = conditions._sign_changes(lambda lo, hi: (sign, sign), xs, vals, ends)
-    assert [(r, k) for r, k, _ in got] == expected
+    assert conditions._sign_changes(lambda lo, hi: sign, xs, vals, ends) == expected
 
 
 def test_bracket_ends_read_with_scalar_sign():
@@ -858,8 +862,7 @@ def test_bracket_ends_read_with_scalar_sign():
         read.append(x)
         return 1e-300 + x
 
-    got = conditions._sign_changes(lambda lo, hi: (sign, sign), xs, vals, [3])
-    assert [(r, k) for r, k, _ in got] == [(0.0, 1)]
+    assert conditions._sign_changes(lambda lo, hi: sign, xs, vals, [3]) == [(0.0, 1)]
     assert read == [0.0, 0.5]
 
 
