@@ -10,10 +10,13 @@ names ``ab_old`` and ``ab_new``.  The workload's cases come from
 as ``bench/run.py`` runs it.  Every round runs each case once on each tree,
 one op at a time, the two trees in turn (which goes first alternates from
 round to round), so that a drift of the machine's speed reaches both alike.
-Each op's exit code and standard output must be identical on both trees.
+Each op's exit code must be identical on both trees, or the run stops.
 
-A table of per-case median times and their new/old ratio goes to standard
-output, then one JSON line with the geometric mean of the ratios.
+A table of per-case median times, their new/old ratio and whether the two
+trees printed the same standard output in every round goes to standard
+output, then one JSON line with the geometric mean of the ratios.  The run
+times a change that alters reports to the end, then exits 1 and names each
+case whose output differed.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ def compare(args) -> dict:
             if not cases:
                 raise SystemExit(f"error: no case named {args.case} in {args.workload}")
         times = {c.name: ([], []) for c in cases}
+        same = {c.name: True for c in cases}
         for r in range(args.rounds):
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for case in cases:
@@ -80,9 +84,10 @@ def compare(args) -> dict:
                     code, text, seconds = run.call(mains[t], case.argv)
                     outputs[t] = (code, text)
                     times[case.name][t].append(seconds)
-                if outputs[0] != outputs[1]:
-                    raise SystemExit(f"error: {case.name} differs between the trees "
-                                     f"(exit codes {outputs[0][0]!r} and {outputs[1][0]!r})")
+                if outputs[0][0] != outputs[1][0]:
+                    raise SystemExit(f"error: {case.name} exits {outputs[0][0]!r} on the old "
+                                     f"tree and {outputs[1][0]!r} on the new one")
+                same[case.name] &= outputs[0][1] == outputs[1][1]
     medians = {name: [1e3 * statistics.median(ts) for ts in pair]
                for name, pair in times.items()}
     ratios = [new / old for old, new in medians.values()]
@@ -90,7 +95,8 @@ def compare(args) -> dict:
         "workload": args.workload,
         "seed": args.seed,
         "rounds": args.rounds,
-        "cases": {name: {"old_ms": old, "new_ms": new, "ratio": new / old}
+        "cases": {name: {"old_ms": old, "new_ms": new, "ratio": new / old,
+                         "same_stdout": same[name]}
                   for name, (old, new) in medians.items()},
         "geomean_ratio": math.exp(statistics.fmean(math.log(x) for x in ratios)),
     }
@@ -98,11 +104,17 @@ def compare(args) -> dict:
 
 def main(argv=None) -> int:
     result = compare(parse_args(argv))
-    print(f"{'case':<44} {'old ms':>10} {'new ms':>10} {'new/old':>8}")
+    print(f"{'case':<44} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'same stdout':>12}")
     for name, c in result["cases"].items():
-        print(f"{name:<44} {c['old_ms']:>10.3f} {c['new_ms']:>10.3f} {c['ratio']:>8.4f}")
+        print(f"{name:<44} {c['old_ms']:>10.3f} {c['new_ms']:>10.3f} {c['ratio']:>8.4f} "
+              f"{'yes' if c['same_stdout'] else 'no':>12}")
     print(f"{'geomean':<66} {result['geomean_ratio']:>8.4f}")
     print(json.dumps(result))
+    differing = [name for name, c in result["cases"].items() if not c["same_stdout"]]
+    if differing:
+        print(f"error: standard output differs between the trees on {', '.join(differing)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
