@@ -2,24 +2,28 @@
 
 The primal side minimizes the adversarial risk over every classifier that
 is a union of at most ``maxK`` intervals with endpoints on a uniform grid
-(plus ∅ and ℝ).  By default the grid is the lattice ``k * h - eps`` over
-the pair's 5.2-sigma extent widened by eps.  The minimum is computed by a
-layered shortest-path pass that is value-equivalent to literally
-enumerating all such unions: risk contributions are local to consecutive
-endpoints, including the exact mass corrections when nearby pieces'
-dilations overlap.
+(plus ∅ and ℝ).  Both sides lay one lattice over the pair's 5.2-sigma
+extent (``_lattice_extent``).  By default the primal's grid is the lattice
+``k * h - eps`` (h the grid step) over that extent widened by eps.  The
+minimum is computed by a layered shortest-path pass that is
+value-equivalent to literally enumerating all such unions: risk
+contributions are local to consecutive endpoints, including the exact mass
+corrections when nearby pieces' dilations overlap.
 
-The dual side places one atom per grid cell at the cell midpoint and
-matches class-0 against class-1 atom mass at midpoint distance at most
-2*eps + h (h the grid step); matched mass counts toward the dual value.
-On a line this is a transportation matching, solved exactly by the
-leftmost-first greedy, whose step for each class-0 atom is a clamp map in
-cumulative class-1 mass.  Points of two matched cells can lie 2*eps + 2*h
-apart, so the dual value is no floor under the continuous risk: on
-``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040 against a solver
-minimum of 0.04000.  The gap therefore says how closely the two
-discretizations agree, not that either is optimal; a dual that is a true
-lower bound (midpoints within 2*eps - h) is ROADMAP item 4.
+The dual side tiles the extent with the cells [k * h, (k + 1) * h], each
+exactly one step wide; the first and the last cell also carry the class
+mass beyond them, so no mass is lost.  It places one atom per cell of
+positive mass at the cell midpoint and matches class-0 against class-1
+atom mass at midpoint distance at most 2*eps + h; matched mass counts
+toward the dual value.  On a line this is a transportation matching,
+solved exactly by the leftmost-first greedy, whose step for each class-0
+atom is a clamp map in cumulative class-1 mass.  Points of two matched
+cells can lie 2*eps + 2*h apart, so the dual value is no floor under the
+continuous risk: on ``degenerate`` at eps 0.05 and h 1e-3 it is 0.04040
+against a solver minimum of 0.04000.  The gap therefore says how closely
+the two discretizations agree, not that either is optimal; a dual that is
+a true lower bound (midpoints within 2*eps - h, so that on cells one step
+wide every two points of matched cells lie within 2*eps) is ROADMAP item 4.
 
 The primal is linear in the grid size: its sliding window minimum is the
 van Herk / Gil-Werman block prefix/suffix minimum, taken in place in
@@ -145,22 +149,36 @@ class GapReport:
     max_k: int
 
 
+def _lattice_extent(pair: DistributionPair, grid_h: float) -> tuple[float, float]:
+    """``pair.extent(5.2)``, its lower end moved down onto the lattice ``k * grid_h``.
+
+    Both halves of the certificate lay their grids from here: the primal's
+    default window widens it by eps, and the dual's cells tile it.  Past 5.2
+    sigma a Gaussian leaves ndtr(-5.2) = 9.96e-8 of its weight, so each class
+    leaves at most 1e-7 of its mass per side.  np.floor keeps a tiny grid_h's
+    infinite k for the primal's budget check.
+    """
+    lo, hi = pair.extent(5.2)
+    return grid_h * float(np.floor(lo / grid_h)), hi
+
+
 def discretize(pair: DistributionPair, grid_h: float) -> tuple[AtomList, AtomList]:
     """Cell-midpoint atoms with exact cell masses for both classes.
 
-    The cells tile ``pair.finite_extent()``: it spans 10 sigma each side of
-    every Gaussian and the hull of every piecewise component, so it leaves
-    out about 1.5e-23 of each component's weight.
+    The cells are [k * grid_h, (k + 1) * grid_h], the primal's lattice
+    shifted by eps, over ``_lattice_extent``.  The first and the last cell
+    also carry the class mass beyond them, so the atoms hold the class's
+    whole mass; cells of no mass give no atom.
     """
     if not 0 < grid_h < math.inf:
         raise ValueError(f"grid_h must be finite and positive, got {grid_h!r}")
-    lo, hi = pair.finite_extent()
-    n_cells = max(1, int(math.ceil((hi - lo) / grid_h - 1e-12)))
-    edges = np.linspace(lo, hi, n_cells + 1)
+    lo, hi = _lattice_extent(pair, grid_h)
+    edges = lo + grid_h * np.arange(math.ceil((hi - lo) / grid_h) + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     out = []
     for which in (0, 1):
         cdf = pair.cdf_array(which, edges)
+        cdf[0], cdf[-1] = 0.0, pair.total_mass(which)
         masses = np.diff(cdf)
         keep = masses > 0
         out.append(AtomList(positions=mids[keep], masses=masses[keep], klass=which))
@@ -319,7 +337,8 @@ class _PrimalDP:
     separable).
     """
 
-    def __init__(self, pair: DistributionPair, eps: float, xs: np.ndarray, max_k: int):
+    def __init__(self, pair: DistributionPair, eps: float, xs: np.ndarray, grid_h: float,
+                 max_k: int):
         self.xs = xs
         self.max_k = max_k
         n = len(xs)
@@ -327,8 +346,7 @@ class _PrimalDP:
         self.fp = tuple(pair.cdf_array(c, xs + eps) for c in (0, 1))
         self.fm = tuple(pair.cdf_array(c, xs - eps) for c in (0, 1))
         self.m = (pair.total_mass(0), pair.total_mass(1))
-        h = xs[1] - xs[0] if n > 1 else 1.0
-        self.d_steps = int(math.floor(2.0 * eps / h + 1e-9))
+        self.d_steps = int(math.floor(2.0 * eps / grid_h + 1e-9))
         # Scratch that every step and every edge-cost read reuses.
         self._v, self._win = np.empty(n), np.empty(n)
         self._pad = np.empty(_pad_size(n, self.d_steps))
@@ -423,12 +441,9 @@ def primal_bruteforce(
         raise ValueError(f"grid_h must be finite and positive, got {grid_h!r}")
     if window is None:
         # Finite endpoints never help deep in the tails: a half-infinite
-        # piece covers them.  Past 5.2 sigma a Gaussian leaves ndtr(-5.2) =
-        # 9.96e-8 of its weight, so each class leaves at most 1e-7 of its
-        # mass per side.  np.floor keeps a tiny grid_h's infinite k for the
-        # budget check below.
-        lo, hi = pair.extent(5.2)
-        lo, hi = grid_h * float(np.floor(lo / grid_h)) - eps, hi + eps
+        # piece covers them.
+        lo, hi = _lattice_extent(pair, grid_h)
+        lo, hi = lo - eps, hi + eps
     else:
         lo, hi = window
     n = round((hi - lo) / grid_h, 0) + 1  # a float: a tiny grid_h makes it huge or inf
@@ -437,7 +452,7 @@ def primal_bruteforce(
         raise BudgetExceeded(f"grid primal needs {slots:.2e} values (n = {n:.6g}, "
                              f"max_k = {max_k}), over the budget of {WORK_BUDGET:.0e}")
     xs = lo + grid_h * np.arange(int(n))
-    return _PrimalDP(pair, eps, xs, max_k).run()
+    return _PrimalDP(pair, eps, xs, grid_h, max_k).run()
 
 
 def duality_gap(

@@ -52,6 +52,47 @@ class TestDiscretize:
         assert a0.total() == pytest.approx(0.5, abs=1e-9)
         assert a1.total() == pytest.approx(0.5, abs=1e-9)
 
+    @given(st.one_of(gaussian_mixture_pairs(), wide_sigma_pairs(), piecewise_poly_pairs(),
+                     mixed_pairs()),
+           st.sampled_from([0.05, 1e-2, 1e-3]))
+    @settings(deadline=None, max_examples=100)
+    def test_atoms_on_lattice(self, pair, grid_h):
+        """Each atom sits at (k + 1/2) * grid_h, the midpoint of its cell
+        [k * grid_h, (k + 1) * grid_h], up to the few roundings that place it."""
+        reach = max(map(abs, pair.extent(5.2))) + 2.0 * grid_h
+        for atoms in discretize(pair, grid_h):
+            k = atoms.positions / grid_h - 0.5
+            assert np.all(np.abs(k - np.round(k)) <= 8.0 * math.ulp(reach) / grid_h)
+
+    @given(st.one_of(gaussian_mixture_pairs(), wide_sigma_pairs(), piecewise_poly_pairs(),
+                     mixed_pairs()),
+           st.sampled_from([0.05, 1e-2, 1e-3]))
+    @settings(deadline=None, max_examples=100)
+    def test_atoms_hold_total_mass(self, pair, grid_h):
+        """The end cells carry the mass beyond them, so each class's atoms
+        hold its ``total_mass`` up to one rounding per cell."""
+        lo, hi = pair.extent(5.2)
+        cells = math.ceil((hi - lo) / grid_h) + 1
+        for which, atoms in enumerate(discretize(pair, grid_h)):
+            assert abs(atoms.total() - pair.total_mass(which)) <= (cells + 1) * 2.0**-52
+
+    @pytest.mark.parametrize("name", list(_DEFAULT_EPS))
+    def test_cdf_points_within_extent(self, name, monkeypatch):
+        """``discretize`` reads each class CDF at the cell ends over
+        ``extent(5.2)`` only: at most ceil((hi - lo) / h) + 2 points."""
+        pair, h = examples.example_pair(name, _DEFAULT_EPS[name]), 1e-3
+        reads = {0: 0, 1: 0}
+        cdf_array = DistributionPair.cdf_array
+
+        def counted(self, which, xs):
+            reads[which] += len(xs)
+            return cdf_array(self, which, xs)
+
+        monkeypatch.setattr(DistributionPair, "cdf_array", counted)
+        discretize(pair, h)
+        lo, hi = pair.extent(5.2)
+        assert 0 < max(reads.values()) <= math.ceil((hi - lo) / h) + 2
+
     def test_positions_increasing(self, deg_pair):
         a0, a1 = discretize(deg_pair, 1e-3)
         assert np.all(np.diff(a0.positions) > 0)
@@ -411,6 +452,11 @@ class TestDualityGap:
         gap = duality_gap(nua_pair, 0.2, 1e-3, 2)
         assert abs(gap.gap) <= 1e-2
         assert gap.certificate.dual_value == pytest.approx(0.4, abs=5e-3)
+
+    def test_equal_variances_closes(self, eqvar_pair):
+        """On the one lattice the dual matches the primal's whole minimum,
+        Phi(-0.5), at eps 0.5."""
+        assert abs(duality_gap(eqvar_pair, 0.5, 1e-3).gap) <= 1e-12
 
     def test_equal_means(self, eqmeans_pair):
         gap = duality_gap(eqmeans_pair, 0.5, 1e-3, 2)
