@@ -257,8 +257,25 @@ def degenerate_report(
     )
 
 
-def solve(pair: DistributionPair, eps: float) -> SolveReport:
-    """Find every minimizer at one radius and group them into equivalence classes."""
+@dataclass
+class MinRiskStage:
+    """The first stage of ``solve``: the scan, the candidate sets and their risks."""
+
+    scan: FirstOrderScan | None
+    warnings: list[str]
+    a_pts: list[float]
+    b_pts: list[float]
+    sets: list[IntervalSet]
+    risks: list[RiskBreakdown]
+    min_risk: float
+
+
+def min_risk_stage(pair: DistributionPair, eps: float) -> MinRiskStage:
+    """Scan the first-order conditions and find every candidate set's risk.
+
+    ``solve`` goes on to group the minimizers; a caller that needs only the
+    minimum risk, like ``certify``, stops here.
+    """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if eps == math.inf:
@@ -281,6 +298,15 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
         a_pts, b_pts = usable(scan.a_candidates), usable(scan.b_candidates)
 
     sets, risks = enumerate_candidates(pair, a_pts, b_pts, eps)
+    return MinRiskStage(scan, warnings, a_pts, b_pts, sets, risks,
+                        min(r.total for r in risks))
+
+
+def solve(pair: DistributionPair, eps: float) -> SolveReport:
+    """Find every minimizer at one radius and group them into equivalence classes."""
+    stage = min_risk_stage(pair, eps)
+    scan, warnings, a_pts, b_pts = stage.scan, stage.warnings, stage.a_pts, stage.b_pts
+    sets, risks, min_risk = stage.sets, stage.risks, stage.min_risk
 
     pass_points = set()
     if scan is not None:
@@ -291,7 +317,6 @@ def solve(pair: DistributionPair, eps: float) -> SolveReport:
 
     # ``sets`` arrive sorted by _set_key, so minimizers and each class's
     # members are in that order too.
-    min_risk = min(r.total for r in risks)
     minimizers = [
         CandidateClassifier(
             set=s,

@@ -1,10 +1,11 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -92,6 +93,23 @@ class TestDiscretize:
         discretize(pair, h)
         lo, hi = pair.extent(5.2)
         assert 0 < max(reads.values()) <= math.ceil((hi - lo) / h) + 2
+
+    def test_tiny_grid_h_exceeds_budget(self, eqvar_pair, monkeypatch):
+        """The cell count goes through the primal's budget check: a step so
+        small that the count overflows is refused, and so is one whose
+        count is finite but far too large, before anything is allocated."""
+        with pytest.raises(BudgetExceeded, match="inf cells"):
+            discretize(eqvar_pair, 1e-320)
+        reads = []
+        monkeypatch.setattr(DistributionPair, "cdf_array", lambda *args: reads.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="cell dual"):
+                discretize(eqvar_pair, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reads == [] and peak < 1e6
 
     def test_positions_increasing(self, deg_pair):
         a0, a1 = discretize(deg_pair, 1e-3)
@@ -327,6 +345,77 @@ def test_dual_matches_loop_on_builtins(name, grid_h):
     eps = _DEFAULT_EPS[name]
     a0, a1 = discretize(examples.example_pair(name, eps), grid_h)
     _assert_matches_loop(a0, a1, eps, grid_h)
+
+
+def _exact_stretch_sum(cert) -> float:
+    """The sum of the certificate's stretch lengths, rounded once."""
+    return float(sum((Fraction(e) - Fraction(s)
+                      for s, e in zip(cert.start.tolist(), cert.end.tolist())), Fraction(0)))
+
+
+@given(atom_lists(0), atom_lists(1), st.integers(0, 48), st.sampled_from([0.0, 0.125]))
+@settings(deadline=None, max_examples=200)
+def test_dual_value_is_the_exact_stretch_sum(a0, a1, eps16, grid_h):
+    cert = dual_value(a0, a1, eps16 / 16.0, grid_h)
+    assert cert.dual_value == _exact_stretch_sum(cert)
+
+
+class TestCellDual:
+    """The density dual runs on the lattice cells, each reaching the cells
+    within r steps, r the largest k with k * grid_h <= 2 * eps + grid_h."""
+
+    @pytest.mark.parametrize("name, eps", [
+        ("gaussians_equal_variances", 0.5),  # 2 * eps / h just under 1000
+        ("non_uniqueness_all", 0.2),  # just over 400
+        ("gaussians_equal_variances", 0.469233),  # 938.466: no cell is in doubt
+    ])
+    def test_one_reach_at_round_radii(self, name, eps):
+        """Every class-0 cell reaches r cells on both sides: each stretch lies
+        within its cell's reach, and the value is the greedy's on whole cell
+        indices at radius r."""
+        h = 1e-3
+        r = math.floor((2 * Fraction(eps) + Fraction(h)) / Fraction(h))
+        pair = examples.example_pair(name, eps)
+        cert = duality_gap(pair, eps, h).certificate
+        a0, a1 = discretize(pair, h)
+        k0, k1 = (np.round(a.positions / h - 0.5) for a in (a0, a1))
+        expected = oracles.greedy_dual_loop(k0, a0.masses, k1, a1.masses, float(r))
+        assert abs(cert.dual_value - expected) <= (len(a0) + len(a1)) * 4 * 2.0**-53
+        cells = len(cert.c1) - 1
+        assert np.all(cert.c1[np.maximum(cert.rows - r, 0)] <= cert.start)
+        assert np.all(cert.end <= cert.c1[np.minimum(cert.rows + r + 1, cells)])
+
+    @given(st.one_of(gaussian_mixture_pairs(), wide_sigma_pairs(), piecewise_poly_pairs(),
+                     mixed_pairs()),
+           st.floats(0.0, 1.5), st.sampled_from([0.05, 1e-2, 1e-3]))
+    @settings(deadline=None, max_examples=100)
+    def test_matches_atom_mode(self, pair, eps, grid_h):
+        """Where 2 * eps / grid_h is not within 1e-6 of a whole number the
+        midpoints decide every reach alike, so the cell dual is atom mode's
+        on ``discretize``'s atoms to the bit, its sum exact."""
+        steps = 2.0 * eps / grid_h
+        assume(abs(steps - round(steps)) > 1e-6)
+        cert = duality_gap(pair, eps, grid_h, 1).certificate
+        atoms = dual_value(*discretize(pair, grid_h), eps, grid_h)
+        assert cert.dual_value.hex() == atoms.dual_value.hex()
+        assert cert.start.tobytes() == atoms.start.tobytes()
+        assert cert.end.tobytes() == atoms.end.tobytes()
+        assert cert.n_pairs == atoms.n_pairs
+        assert cert.dual_value == _exact_stretch_sum(cert)
+
+    @pytest.mark.parametrize("name", list(_DEFAULT_EPS))
+    def test_one_lattice_read(self, name, monkeypatch):
+        """The primal's +eps side and the dual's cell ends come from one read
+        of each class CDF; the primal's -eps side is the only other."""
+        calls, scalar = [], []
+        cdf_array, cdf = DistributionPair.cdf_array, DistributionPair.cdf
+        monkeypatch.setattr(DistributionPair, "cdf_array",
+                            lambda self, which, xs: calls.append(which) or cdf_array(self, which, xs))
+        monkeypatch.setattr(DistributionPair, "cdf",
+                            lambda self, which, x: scalar.append(x) or cdf(self, which, x))
+        eps = _DEFAULT_EPS[name]
+        duality_gap(examples.example_pair(name, eps), eps, 1e-3)
+        assert sorted(calls) == [0, 0, 1, 1] and scalar == []
 
 
 def _literal_window_min(v, width):

@@ -471,7 +471,7 @@ class TestCertifyCommand:
         assert data["certificate"]["matching"] == [[0, 0, 0.5]]
 
     @pytest.mark.parametrize("name, tol, failing", [
-        ("non_uniqueness_all", "1e-20", []),  # both within rounding of 0
+        ("non_uniqueness_all", "1e-20", ["gap"]),  # gap -3.75e-4, the dual's h slack
         ("non_uniqueness_single", "1e-6", ["gap"]),  # solver - primal is about 2e-15
         ("gaussians_equal_means", "1e-12", ["solver_vs_primal", "gap"]),
     ])

@@ -12,6 +12,7 @@ from advbayes import cli, conditions, examples, reportio, solver
 from advbayes.conditions import FAIL
 from advbayes.density import DistributionPair, Gaussian, PiecewisePoly
 from advbayes.intervals import INF, Interval, IntervalSet
+from advbayes.regressions import _DEFAULT_EPS
 from advbayes.risk import TAU_RISK, RiskBreakdown, adversarial_risk
 from advbayes.solver import (
     AssumptionUnmet,
@@ -22,9 +23,10 @@ from advbayes.solver import (
     are_equivalent,
     check_monotonicity,
     degenerate_report,
+    min_risk_stage,
     solve,
 )
-from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs
+from strategies import gaussian_mixture_pairs, mixed_pairs, piecewise_poly_pairs, wide_sigma_pairs
 
 
 def record_enumeration(monkeypatch) -> list[tuple]:
@@ -405,6 +407,28 @@ def test_walk_lists_every_exact_tie(k):
     risks = [oracles.mass_set_risk(pair, s, eps) for s in sets]
     low = min(r[0] for r in risks)
     assert got == [(s, repr(r)) for s, r in zip(sets, risks) if r[0] <= low + TAU_RISK]
+
+
+class TestMinRiskStage:
+    """``certify`` reads the minimum from ``min_risk_stage``, so it must be
+    ``solve``'s ``min_risk`` to the bit."""
+
+    @pytest.mark.parametrize("name", examples.EXAMPLE_NAMES)
+    def test_builtins(self, name):
+        eps = _DEFAULT_EPS[name]
+        pair = examples.example_pair(name, eps)
+        assert min_risk_stage(pair, eps).min_risk.hex() == solve(pair, eps).min_risk.hex()
+
+    def test_window_empty(self, nus_pair):
+        stage, rep = min_risk_stage(nus_pair, 1.5), solve(nus_pair, 1.5)
+        assert stage.scan is None and stage.warnings == rep.warnings
+        assert stage.min_risk.hex() == rep.min_risk.hex()
+
+    @given(st.one_of(gaussian_mixture_pairs(), piecewise_poly_pairs(), mixed_pairs(),
+                     wide_sigma_pairs()), st.floats(0.0, 1.5))
+    @settings(deadline=None, max_examples=60)
+    def test_strategy_pairs(self, pair, eps):
+        assert min_risk_stage(pair, eps).min_risk.hex() == solve(pair, eps).min_risk.hex()
 
 
 class TestDegenerateReport:
