@@ -29,7 +29,7 @@ every two points of matched cells lie within 2*eps) is ROADMAP item 4.
 
 ``duality_gap`` reads each class CDF once on the lattice ``k * h``: the
 primal's grid points plus eps and the dual's cell ends are the same points.
-The primal's other read, at its grid points minus eps, is the only other.
+Its only other read is the primal's, at the grid points minus eps.
 ``discretize`` and ``dual_value`` give the same dual on atoms at the cell
 midpoints, whose reach two ``searchsorted`` calls find; where 2*eps / h is
 a whole number, rounding of the midpoints decides their reach atom by atom.
@@ -259,14 +259,8 @@ def _compose_clamps(a: np.ndarray, b: np.ndarray) -> None:
         d *= 2
 
 
-def _greedy(
-    m0: np.ndarray,
-    c1: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    rows: np.ndarray,
-    radius: float,
-) -> DualCertificate:
+def _greedy(m0: np.ndarray, c1: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+            radius: float) -> DualCertificate:
     """The leftmost-first greedy, as a prefix scan of clamp maps.
 
     Class-0 entry i has mass ``m0[i]`` and reaches the class-1 entries
