@@ -36,7 +36,10 @@ a whole number, rounding of the midpoints decides their reach atom by atom.
 
 The primal is linear in the grid size: its sliding window minimum is the
 van Herk / Gil-Werman block prefix/suffix minimum, taken in place in
-scratch reused by every layer.  The dual is a prefix scan of the clamp
+scratch reused by every layer.  Its running minima and the greedy's
+running maximum are ``np.fmin`` / ``np.fmax`` accumulates, which give
+``np.minimum`` / ``np.maximum``'s values faster but skip NaN, so every CDF
+read is refused if it holds one.  The dual is a prefix scan of the clamp
 maps (Hillis-Steele), log2(n) numpy passes of ``max`` and ``min`` with no
 Python step per cell or atom.
 """
@@ -197,6 +200,19 @@ def _cell_count(lo: float, hi: float, grid_h: float) -> int:
     return _within_budget("cell dual", cells, _DUAL_SLOTS, f"{cells:.6g} cells")
 
 
+def _read_cdf(pair: DistributionPair, which: int, xs: np.ndarray) -> np.ndarray:
+    """``pair.cdf_array(which, xs)``, refused with ``ValueError`` if it holds NaN.
+
+    The running extrema of the grid primal and of the greedy are ``np.fmin``
+    and ``np.fmax`` accumulates, which skip a NaN that ``np.minimum`` would
+    pass on, so a NaN read would otherwise give a wrong value silently.
+    """
+    cdf = pair.cdf_array(which, xs)
+    if np.isnan(cdf).any():
+        raise ValueError(f"class {which} CDF reads NaN on the certificate's grid")
+    return cdf
+
+
 def _cell_masses(pair: DistributionPair, which: int, cdf: np.ndarray) -> np.ndarray:
     """Class mass of each cell between consecutive lattice reads ``cdf``.
 
@@ -220,7 +236,7 @@ def discretize(pair: DistributionPair, grid_h: float) -> tuple[AtomList, AtomLis
     mids = 0.5 * (edges[:-1] + edges[1:])
     out = []
     for which in (0, 1):
-        masses = _cell_masses(pair, which, pair.cdf_array(which, edges))
+        masses = _cell_masses(pair, which, _read_cdf(pair, which, edges))
         keep = masses > 0
         out.append(AtomList(positions=mids[keep], masses=masses[keep], klass=which))
     return out[0], out[1]
@@ -300,7 +316,7 @@ def _greedy(m0: np.ndarray, c1: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows
     # Rounding can dip u by an ulp; the running maximum keeps stretches apart.
     start = np.empty_like(u)
     start[:1] = 0.0
-    np.maximum.accumulate(u[:-1], out=start[1:])
+    np.fmax.accumulate(u[:-1], out=start[1:])
     np.maximum(start, floor, out=start)
     idx = np.flatnonzero(u > start)
     start, end = start[idx], u[idx]
@@ -369,7 +385,7 @@ def _prefix_min_shifted(v: np.ndarray, shift: int, out: np.ndarray) -> np.ndarra
     n = len(v)
     shift = min(shift, n)
     out[:shift] = np.inf
-    np.minimum.accumulate(v[:n - shift], out=out[shift:])
+    np.fmin.accumulate(v[:n - shift], out=out[shift:])
     return out
 
 
@@ -399,11 +415,11 @@ def _window_min(v: np.ndarray, width: int, out: np.ndarray, pad: np.ndarray) -> 
     pad[n:size] = np.inf
     pad[:n] = v
     backward = rows[:, ::-1]
-    np.minimum.accumulate(backward, axis=1, out=backward)
+    np.fmin.accumulate(backward, axis=1, out=backward)
     out[:width] = np.inf
     out[width:] = pad[:n - width]
     pad[:n] = v
-    np.minimum.accumulate(rows, axis=1, out=rows)
+    np.fmin.accumulate(rows, axis=1, out=rows)
     np.minimum(out[1:], pad[:n - 1], out=out[1:])
     return out
 
@@ -435,7 +451,7 @@ class _PrimalDP:
         self.fp = fp
         xs_minus = x0 + grid_h * np.arange(n)
         xs_minus -= eps
-        self.fm = tuple(pair.cdf_array(c, xs_minus) for c in (0, 1))
+        self.fm = tuple(_read_cdf(pair, c, xs_minus) for c in (0, 1))
         self.m = (pair.total_mass(0), pair.total_mass(1))
         self.d_steps = int(math.floor(2.0 * eps / grid_h + 1e-9))
         # Scratch that every step and every edge-cost read reuses.
@@ -531,7 +547,7 @@ def _lattice_cdfs(pair: DistributionPair, lo: float, grid_h: float,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each class CDF at the lattice points ``lo + k * grid_h``, k < n."""
     points = lo + grid_h * np.arange(n)
-    return pair.cdf_array(0, points), pair.cdf_array(1, points)
+    return _read_cdf(pair, 0, points), _read_cdf(pair, 1, points)
 
 
 def primal_bruteforce(

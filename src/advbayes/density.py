@@ -32,7 +32,11 @@ MASS_TOL = 1e-9
 MAX_POLY_DEGREE = 5
 _ROOT_REFINE_TOL = 1e-13
 TINY = np.finfo(float).tiny  # smallest normal float; below it a density is subnormal or 0
-ARRAY_CDF_POINTS = 24  # shortest list that cdf_points sends to cdf_array: 8 to 24 scalar CDFs' cost
+# Shortest list that cdf_points sends to cdf_array, where one array call
+# costs about as much as that many scalar class CDFs: on an all-Gaussian
+# class of 1 to 64 components, and on degenerate's one-cell piecewise class.
+ARRAY_CDF_POINTS = 24
+GAUSSIAN_ARRAY_CDF_POINTS = 10
 
 
 @functools.cache
@@ -419,6 +423,8 @@ DensityComponent = Union[Gaussian, PiecewisePoly]
 class _ComponentSums:
     """Density of one class: the sum over its components, in their order."""
 
+    array_cdf_points = ARRAY_CDF_POINTS
+
     def __init__(self, components: tuple[DensityComponent, ...]):
         self.components = components
 
@@ -478,6 +484,8 @@ class _GaussianSums(_ComponentSums):
     A class whose means all lie within one reach of one another leaves
     nothing out near them, so it is read as ``_ComponentSums`` reads it.
     """
+
+    array_cdf_points = GAUSSIAN_ARRAY_CDF_POINTS
 
     def __init__(self, components: tuple[Gaussian, ...]):
         super().__init__(components)
@@ -654,14 +662,15 @@ class DistributionPair:
     def cdf_points(self, which: int, xs: list[float]) -> list[float]:
         """``[self.cdf(which, x) for x in xs]``, and every point joins the memo.
 
-        From ``ARRAY_CDF_POINTS`` points on, one ``cdf_array`` call, which
-        gives the same bits, computes them all.  Its numpy calls cost about
-        as much as 8 scalar class CDFs on the Gaussian built-ins, 12 to 16
-        on the multi-cell piecewise ones and 16 Gaussian bumps, and 24 on
-        ``degenerate``'s one-cell class 0, so shorter lists take the
-        scalar path.
+        From the class's ``array_cdf_points`` on, one ``cdf_array`` call,
+        which gives the same bits, computes them all.  Its numpy calls cost
+        about as much as 10 scalar class CDFs on an all-Gaussian class of 1
+        to 64 components, and 12 to 24 on the piecewise built-ins, so
+        shorter lists take the scalar path.
         """
-        if len(xs) < ARRAY_CDF_POINTS:
+        if not (which == 0 or which == 1):
+            raise _class_index_error(which)
+        if len(xs) < self._class_sums[which].array_cdf_points:
             return [self.cdf(which, x) for x in xs]
         values = self.cdf_array(which, np.array(xs, dtype=float)).tolist()
         self._cdf_memo[which].update(zip(xs, values))

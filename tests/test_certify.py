@@ -17,6 +17,7 @@ from advbayes.certify import (
     AtomList,
     BudgetExceeded,
     _pad_size,
+    _prefix_min_shifted,
     _window_min,
     discretize,
     dp_slots,
@@ -422,17 +423,31 @@ def _literal_window_min(v, width):
     return [min(v[max(0, k - width):k], default=math.inf) for k in range(len(v))]
 
 
+# x + 0.0 turns -0.0 into 0.0, so a minimum's bytes do not depend on which of
+# two equal zeros comes first.
+_KERNEL_ENTRIES = st.one_of(st.floats(-1e3, 1e3).map(lambda x: x + 0.0),
+                            st.sampled_from([math.inf, -math.inf]))
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=200)
 def test_window_min_matches_literal(data):
-    # x + 0.0 turns -0.0 into 0.0, so the minimum's bytes do not depend on
-    # which of two equal zeros comes first.
-    entries = st.one_of(st.floats(-1e3, 1e3).map(lambda x: x + 0.0), st.just(math.inf))
-    v = data.draw(st.lists(entries, max_size=40))
+    v = data.draw(st.lists(_KERNEL_ENTRIES, max_size=40))
     width = data.draw(st.integers(0, len(v) + 5))
     got = _window_min(np.array(v, dtype=float), width, np.empty(len(v)),
                       np.empty(_pad_size(len(v), width)))
     assert got.tobytes() == np.array(_literal_window_min(v, width), dtype=float).tobytes()
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_prefix_min_shifted_matches_literal(data):
+    v = data.draw(st.lists(_KERNEL_ENTRIES, max_size=40))
+    shift = data.draw(st.integers(0, len(v) + 5))
+    got = _prefix_min_shifted(np.array(v, dtype=float), shift, np.empty(len(v)))
+    literal = [min(v[:k - shift + 1], default=math.inf) if k >= shift else math.inf
+               for k in range(len(v))]
+    assert got.tobytes() == np.array(literal, dtype=float).tobytes()
 
 
 class TestPrimal:
@@ -550,6 +565,26 @@ class TestDualityGap:
     def test_equal_means(self, eqmeans_pair):
         gap = duality_gap(eqmeans_pair, 0.5, 1e-3, 2)
         assert abs(gap.gap) <= 5e-3
+
+    @pytest.mark.parametrize("call", range(4))
+    def test_nan_read_refused(self, deg_pair, monkeypatch, call):
+        """The running minima skip NaN, so a NaN in any of the four CDF
+        reads, the two lattice reads and then the primal's two at the grid
+        points minus eps, fails with the class named, not with a primal."""
+        calls = []
+        cdf_array = DistributionPair.cdf_array
+
+        def read(self, which, xs):
+            out = cdf_array(self, which, xs)
+            if len(calls) == call:
+                out[len(out) // 2] = math.nan
+            calls.append(which)
+            return out
+
+        monkeypatch.setattr(DistributionPair, "cdf_array", read)
+        with pytest.raises(ValueError, match=f"class {call % 2} CDF reads NaN"):
+            duality_gap(deg_pair, 0.05, 1e-3)
+        assert calls == [0, 1, 0, 1][:call + 1]
 
     def test_weak_duality_after_slack(self, nua_pair, deg_pair):
         # dual <= risk of any classifier + C * grid_h with C = 2 * sup density

@@ -11,6 +11,7 @@ from oracles import left_fold
 from advbayes import examples
 from advbayes.density import (
     ARRAY_CDF_POINTS,
+    GAUSSIAN_ARRAY_CDF_POINTS,
     DistributionPair,
     Gaussian,
     OutsideSupport,
@@ -257,6 +258,34 @@ class TestScalarSums:
             expected = [left_fold(c.cdf(x) for c in comps).hex() for x in xs]
             assert [v.hex() for v in pair.cdf_points(which, xs)] == expected
             assert [pair.cdf(which, x).hex() for x in xs] == expected
+
+    def test_cdf_points_path_from_the_class(self, monkeypatch):
+        """An all-Gaussian class reads a list with ``cdf_array`` from
+        ``GAUSSIAN_ARRAY_CDF_POINTS`` points on, any other class from
+        ``ARRAY_CDF_POINTS`` on; lists one shorter take the scalar path, and
+        both give the component sums' bits."""
+        bumps = [Gaussian(weight=0.5 / 8, mu=4.0 * i, sigma=0.7) for i in range(8)]
+        mixed = [Gaussian(weight=0.25, mu=1.0, sigma=2.0),
+                 PiecewisePoly(breakpoints=(0.0, 2.0), coeffs=((0.125,),))]
+        pairs = [examples.example_pair("gaussians_equal_variances"),
+                 examples.example_pair("degenerate"), DistributionPair(bumps, mixed)]
+        arrays = []
+        cdf_array = DistributionPair.cdf_array
+        monkeypatch.setattr(DistributionPair, "cdf_array", lambda self, which, xs:
+                            arrays.append(len(xs)) or cdf_array(self, which, xs))
+        for pair in pairs:
+            lo, hi = pair.finite_extent()
+            for which, comps in ((0, pair.class0), (1, pair.class1)):
+                gaussian = all(isinstance(c, Gaussian) for c in comps)
+                threshold = GAUSSIAN_ARRAY_CDF_POINTS if gaussian else ARRAY_CDF_POINTS
+                for size in (threshold - 1, threshold):
+                    xs = np.linspace(lo, hi, size).tolist()
+                    expected = [left_fold(c.cdf(x) for c in comps).hex() for x in xs]
+                    arrays.clear()
+                    assert [v.hex() for v in pair.cdf_points(which, xs)] == expected
+                    assert arrays == ([size] if size == threshold else [])
+        with pytest.raises(ValueError, match="class index"):
+            pairs[0].cdf_points(2, [0.0])
 
 
 class TestLeftFolds:
