@@ -162,14 +162,6 @@ class DualCertificate:
         keep = mass > 0.0
         return list(zip(self.rows[owner[keep]].tolist(), j[keep].tolist(), mass[keep].tolist()))
 
-    @property
-    def n_pairs(self) -> int:
-        """The number of pairs, counted without expanding them."""
-        # The overlap is positive exactly on the nonempty cells of each range.
-        first, stop = self._cell_ranges()
-        nonempty = np.concatenate([[0], np.cumsum(self.c1[1:] > self.c1[:-1])])
-        return int(np.sum(nonempty[stop] - nonempty[first]))
-
 
 @dataclass
 class GapReport:

@@ -150,7 +150,6 @@ def certificate_to_dict(c: DualCertificate) -> dict:
     return {
         "dual_value": c.dual_value,
         "pairing_radius": c.pairing_radius,
-        "n_pairs": c.n_pairs,
     }
 
 
